@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
@@ -374,10 +375,13 @@ def _phase_leg(
     g = growth_params(spec)
     threshold, thr_kind = phase_threshold(spec, config.q, config.eps, sigma2)
     init = gaussian_init(sigma2, spec.d, config.n_chains, config.h, seed=leg_seed)
+    t0 = time.perf_counter()
     trace = run_chains(
         spec, init, config.n_iters, record_every=config.record_every,
         stop_below=threshold,
     )
+    wall_s = time.perf_counter() - t0
+    steps_run = int(trace.iters[-1])
     measured = iterations_to_threshold(trace, threshold)
     delta0 = coupling_delta0(spec, sigma2)
     nu = spec.nu if isinstance(spec, GenCauchy) else None
@@ -413,6 +417,12 @@ def _phase_leg(
             "threshold_kind": thr_kind,
             "leg_seed": leg_seed,
             "stopped_early": trace.stopped_early,
+            # run telemetry: meta only, so phase.csv and phase.svg stay
+            # byte-identical across reruns and thread counts
+            "steps_run": steps_run,
+            "stop_reason": "threshold" if trace.stopped_early else "n_iters",
+            "wall_s": wall_s,
+            "chain_steps_per_s": config.n_chains * steps_run / wall_s,
             "lower_value": lower.value,
             "lower_feasible": lower.feasible,
             "lower_infeasibility": lower.infeasibility,

@@ -8,16 +8,23 @@ run as a batch of independent chains stored in an ``(n_chains, d)`` array.
 
 Randomness contract
 -------------------
-All noise comes from counter-based Philox streams derived from a single root
-seed.  Stream 0 is reserved for the initial draw; stream k+1 supplies the
-noise for iteration k (the update producing x_{k+1}).  Within a stream, the
-block ``standard_normal((n_chains, d))`` is laid out row-major, so chain i
-always reads row i: the noise consumed by chain i is a function of
-``(root_seed, iteration, i)`` only.  Consequences, both tested:
+All noise is addressed by ``(root_seed, stream)``: the block for a stream is
+drawn from ``Generator(SFC64(SeedSequence((root_seed, stream))))``, a fresh
+generator per address, so any stream can be read without drawing the ones
+before it.  Stream 0 is reserved for the initial draw; stream k+1 supplies
+the noise for iteration k (the update producing x_{k+1}).  Within a stream,
+the block ``standard_normal((n_chains, d))`` is laid out row-major, so chain
+i always reads row i: the noise consumed by chain i is a function of
+``(root_seed, iteration, i)`` only.  Consequences, all tested:
 
-* runs with the same root seed are bit-identical, and
+* runs with the same root seed are bit-identical,
 * the first chains of a larger batch reproduce a smaller batch exactly
-  (advancing chain i never consumes randomness addressed to chain j).
+  (advancing chain i never consumes randomness addressed to chain j), and
+* outputs do not depend on how many threads run independent batches.
+
+Version 1 of this contract drew each block from ``Philox(key=root_seed,
+counter=stream << 128)``; the addressing is unchanged, but outputs of v1
+are not reproduced byte for byte.
 
 Divergence policy
 -----------------
@@ -85,8 +92,9 @@ class ChainDivergenceError(HeavyTailError, RuntimeError):
 class ChainBatch:
     """State of a batch of chains after ``k`` iterations.
 
-    ``rng_root`` addresses the Philox stream family; the batch consumes
-    stream ``k + 1`` on its next step.
+    ``rng_root`` is the root seed of the ``(root, stream)`` noise addresses
+    (see the module's randomness contract); the batch consumes stream
+    ``k + 1`` on its next step.
     """
 
     positions: np.ndarray
@@ -138,8 +146,8 @@ class MomentTrace:
 
 def _noise_block(root: int, stream: int, n: int, d: int) -> np.ndarray:
     """The (n, d) standard-normal block addressed by (root, stream)."""
-    gen = np.random.Generator(np.random.Philox(key=root, counter=stream << 128))
-    return gen.standard_normal((n, d))
+    seq = np.random.SeedSequence((root, stream))
+    return np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d))
 
 
 def gaussian_init(
@@ -155,10 +163,22 @@ def gaussian_init(
 
 
 def _check_divergence(pos: np.ndarray, iteration: int, trace=None) -> None:
-    bad = ~np.isfinite(pos) | (np.abs(pos) > DIVERGENCE_LIMIT)
-    if np.any(bad):
-        idx = int(np.nonzero(np.any(bad, axis=1))[0][0])
-        raise ChainDivergenceError(idx, iteration, partial_trace=trace)
+    # One reduction on the common path; NaN fails the comparison.
+    if pos.size == 0 or np.abs(pos).max() <= DIVERGENCE_LIMIT:
+        return
+    bad = ~(np.abs(pos) <= DIVERGENCE_LIMIT)
+    idx = int(np.nonzero(np.any(bad, axis=1))[0][0])
+    raise ChainDivergenceError(idx, iteration, partial_trace=trace)
+
+
+def _euler_update(x: np.ndarray, g: np.ndarray, h: float,
+                  xi: np.ndarray) -> np.ndarray:
+    """(x - h g) + sqrt(2 h) xi, written into ``g``; ``xi`` is scaled in place."""
+    g *= h
+    np.subtract(x, g, out=g)
+    xi *= np.sqrt(2.0 * h)
+    g += xi
+    return g
 
 
 def lmc_step(batch: ChainBatch, spec: PotentialSpec) -> ChainBatch:
@@ -170,27 +190,25 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec) -> ChainBatch:
     x = batch.positions
     h = batch.h
     xi = _noise_block(batch.rng_root, batch.k + 1, batch.n_chains, batch.d)
-    new = x - h * grad_potential(spec, x) + np.sqrt(2.0 * h) * xi
+    # grad_potential returns a fresh array, so the update may overwrite it
+    new = _euler_update(x, grad_potential(spec, x), h, xi)
     _check_divergence(new, batch.k + 1)
     return ChainBatch(positions=new, h=h, k=batch.k + 1, rng_root=batch.rng_root)
 
 
-def _m2_stats(pos: np.ndarray) -> tuple[float, float]:
-    sq = np.einsum("ij,ij->i", pos, pos)
-    n = sq.shape[0]
-    m2 = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return m2, se
+def _sq_norms(pos: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", pos, pos)
 
 
-def _paired_stats(pos_old: np.ndarray, pos_new: np.ndarray) -> tuple[float, float]:
-    diff = np.einsum("ij,ij->i", pos_new, pos_new) - np.einsum(
-        "ij,ij->i", pos_old, pos_old
-    )
-    n = diff.shape[0]
-    mean = float(diff.mean())
-    se = float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+def _mean_se(v: np.ndarray) -> tuple[float, float]:
+    n = v.shape[0]
+    mean = float(v.mean())
+    se = float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return mean, se
+
+
+def _m2_stats(pos: np.ndarray) -> tuple[float, float]:
+    return _mean_se(_sq_norms(pos))
 
 
 def run_chains(
@@ -227,33 +245,35 @@ def run_chains(
     stopped = False
 
     batch = init
-    pending: Union[np.ndarray, None] = None  # positions at the last recorded iter
+    # |x|^2 of the last recorded state, kept until its successor is paired
+    pending: Union[np.ndarray, None] = None
 
-    def record(b: ChainBatch) -> bool:
+    def record(step: int, sq: np.ndarray) -> bool:
         nonlocal pending
-        m2, se = _m2_stats(b.positions)
-        iters.append(b.k - init.k)
+        m2, se = _mean_se(sq)
+        iters.append(step)
         m2s.append(m2)
         ses.append(se)
         d_next.append(np.nan)
         d_next_se.append(np.nan)
-        pending = b.positions
+        pending = sq
         return stop_below is not None and m2 + 2.0 * se < stop_below
 
     try:
-        hit = record(batch)
-        if hit:
+        if record(0, _sq_norms(batch.positions)):
             stopped = True
         else:
             for step in range(1, n_iters + 1):
-                old_pos = batch.positions
                 batch = lmc_step(batch, spec)
-                if pending is old_pos:
-                    dm, dse = _paired_stats(old_pos, batch.positions)
-                    d_next[-1] = dm
-                    d_next_se[-1] = dse
+                sq = None
+                if pending is not None:
+                    sq = _sq_norms(batch.positions)
+                    d_next[-1], d_next_se[-1] = _mean_se(sq - pending)
+                    pending = None
                 if step % record_every == 0 or step == n_iters:
-                    if record(batch):
+                    if sq is None:
+                        sq = _sq_norms(batch.positions)
+                    if record(step, sq):
                         stopped = True
                         break
     except ChainDivergenceError as err:
@@ -292,10 +312,11 @@ def reference_diffusion(
     ``dt = 1 / substeps_per_unit``; the number of steps is rounded up to an
     even count so the built-in halving check can couple a coarse path
     (dt' = 2 dt) to the fine one through the exact Brownian aggregation
-    eta_j = (xi_{2j} + xi_{2j+1}) / sqrt(2), regenerated from the same
-    counters rather than stored.  If the final second moments of the two
-    resolutions differ by more than 1% (relative to max(1, m2)), a
-    discretization warning is emitted.
+    eta_j = (xi_{2j+1} + xi_{2j+2}) / sqrt(2).  The coarse path runs in
+    lockstep with the fine one and consumes each pair of fine noise blocks
+    as they are drawn.  If the final second moments of the two resolutions
+    differ by more than 1% (relative to max(1, m2)), a discretization
+    warning is emitted.
 
     The ``h`` carried by ``init`` is ignored; noise streams are drawn from
     ``init.rng_root`` exactly as in :func:`run_chains`.
@@ -315,15 +336,24 @@ def reference_diffusion(
     m2s: list[float] = []
     ses: list[float] = []
 
-    x = init.positions.copy()
+    # the updates write into fresh gradient arrays, never into init
+    x = y = init.positions
     m2, se = _m2_stats(x)
     iters.append(0)
     m2s.append(m2)
     ses.append(se)
     root = init.rng_root
+    xi_odd: Union[np.ndarray, None] = None
     for step in range(1, n_steps + 1):
         xi = _noise_block(root, step, n, d)
-        x = x - dt * grad_potential(spec, x) + np.sqrt(2.0 * dt) * xi
+        if check_discretization:
+            if step % 2:
+                xi_odd = xi.copy()
+            else:
+                eta = (xi_odd + xi) / np.sqrt(2.0)
+                y = _euler_update(y, grad_potential(spec, y), 2.0 * dt, eta)
+                _check_divergence(y, step // 2)
+        x = _euler_update(x, grad_potential(spec, x), dt, xi)
         _check_divergence(x, step)
         if step % record_every == 0 or step == n_steps:
             m2, se = _m2_stats(x)
@@ -332,15 +362,6 @@ def reference_diffusion(
             ses.append(se)
 
     if check_discretization:
-        dt2 = 2.0 * dt
-        y = init.positions.copy()
-        for j in range(n_steps // 2):
-            eta = (
-                _noise_block(root, 2 * j + 1, n, d)
-                + _noise_block(root, 2 * j + 2, n, d)
-            ) / np.sqrt(2.0)
-            y = y - dt2 * grad_potential(spec, y) + np.sqrt(2.0 * dt2) * eta
-            _check_divergence(y, j + 1)
         m2_coarse, _ = _m2_stats(y)
         if abs(m2_coarse - m2s[-1]) > 0.01 * max(1.0, abs(m2s[-1])):
             warnings.warn(

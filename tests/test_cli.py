@@ -326,6 +326,13 @@ def test_phase_transition_outputs(tmp_path, monkeypatch, capsys):
     meta = json.loads((out / "phase_meta.json").read_text())
     assert len(meta["legs"]) == 6
     assert meta["config"]["n_iters"] == 200
+    for leg in meta["legs"]:
+        assert leg["stop_reason"] == ("threshold" if leg["stopped_early"] else "n_iters")
+        assert 0 <= leg["steps_run"] <= 200
+        if leg["stop_reason"] == "n_iters":
+            assert leg["steps_run"] == 200
+        assert leg["wall_s"] > 0
+        assert leg["chain_steps_per_s"] >= 0
 
 
 def test_phase_transition_deterministic_across_threads(tmp_path, monkeypatch):

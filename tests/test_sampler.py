@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from heavytail_lmc import (
+    ChainBatch,
     ChainDivergenceError,
     Gaussian,
     GenCauchy,
     InputValidationError,
+    RadialCustom,
     Sublinear,
     gaussian_init,
     grad_potential,
@@ -131,6 +134,98 @@ def test_no_stop_when_threshold_never_met():
     assert iterations_to_threshold(trace, 1e-6) is None
 
 
+def _inverse_in_place(t):
+    """f'(t) = 1 / (1 + t) of f = log1p, written into and returned as ``t``."""
+    np.divide(1.0, np.add(t, 1.0, out=t), out=t)
+    return t
+
+
+REFERENCE_SPECS = [
+    Gaussian(d=2),
+    Sublinear(d=1, alpha=0.5),
+    GenCauchy(d=3, nu=2),
+    RadialCustom(d=2, f=np.log1p, fprime=_inverse_in_place),
+]
+
+
+def _reference_run(spec, init, n_iters, record_every, stop_below):
+    """run_chains as a plain loop of lmc_step, every statistic from einsum."""
+
+    def mean_se(v):
+        se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
+        return float(v.mean()), se
+
+    def sq(b):
+        return np.einsum("ij,ij->i", b.positions, b.positions)
+
+    out = {"iters": [], "m2": [], "se": [], "dm2_next": [], "dm2_next_se": []}
+
+    def record(step, b):
+        m2, se = mean_se(sq(b))
+        for key, v in zip(out, (step, m2, se, np.nan, np.nan)):
+            out[key].append(v)
+        return stop_below is not None and m2 + 2.0 * se < stop_below
+
+    batch, step = init, 0
+    stopped = record(0, batch)
+    recorded = True
+    while not stopped and step < n_iters:
+        step += 1
+        prev, batch = batch, lmc_step(batch, spec)
+        if recorded:
+            out["dm2_next"][-1], out["dm2_next_se"][-1] = mean_se(sq(batch) - sq(prev))
+        recorded = step % record_every == 0 or step == n_iters
+        if recorded:
+            stopped = record(step, batch)
+    return out, batch.positions, stopped
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 100])
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: type(s).__name__)
+def test_run_chains_matches_reference_loop(spec, record_every):
+    """run_chains reuses |x|^2 across its statistics; the bytes must match a
+    loop that recomputes each from the positions, with and without a stop,
+    and from a batch already k > 0 iterations in."""
+    start = gaussian_init(sigma2=16.0, d=spec.d, n_chains=300, h=0.05, seed=11)
+    inits = [start, ChainBatch(start.positions, h=0.05, k=5, rng_root=11)]
+    for init in inits:
+        full, _, _ = _reference_run(spec, init, 250, record_every, None)
+        # halfway between the first and last recorded m2: hit when m2 decays
+        for stop in (None, 0.5 * (full["m2"][0] + full["m2"][-1])):
+            ref, final, stopped = _reference_run(spec, init, 250, record_every, stop)
+            trace = run_chains(spec, init, 250, record_every=record_every,
+                               stop_below=stop)
+            for key, values in ref.items():
+                assert getattr(trace, key).tobytes() == np.asarray(
+                    values, dtype=getattr(trace, key).dtype).tobytes(), key
+            assert trace.final_positions.tobytes() == final.tobytes()
+            assert trace.stopped_early == stopped
+
+
+def test_divergence_guard_catches_nan_in_known_chain():
+    """A NaN, not an overflow, in one chain names that chain and iteration."""
+
+    def repel_then_nan(t):
+        # V = -|x|^2 / 2 pushes chains out; the profile is undefined past 100
+        return np.where(t > 100.0, np.nan, -0.5)
+
+    spec = RadialCustom(d=1, f=lambda t: -0.5 * t, fprime=repel_then_nan)
+    pos = np.zeros((8, 1))
+    pos[5, 0] = 8.0
+    init = ChainBatch(pos, h=0.1, k=0, rng_root=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow on the way
+        with pytest.raises(ChainDivergenceError) as exc_info:
+            run_chains(spec, init, n_iters=50)
+    err = exc_info.value
+    assert err.chain_index == 5
+    assert err.iteration > 1
+    # every iteration before the bad one was recorded
+    assert list(err.partial_trace.iters) == list(range(err.iteration))
+    empty = ChainBatch(np.empty((0, 1)), h=0.1, k=0, rng_root=0)
+    assert lmc_step(empty, Gaussian(d=1)).positions.shape == (0, 1)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_guard():
     # |1 - h|^2 > 1 for the Gaussian target when h > 2: the chain explodes
@@ -164,6 +259,15 @@ def test_reference_diffusion_ou_moment():
     assert trace.times is not None
     assert trace.times[-1] == pytest.approx(1.0)
     assert trace.m2[-1] == pytest.approx(expect, rel=0.02)
+
+
+def test_reference_diffusion_halving_check_warns_on_coarse_grid():
+    init = gaussian_init(sigma2=4.0, d=1, n_chains=2000, h=1.0, seed=8)
+    with pytest.warns(RuntimeWarning, match="halving check disagrees"):
+        reference_diffusion(Gaussian(d=1), init, T=4.0, substeps_per_unit=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reference_diffusion(Gaussian(d=1), init, T=4.0, substeps_per_unit=2000)
 
 
 def test_write_trace_csv(tmp_path):
