@@ -6,6 +6,10 @@ fixed battery of smooth test functions and report any violation beyond a
 1e-9 quadrature slack.  A finite test set can only falsify, never prove;
 every report says so, and every checker has a built-in falsification mode
 (the constant divided by 1e6) demonstrating that it can detect violations.
+Each checker call builds the target density once (profile and log Z) and
+memoizes it per quadrature node, as it memoizes each test function across
+the integrals that share it; no memo outlives the call.  Every value is
+bit-identical to rebuilding the density for every integral.
 
 The solver evolves a cell-averaged density on a non-uniform 1D grid with a
 conservative explicit finite-volume scheme in the density-ratio variable
@@ -395,21 +399,67 @@ class FIReport:
 _SLACK = 1e-9
 
 
+def _target_density(spec: PotentialSpec) -> Callable[[float], float]:
+    """pi(x) at a quadrature node, built once per checker call.
+
+    The profile and log Z are computed here, once; ``density(x)`` then
+    evaluates exp(-f(x^2) - log Z) with the same operations the per-integral
+    form used, so every value is bit-identical to it.  Values are memoized by
+    node: the integrals of one test function, and the functions of one
+    battery, revisit the same nodes.  The key is the float node, so -0.0 and
+    0.0 share an entry; pi is even, so their values agree.  The memo lives as
+    long as the returned function, i.e. one checker call.
+    """
+    f, _ = radial_profile(spec)
+    log_z = log_normalizing_constant(spec)
+    memo: dict[float, float] = {}
+
+    def density(x: float) -> float:
+        val = memo.get(x)
+        if val is None:
+            xa = np.asarray([x])
+            val = memo[x] = math.exp(-float(f(xa * xa)[0]) - log_z)
+        return val
+
+    return density
+
+
+def _memo_on_nodes(
+    fn: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` on one-node arrays, memoized by the node.
+
+    The key is the node's bit pattern, so -0.0 and 0.0 stay apart (an odd
+    function keeps the sign of its zero).
+    """
+    memo: dict[bytes, np.ndarray] = {}
+
+    def at(xa: np.ndarray) -> np.ndarray:
+        key = xa.tobytes()
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = fn(xa)
+        return val
+
+    return at
+
+
 def _pi_quadrature(
-    spec: PotentialSpec,
+    density: Callable[[float], float],
     integrand: Callable[[np.ndarray], np.ndarray],
     window: float,
     support: Optional[float],
     points: Sequence[float],
 ) -> float:
-    """integral of integrand(x) pi(x) dx over [-window, window] (or support)."""
-    f, _ = radial_profile(spec)
-    log_z = log_normalizing_constant(spec)
+    """integral of integrand(x) pi(x) dx over [-window, window] (or support).
+
+    ``density`` comes from :func:`_target_density`, built once per checker
+    call and memoized per node; the result is byte-identical to rebuilding
+    the profile and log Z for every integral.
+    """
 
     def full(x: float) -> float:
-        xa = np.asarray([x])
-        val = integrand(xa)[0] * math.exp(-float(f(xa * xa)[0]) - log_z)
-        return val
+        return integrand(np.asarray([x]))[0] * density(x)
 
     lo, hi = -window, window
     if support is not None:
@@ -428,21 +478,30 @@ def _pi_quadrature(
     return val
 
 
+_KINKS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
+
+
 def _function_stats(
-    spec: PotentialSpec, tf: TestFunction, window: float, weight: Optional[
-        Callable[[np.ndarray], np.ndarray]] = None
+    density: Callable[[float], float], tf: TestFunction, window: float,
+    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
 ) -> dict:
-    """Var_pi(f), E_pi[w f'^2], Osc(f), and weighted first moments."""
-    kinks = [-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0]
-    mean = _pi_quadrature(spec, tf.f, window, tf.support, kinks)
-    second = _pi_quadrature(spec, lambda x: tf.f(x) ** 2, window, tf.support, kinks)
+    """Var_pi(f), E_pi[w f'^2], Osc(f), and weighted first moments.
+
+    f is memoized per node, so the first and second moments share its
+    evaluations.
+    """
+    f = _memo_on_nodes(tf.f)
+    mean = _pi_quadrature(density, f, window, tf.support, _KINKS)
+    second = _pi_quadrature(density, lambda x: f(x) ** 2, window, tf.support,
+                            _KINKS)
     if weight is None:
         grad2 = _pi_quadrature(
-            spec, lambda x: tf.fprime(x) ** 2, window, tf.support, kinks
+            density, lambda x: tf.fprime(x) ** 2, window, tf.support, _KINKS
         )
     else:
         grad2 = _pi_quadrature(
-            spec, lambda x: weight(x) * tf.fprime(x) ** 2, window, tf.support, kinks
+            density, lambda x: weight(x) * tf.fprime(x) ** 2, window,
+            tf.support, _KINKS
         )
     span = tf.support if tf.support is not None else window
     xs = np.linspace(-span, span, 65537)
@@ -475,13 +534,15 @@ def wpi_check(
         raise InputValidationError("r_grid must be non-empty with positive entries")
     scale = 1e-6 if falsify else 1.0
     window = _tail_quantile(spec, 1e-13)
+    density = _target_density(spec)
+    betas = [beta(r) for r in r_grid]
     entries: list[dict] = []
     worst = 0.0
     n_bad = 0
     for tf in fset:
-        stats = _function_stats(spec, tf, window)
-        for r in r_grid:
-            rhs = scale * beta(r) * stats["grad2"] + r * stats["osc"] ** 2
+        stats = _function_stats(density, tf, window)
+        for r, beta_r in zip(r_grid, betas):
+            rhs = scale * beta_r * stats["grad2"] + r * stats["osc"] ** 2
             margin = rhs + _SLACK - stats["var"]
             violated = margin < 0.0
             n_bad += violated
@@ -525,19 +586,20 @@ def converse_pi_check(
     scale = 1e-6 if falsify else 1.0
     window = _tail_quantile(spec, 1e-13)
     w = lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2)
-    kinks = [-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0]
+    density = _target_density(spec)
+    w_mass = _pi_quadrature(density, w, window, None, _KINKS)
     entries: list[dict] = []
     worst = 0.0
     n_bad = 0
     for tf in fset:
-        w_mass = _pi_quadrature(spec, w, window, None, kinks)
-        fw = _pi_quadrature(spec, lambda x: tf.f(x) * w(x), window, tf.support,
-                            kinks)
-        f2w = _pi_quadrature(spec, lambda x: tf.f(x) ** 2 * w(x), window,
-                             tf.support, kinks)
+        f = _memo_on_nodes(tf.f)
+        fw = _pi_quadrature(density, lambda x: f(x) * w(x), window, tf.support,
+                            _KINKS)
+        f2w = _pi_quadrature(density, lambda x: f(x) ** 2 * w(x), window,
+                             tf.support, _KINKS)
         lhs = max(f2w - fw * fw / w_mass, 0.0)
-        grad2 = _pi_quadrature(spec, lambda x: tf.fprime(x) ** 2, window,
-                               tf.support, kinks)
+        grad2 = _pi_quadrature(density, lambda x: tf.fprime(x) ** 2, window,
+                               tf.support, _KINKS)
         rhs = scale * c_const * grad2
         margin = rhs + _SLACK - lhs
         violated = margin < 0.0
@@ -585,11 +647,12 @@ def weighted_pi_check(
     window = _tail_quantile(spec, 1e-13)
     expo = 2.0 * (1.0 - alpha)
     weight = lambda x: np.abs(np.asarray(x, dtype=float)) ** expo
+    density = _target_density(spec)
     entries: list[dict] = []
     worst = 0.0
     n_bad = 0
     for tf in fset:
-        stats = _function_stats(spec, tf, window, weight=weight)
+        stats = _function_stats(density, tf, window, weight=weight)
         rhs = scale * math.e * c_const * stats["grad2"]
         margin = rhs + _SLACK - stats["var"]
         violated = margin < 0.0

@@ -375,6 +375,36 @@ def test_phase_transition_family_subset(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
+def test_phase_transition_progress_lines(tmp_path, monkeypatch, capsys):
+    """--progress prints one stderr line per finished leg, changing no output."""
+    monkeypatch.delenv("HEAVYTAIL_THREADS", raising=False)
+    flags = ["phase-transition", *PHASE_FLAGS, "--families", "gaussian"]
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main([*flags, "--output-dir", str(quiet)]) == 0
+    off = capsys.readouterr()
+    assert main([*flags, "--progress", "--output-dir", str(loud)]) == 0
+    on = capsys.readouterr()
+    assert off.err == ""
+    assert on.out == off.out.replace(str(quiet), str(loud))
+    for name in ("phase.csv", "phase.svg"):
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes()
+
+    def legs(out):
+        return json.loads((out / "phase_meta.json").read_text())["legs"]
+
+    timing = ("wall_s", "chain_steps_per_s")
+    untimed = [[{k: v for k, v in leg.items() if k not in timing}
+                for leg in legs(out)] for out in (quiet, loud)]
+    assert untimed[0] == untimed[1]
+    lines = on.err.splitlines()
+    assert len(lines) == 2
+    for i, (line, leg) in enumerate(zip(lines, legs(loud)), start=1):
+        assert line.startswith(f"leg {i}/2 gaussian sigma2=")
+        assert f"steps_run={leg['steps_run']} " in line
+        assert f"stop_reason={leg['stop_reason']} " in line
+        assert line.endswith(f"wall_s={leg['wall_s']:.2f}")
+
+
 def test_phase_transition_gates_lower_bound_by_threshold(tmp_path, capsys):
     """A lower bound is published only where delta0 meets its validity
     threshold; the log-tail threshold is not computable at q = 2, nu = 2."""

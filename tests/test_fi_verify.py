@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from heavytail_lmc import (
     DensityGrid,
@@ -28,6 +30,8 @@ from heavytail_lmc import (
     wpi_check,
     write_fp_csv,
 )
+from heavytail_lmc import fi_verify
+from heavytail_lmc.targets import log_normalizing_constant, radial_profile
 
 GC12 = GenCauchy(d=1, nu=2)
 R_GRID = [1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.7, 1.0]
@@ -234,6 +238,83 @@ def test_weighted_check_domain(fset):
 def test_checker_reports_carry_finite_battery_note(fset):
     rep = wpi_check(GC12, beta_for_spec(GC12), fset, [0.5])
     assert "falsify" in rep.note
+
+
+def _per_integral_quadrature(spec, integrand, window, support, points):
+    """One pi-integral as evaluated without any memo: the profile and log Z
+    are rebuilt for this integral, and every node is computed afresh."""
+    f, _ = radial_profile(spec)
+    log_z = log_normalizing_constant(spec)
+
+    def full(x):
+        xa = np.asarray([x])
+        return integrand(xa)[0] * math.exp(-float(f(xa * xa)[0]) - log_z)
+
+    lo, hi = -window, window
+    if support is not None:
+        lo, hi = max(lo, -support), min(hi, support)
+    pts = sorted(p for p in points if lo < p < hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(full, lo, hi, points=pts or None, limit=400,
+                      epsabs=1e-13, epsrel=1e-11)
+    return val
+
+
+# odd and even poly*bump, tanh ramps, and an odd sine*bump
+_MEMO_SUBSET = ("poly1_bump2", "poly2_bump2", "poly3_bump8", "tanh_c0_s1",
+                "tanh_c1_s0.5", "sin2_bump4")
+
+
+def test_memoized_checkers_match_per_integral_evaluation(fset, monkeypatch):
+    """The per-call density and per-node memos change no report bit."""
+    sub = fi_verify.TestFunctionSet(functions=tuple(
+        tf for tf in fset.functions if tf.name in _MEMO_SUBSET))
+    assert len(sub) == len(_MEMO_SUBSET)
+    gc1, gc2 = GenCauchy(d=1, nu=1.0), GC12
+    sl = Sublinear(d=1, alpha=0.5)
+    runs = [
+        (wpi_check, (gc2, beta_for_spec(gc2), sub, R_GRID), False),
+        (wpi_check, (gc2, beta_for_spec(gc2), sub, R_GRID), True),
+        (wpi_check, (sl, beta_for_spec(sl), sub, R_GRID), False),
+        (wpi_check, (sl, beta_for_spec(sl), sub, R_GRID), True),
+        (converse_pi_check, (gc1, sub), False),
+        (weighted_pi_check, (sl, sub), False),
+    ]
+    got = [check(*args, falsify=fal).to_dict() for check, args, fal in runs]
+    # The same checkers with the spec in place of the density, each integral
+    # evaluated per integral, and no test-function memo.
+    monkeypatch.setattr(fi_verify, "_target_density", lambda spec: spec)
+    monkeypatch.setattr(fi_verify, "_pi_quadrature", _per_integral_quadrature)
+    monkeypatch.setattr(fi_verify, "_memo_on_nodes", lambda fn: fn)
+    want = [check(*args, falsify=fal).to_dict() for check, args, fal in runs]
+    assert got == want
+    assert any(e["violated"] for e in got[1]["entries"])  # falsify has power
+
+
+def test_density_memo_lives_one_checker_call(fset, monkeypatch):
+    """log Z once per checker call, beta once per r, nothing kept between."""
+    counts = {"log_z": 0, "beta": 0}
+
+    def counted_log_z(spec):
+        counts["log_z"] += 1
+        return log_normalizing_constant(spec)
+
+    base = beta_for_spec(GC12)
+
+    def beta(r):
+        counts["beta"] += 1
+        return base(r)
+
+    monkeypatch.setattr(fi_verify, "log_normalizing_constant", counted_log_z)
+    sub = fi_verify.TestFunctionSet(functions=fset.functions[:2])
+    wpi_check(GC12, beta, sub, R_GRID)
+    assert counts == {"log_z": 1, "beta": len(R_GRID)}
+    wpi_check(GC12, beta, sub, R_GRID)
+    assert counts == {"log_z": 2, "beta": 2 * len(R_GRID)}
+    converse_pi_check(GC12, sub)
+    weighted_pi_check(Sublinear(d=1, alpha=0.5), sub)
+    assert counts["log_z"] == 4
 
 
 # ---------------------------------------------------------------------------
