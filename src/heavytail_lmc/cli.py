@@ -465,12 +465,11 @@ def _phase_families(config: ExperimentConfig, only: Optional[Sequence[str]]
 
 
 def cmd_phase_transition(config: ExperimentConfig,
-                         families: Optional[Sequence[str]] = None,
-                         progress: bool = False) -> int:
+                         families: Optional[Sequence[str]] = None) -> int:
     """Sweep sigma2 per family; emit phase.csv, phase.svg, phase_meta.json.
 
-    ``progress`` prints one stderr line per finished leg, in CSV row order,
-    with the leg's telemetry from phase_meta.json.
+    Each finished leg prints one stderr line, in CSV row order, with its
+    telemetry from phase_meta.json.
     """
     specs = _phase_families(config, families)
     # once per family: the threshold's quadrature costs as much as a short leg
@@ -502,14 +501,13 @@ def cmd_phase_transition(config: ExperimentConfig,
                 rows.append(row)
                 writer.writerow([_fmt_cell(row[k]) for k in _PHASE_HEADER])
                 fh.flush()
-                if progress:
-                    meta = row["_meta"]
-                    print(f"leg {len(rows)}/{len(legs)} {row['family']} "
-                          f"sigma2={row['sigma2']:g} "
-                          f"steps_run={meta['steps_run']} "
-                          f"stop_reason={meta['stop_reason']} "
-                          f"wall_s={meta['wall_s']:.2f}",
-                          file=sys.stderr, flush=True)
+                meta = row["_meta"]
+                print(f"leg {len(rows)}/{len(legs)} {row['family']} "
+                      f"sigma2={row['sigma2']:g} "
+                      f"steps_run={meta['steps_run']} "
+                      f"stop_reason={meta['stop_reason']} "
+                      f"wall_s={meta['wall_s']:.2f}",
+                      file=sys.stderr, flush=True)
     if failure is not None:
         print(f"phase-transition leg failed: {failure}", file=sys.stderr)
         print(f"partial results flushed to {csv_path}", file=sys.stderr)
@@ -962,8 +960,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--families", type=str, default=None,
                          help="comma-separated subset of "
                               "gaussian,sublinear,gen_cauchy")
-    p_phase.add_argument("--progress", action="store_true",
-                         help="print one stderr line per finished leg")
 
     p_bounds = sub.add_parser("bounds", help="evaluate one named bound")
     p_bounds.add_argument("--thm", type=str, default=None, choices=[
@@ -1077,8 +1073,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 [f.strip() for f in args.families.split(",") if f.strip()]
                 if args.families else None
             )
-            return cmd_phase_transition(_config_from_args(args), families,
-                                        progress=args.progress)
+            return cmd_phase_transition(_config_from_args(args), families)
         if args.command == "bounds":
             return cmd_bounds(args)
         if args.command == "verify":
