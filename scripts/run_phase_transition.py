@@ -1,25 +1,19 @@
 #!/usr/bin/env python3
-"""Run the three-family initialization sweep and fit the regime shapes.
+"""Measure the subexponential power law of the initialization sweep.
 
-Default mode reproduces the full desk-scale experiment (d=2, five start
-variances, 10^4 chains) through the CLI pipeline, then fits one curve per
-family:
-
-* square-exponential target: iterations against log start divergence
-  (affine, reports R^2),
-* log-tailed target: log iterations against start divergence (slope ~ 1/nu),
-* subexponential target: log iterations against log start divergence.
-
-At the default sweep the subexponential chains *start below* the order-2
-surrogate threshold (threshold ~4293 at eps=1 vs initial second moment
-<= 2048), so their crossing times are identically 0 and the power law is
-invisible.  Their coupling divergences (delta0 <= 16) also sit below the
+The three-family sweep itself is ``heavytail-lmc phase-transition`` (the
+criterion-2 tests run it at d=2 with five start variances and fit one curve
+per family).  At that sweep the subexponential chains *start below* the
+order-2 surrogate threshold (threshold ~4293 at eps=1 vs initial second
+moment <= 2048), so their crossing times are identically 0 and the power law
+is invisible.  Their coupling divergences (delta0 <= 16) also sit below the
 lower bound's validity threshold (~32.92 at q=2), so those rows carry no
-lower bound (``nan``).  ``--demo-sublinear`` runs the same family at starts
-large enough to begin above the surrogate threshold, where the slope is
+lower bound (``nan``).  This script runs the same family at starts large
+enough to begin above the surrogate threshold, where the slope is
 measurable.  Each start's lower bound is gated the same way: at
 sigma2 = 8192 the divergence delta0 = 32.0 is still below 32.92, so that
 start reports no bound; the two larger starts are checked for domination.
+``--demo-sublinear`` names this study, the script's only mode.
 """
 
 from __future__ import annotations
@@ -27,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -41,66 +36,12 @@ from heavytail_lmc.cli import (
     coupling_delta0,
     gated_lower_bound,
     lower_bound_gate,
-    main as cli_main,
     phase_threshold,
 )
 
 
-def _fit(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    denom = float(((y - np.mean(y)) ** 2).sum())
-    r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else float("nan")
-    return float(slope), float(intercept), r2
-
-
-def run_default(out_dir: str, n_iters: int, seed: int) -> int:
-    rc = cli_main([
-        "phase-transition", "--family", "gaussian", "--d", "2",
-        "--sigma2", "4,16,64,256,1024", "--h", "0.01",
-        "--n-chains", "10000", "--n-iters", str(n_iters),
-        "--record-every", "10", "--seed", str(seed), "--q", "2", "--eps", "1",
-        "--output-dir", out_dir,
-    ])
-    if rc != 0:
-        return rc
-    with open(f"{out_dir}/phase.csv", newline="") as fh:
-        rows = [
-            {
-                "family": r["family"],
-                "delta0": float(r["delta0_bound"]),
-                "measured": float(r["iters_measured"]),
-                "lower": float(r["iters_lower_bound"]),
-            }
-            for r in csv.DictReader(fh)
-        ]
-
-    def crossing(family):
-        return [r for r in rows if r["family"] == family
-                and math.isfinite(r["measured"]) and r["measured"] > 0]
-
-    print()
-    gauss = crossing("gaussian")
-    if len(gauss) >= 3:
-        slope, _, r2 = _fit(np.log([r["delta0"] for r in gauss]),
-                            np.array([r["measured"] for r in gauss]))
-        print(f"gaussian:   iters ~ {slope:8.2f} * ln(delta0) + c   (R^2 = {r2:.5f})")
-    gc = crossing("gen_cauchy")
-    if len(gc) >= 3:
-        slope, _, _ = _fit(np.array([r["delta0"] for r in gc]),
-                           np.log([r["measured"] for r in gc]))
-        print(f"gen_cauchy: ln(iters) ~ {slope:6.4f} * delta0 + c   "
-              f"(nu = 2 predicts 1/nu = 0.5)")
-    sub = crossing("sublinear")
-    if len(sub) >= 3:
-        slope, _, _ = _fit(np.log([r["delta0"] for r in sub]),
-                           np.log([r["measured"] for r in sub]))
-        print(f"sublinear:  ln(iters) ~ {slope:6.4f} * ln(delta0) + c")
-    else:
-        print("sublinear:  no crossing legs at this sweep "
-              "(starts sit below the surrogate threshold); "
-              "run with --demo-sublinear")
-    return 0
+def _slope(x, y):
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def run_demo_sublinear(out_dir: str, seed: int) -> int:
@@ -132,8 +73,8 @@ def run_demo_sublinear(out_dir: str, seed: int) -> int:
         print("a start never crossed; increase the iteration budget",
               file=sys.stderr)
         return 1
-    slope, _, _ = _fit(np.log([r[1] for r in rows]),
-                       np.log([float(r[2]) for r in rows]))
+    slope = _slope(np.log([r[1] for r in rows]),
+                   np.log([float(r[2]) for r in rows]))
     lb_exp = (2.0 - spec.alpha) ** 2 / (2.0 * spec.alpha)
     print(f"log-log slope of iterations against delta0: {slope:.4f} "
           f"(lower-bound exponent {lb_exp:.4g}; crossings must scale "
@@ -154,19 +95,13 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output-dir", default=".")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n-iters", type=int, default=80_000,
-                    help="iteration cap per leg in the default sweep")
     ap.add_argument("--demo-sublinear", action="store_true",
-                    help="measure the subexponential power law at starts "
-                         "above the surrogate threshold")
+                    help="the subexponential study at starts above the "
+                         "surrogate threshold (the script's only mode)")
     return ap.parse_args(argv)
 
 
 if __name__ == "__main__":
     args = parse_args()
-    import os
-
     os.makedirs(args.output_dir, exist_ok=True)
-    if args.demo_sublinear:
-        sys.exit(run_demo_sublinear(args.output_dir, args.seed))
-    sys.exit(run_default(args.output_dir, args.n_iters, args.seed))
+    sys.exit(run_demo_sublinear(args.output_dir, args.seed))

@@ -9,6 +9,7 @@ quadrature/PDE verification layer for the underlying inequalities.
 """
 
 from .targets import (
+    FAMILY_TAGS,
     AssumptionViolatedError,
     Gaussian,
     GenCauchy,
@@ -20,6 +21,7 @@ from .targets import (
     NumericsError,
     PotentialSpec,
     RadialCustom,
+    RadialFamily,
     Sublinear,
     SublinearMomentBound,
     UnsupportedFamilyError,

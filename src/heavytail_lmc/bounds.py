@@ -29,21 +29,19 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .diagnostics import gaussian_renyi, sigma2_eps
+from .diagnostics import sigma2_eps
 from .targets import (
     Gaussian,
-    GenCauchy,
     GrowthParams,
     HolderSmoothness,
     InputValidationError,
     PotentialSpec,
-    Sublinear,
-    UnsupportedFamilyError,
-    growth_params,
+    _beta_sublinear,
+    _safe_exp,
+    beta_wpi_cauchy,
+    beta_wpi_sublinear,
     holder_smoothness,
-    log_normalizing_constant,
     modified_target_m,
-    radial_profile,
 )
 
 __all__ = [
@@ -69,15 +67,7 @@ __all__ = [
     "modified_target_m",
 ]
 
-_EXP_MAX = 709.0  # ln(float max); exponents beyond this are reported as inf
-
 _R_INIT_KEYS = frozenset({"q", "2q-1", "qprime", "kl", "r2_hat"})
-
-
-def _safe_exp(x: float) -> float:
-    if x >= _EXP_MAX:
-        return math.inf
-    return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -176,18 +166,8 @@ class BoundQuery:
 # ---------------------------------------------------------------------------
 # Weak-Poincare weightings
 # ---------------------------------------------------------------------------
-
-
-def beta_wpi_cauchy(nu: float, d: int, r: float) -> float:
-    """WPI weighting 2/nu + 2(d/nu + 1) r^{-2/nu} for log-tailed targets."""
-    if not (nu > 0.0):
-        raise InputValidationError(f"nu must be positive, got {nu}")
-    if d < 1:
-        raise InputValidationError(f"d must be a positive integer, got {d}")
-    if not (r > 0.0):
-        raise InputValidationError(f"r must be positive, got {r}")
-    log_term = math.log(2.0 * (d / nu + 1.0)) - (2.0 / nu) * math.log(r)
-    return 2.0 / nu + _safe_exp(log_term)
+# The value forms beta_wpi_cauchy and beta_wpi_sublinear live in targets,
+# whose family classes hand them out; this module re-exports them.
 
 
 def beta_wpi_cauchy_report(nu: float, d: int, r: float) -> BoundReport:
@@ -205,43 +185,6 @@ def beta_wpi_cauchy_report(nu: float, d: int, r: float) -> BoundReport:
     )
 
 
-def _beta_sublinear_at(
-    alpha: float, d: int, r: float, gamma: float
-) -> tuple[float, dict]:
-    """Value and intermediates of the subexponential WPI chain at fixed gamma.
-
-    Log-domain throughout: the constituent a = gamma (e C)^{2/gamma} /
-    (2(1-alpha)+gamma) overflows floats for small gamma.
-    """
-    c_da = 12.0 * d / alpha**3 + (d + alpha) / alpha**4
-    denom = 2.0 * (1.0 - alpha) + gamma
-    log_a = math.log(gamma) + (2.0 / gamma) * (1.0 + math.log(c_da)) - math.log(denom)
-    b = 2.0 * (1.0 - alpha) / denom
-    expo = 1.0 - alpha + gamma / 2.0
-    # t < 1 is required for the chain's geometric-series prefactor (1-t)^{-2}.
-    log_t = math.log(expo) + 0.5 * math.log(b) - ((alpha - gamma / 2.0) / 2.0) * log_a
-    inter = {
-        "gamma": gamma,
-        "C_d_alpha": c_da,
-        "log_a": log_a,
-        "b": b,
-        "exponent": expo,
-    }
-    if log_t >= 0.0:
-        return math.inf, inter
-    t = math.exp(log_t)
-    # w aggregates the dimension and resolution contributions; -ln r is used
-    # directly so that subnormal r (down to ~5e-324) stays representable.
-    w = 1.0 + (2.0 * d / alpha) * math.log(2.0) + 2.0 * max(-math.log(r), 0.0)
-    inter["w"] = w
-    log_val = -2.0 * math.log1p(-t) + expo * np.logaddexp(
-        log_a, math.log(b) + (2.0 / alpha) * math.log(w)
-    )
-    if log_val >= _EXP_MAX:
-        return math.inf, inter
-    return math.exp(log_val), inter
-
-
 def beta_wpi_sublinear_report(
     alpha: float, d: int, r: float, gamma: Optional[float] = None
 ) -> BoundReport:
@@ -253,26 +196,7 @@ def beta_wpi_sublinear_report(
     b = 2(1-alpha) / (2(1-alpha)+gamma).  When ``gamma`` is omitted the
     value is minimized over a 64-point log grid on (0, 2 alpha].
     """
-    if not (0.0 < alpha < 1.0):
-        raise InputValidationError(
-            f"alpha must lie in (0, 1) for the subexponential weighting, got {alpha}"
-        )
-    if d < 1:
-        raise InputValidationError(f"d must be a positive integer, got {d}")
-    if not (r > 0.0):
-        raise InputValidationError(f"r must be positive, got {r}")
-    if gamma is not None:
-        if not (0.0 < gamma <= 2.0 * alpha):
-            raise InputValidationError(
-                f"gamma must lie in (0, 2*alpha] = (0, {2 * alpha}], got {gamma}"
-            )
-        value, inter = _beta_sublinear_at(alpha, d, r, gamma)
-    else:
-        value, inter = math.inf, {"gamma": 2.0 * alpha}
-        for g in np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64):
-            v, i = _beta_sublinear_at(alpha, d, r, float(g))
-            if v < value:
-                value, inter = v, i
+    value, inter = _beta_sublinear(alpha, d, r, gamma)
     feasible = math.isfinite(value)
     return BoundReport(
         value=value,
@@ -283,13 +207,6 @@ def beta_wpi_sublinear_report(
         feasible=feasible,
         infeasibility=None if feasible else "weighting overflows at every gamma",
     )
-
-
-def beta_wpi_sublinear(
-    alpha: float, d: int, r: float, gamma: Optional[float] = None
-) -> float:
-    """Value-only form of :func:`beta_wpi_sublinear_report`."""
-    return beta_wpi_sublinear_report(alpha, d, r, gamma).value
 
 
 def beta_prime(beta: Callable[[float], float], u: float, r: float) -> float:
@@ -324,17 +241,7 @@ def beta_for_spec(spec: PotentialSpec) -> Callable[[float], float]:
     weighting is the constant 1 (unit variance proxy).  Custom radial
     targets have no closed-form weighting.
     """
-    if isinstance(spec, GenCauchy):
-        nu, d = spec.nu, spec.d
-        return lambda r: beta_wpi_cauchy(nu, d, r)
-    if isinstance(spec, Sublinear):
-        alpha, d = spec.alpha, spec.d
-        return lambda r: beta_wpi_sublinear(alpha, d, r)
-    if isinstance(spec, Gaussian):
-        return lambda r: 1.0
-    raise UnsupportedFamilyError(
-        "no closed-form WPI weighting for custom radial targets"
-    )
+    return spec.wpi_beta()
 
 
 def _resolve_beta_hat(
@@ -653,8 +560,7 @@ def step_size_upper_bound(
     )
     if not (s2e > 0.0):
         raise InputValidationError(f"sigma2_eps must be positive, got {s2e}")
-    _, fprime = radial_profile(spec)
-    fp = float(fprime(s2e))
+    fp = float(spec.profile_prime(s2e))
     if fp <= 0.0:
         raise InputValidationError(
             f"radial slope f'(sigma2_eps) must be positive, got {fp}"
@@ -877,50 +783,6 @@ def delta0_threshold(
 # ---------------------------------------------------------------------------
 
 
-def _rinf_bound_general(spec: PotentialSpec, sigma2: float) -> tuple[float, dict]:
-    """Sup-log-ratio bound for N(0, sigma2 I) against a heavy-tailed target."""
-    d = spec.d
-    log_z = log_normalizing_constant(spec)
-    if isinstance(spec, GenCauchy):
-        nu = spec.nu
-        if sigma2 < 1.0 / (d + nu):
-            raise InputValidationError(
-                f"log-tail bound needs sigma2 >= 1/(d+nu) = {1.0 / (d + nu)}, "
-                f"got {sigma2}"
-            )
-        value = (
-            0.5 * nu * math.log(sigma2)
-            + log_z
-            + 0.5 * (d + nu) * (math.log(d + nu) - 1.0)
-            - 0.5 * d * math.log(2.0 * math.pi)
-            + 0.5 / sigma2
-        )
-        return value, {"log_Z": log_z, "nu": nu}
-    if isinstance(spec, Sublinear):
-        g = growth_params(spec)
-        b, alpha = g.b, g.alpha
-        if sigma2 < 1.0 / b:
-            raise InputValidationError(
-                f"subexponential bound needs sigma2 >= 1/b = {1.0 / b}, got {sigma2}"
-            )
-        # V(0) - b/alpha corrects for the potential's value at the origin;
-        # it vanishes at unit scale (lam = 1).
-        origin_term = 1.0 - b / alpha
-        peak = b ** (2.0 / (2.0 - alpha)) * sigma2 ** (alpha / (2.0 - alpha)) / alpha
-        value = (
-            peak
-            + origin_term
-            + log_z
-            - 0.5 * d * math.log(2.0 * math.pi * sigma2)
-            + 0.5 / sigma2
-        )
-        return value, {"log_Z": log_z, "b": b, "peak_term": peak}
-    raise UnsupportedFamilyError(
-        f"no sup-log-ratio bound for {type(spec).__name__}; gaussian targets "
-        "have infinite sup-log-ratio at sigma2 > 1 - use kind='KL'"
-    )
-
-
 def init_divergence_bound(
     spec: PotentialSpec, sigma2: float, kind: str, T: float = 1.0
 ) -> BoundReport:
@@ -938,26 +800,9 @@ def init_divergence_bound(
         raise InputValidationError(f"sigma2 must be a positive real, got {sigma2}")
     d = spec.d
     if kind == "Rinf":
-        if isinstance(spec, Gaussian):
-            raise InputValidationError(
-                "sup-log-ratio of a wide Gaussian start against a gaussian "
-                "target is infinite; use kind='KL'"
-            )
-        value, inter = _rinf_bound_general(spec, sigma2)
+        value, inter = spec.rinf_bound(sigma2)
     elif kind == "KL":
-        if not isinstance(spec, Gaussian):
-            raise UnsupportedFamilyError(
-                "the KL initialization bound is stated for gaussian-tail "
-                "targets; use kind='Rinf' for heavy-tailed families"
-            )
-        b = growth_params(spec).b
-        log_z = log_normalizing_constant(spec)
-        value = (
-            0.5 * d * (b * sigma2 - 1.0)
-            + log_z
-            - 0.5 * d * math.log(2.0 * math.pi * sigma2)
-        )
-        inter = {"log_Z": log_z, "b": b}
+        value, inter = spec.kl_bound(sigma2)
     elif kind == "R2_hat":
         if not (T > 0.0):
             raise InputValidationError(f"T must be positive, got {T}")
@@ -966,17 +811,12 @@ def init_divergence_bound(
                 f"modified-target comparison needs sigma2 <= 3072 T = {3072.0 * T}, "
                 f"got {sigma2}"
             )
-        if isinstance(spec, Gaussian):
-            if sigma2 >= 1.0:
-                raise InputValidationError(
-                    "order-2 Renyi of N(0, 2 sigma2) against the unit gaussian "
-                    "target is infinite for sigma2 >= 1"
-                )
-            inner = gaussian_renyi(2.0, 2.0 * sigma2, 1.0, d)
-            inter = {"inner_r2": inner}
-        else:
-            inner, inter = _rinf_bound_general(spec, 2.0 * sigma2)
-            inter["inner_rinf"] = inner
+        if isinstance(spec, Gaussian) and sigma2 >= 1.0:
+            raise InputValidationError(
+                "order-2 Renyi of N(0, 2 sigma2) against the unit gaussian "
+                "target is infinite for sigma2 >= 1"
+            )
+        inner, inter = spec.start_renyi(2.0, 2.0 * sigma2)
         value = d * math.log(2.0) + inner
     else:
         raise InputValidationError(
@@ -1060,10 +900,9 @@ def warm_start_divergence_bound(
     hs = holder_smoothness(spec)
     L = hs.L
     m = modified_target_m(spec)
-    f, _ = radial_profile(spec)
-    v0 = float(f(0.0))
+    v0 = float(spec.profile(0.0))
     grid = np.concatenate([[0.0], np.geomspace(1e-8, max(64.0 * m, 1.0) ** 2, 4097)])
-    v_min = float(np.min(np.asarray(f(grid), dtype=float)))
+    v_min = float(np.min(np.asarray(spec.profile(grid), dtype=float)))
     if target == "pi":
         value = 2.0 + L + v0 - v_min + 0.5 * d * math.log(12.0 * m * m * L)
         radius = m

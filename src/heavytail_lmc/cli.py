@@ -65,16 +65,18 @@ from .fi_verify import (
 )
 from .sampler import gaussian_init, run_chains, write_trace_csv
 from .targets import (
+    FAMILY_TAGS,
     Gaussian,
     GenCauchy,
+    GrowthParams,
     HeavyTailError,
     InputValidationError,
     MomentUndefinedError,
     PotentialSpec,
     Sublinear,
     UnsupportedFamilyError,
+    _json_int,
     growth_params,
-    holder_smoothness,
     modified_target_m,
     normalizing_constant,
     radial_moment,
@@ -169,15 +171,14 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         "q": float,
         "eps": float,
         "h": float,
-        "n_chains": int,
-        "n_iters": int,
-        "record_every": int,
-        "seed": int,
         "output_dir": str,
     }
     for name, conv in scalar_fields.items():
         if name in data:
             kwargs[name] = conv(data.pop(name))
+    for name in ("n_chains", "n_iters", "record_every", "seed"):
+        if name in data:
+            kwargs[name] = _json_int(data.pop(name), name)
     if "q_prime" in data:
         raw = data.pop("q_prime")
         kwargs["q_prime"] = math.inf if raw in ("inf", None) else float(raw)
@@ -207,23 +208,16 @@ def _threads(n_tasks: int) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> PotentialSpec:
-    family = args.family
-    d = args.d
-    if family == "gen_cauchy":
-        if args.nu is None:
-            raise InputValidationError("--nu is required for gen_cauchy")
-        return GenCauchy(d=d, nu=args.nu)
-    if family == "sublinear":
-        if args.alpha is None:
-            raise InputValidationError("--alpha is required for sublinear")
-        return Sublinear(d=d, alpha=args.alpha, lam=getattr(args, "lam", 1.0) or 1.0)
-    if family == "gaussian":
-        return Gaussian(d=d)
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
+    """The spec the family flags name, parsed as :func:`spec_from_json`
+    parses it (flags left unset are absent)."""
+    return spec_from_json({
+        "family": args.family, "d": args.d, "nu": args.nu,
+        "alpha": args.alpha, "lambda": args.lam,
+    })
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["gen_cauchy", "sublinear", "gaussian"])
+    p.add_argument("--family", choices=list(FAMILY_TAGS))
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -242,21 +236,7 @@ def coupling_delta0(spec: PotentialSpec, sigma2: float) -> float:
     * subexponential:   (b sigma2)^{alpha/(2-alpha)} / alpha
     * square (PI) case: b d sigma2 / 2
     """
-    g = growth_params(spec)
-    if isinstance(spec, GenCauchy):
-        if sigma2 <= 1.0:
-            raise InputValidationError(
-                f"the log-tail coupling needs sigma2 > 1, got {sigma2}"
-            )
-        return spec.nu * math.log(sigma2)
-    if isinstance(spec, Sublinear):
-        expo = spec.alpha / (2.0 - spec.alpha)
-        return (g.b * sigma2) ** expo / spec.alpha
-    if isinstance(spec, Gaussian):
-        return 0.5 * g.b * spec.d * sigma2
-    raise UnsupportedFamilyError(
-        f"no divergence coupling registered for {type(spec).__name__}"
-    )
+    return spec.coupling_delta0(sigma2)
 
 
 def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
@@ -277,7 +257,7 @@ def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
     )
     z = normalizing_constant(spec)
     pm = radial_moment(spec, 2.0 * q / (q - 1.0))
-    v0 = 1.0 if isinstance(spec, Sublinear) else 0.0
+    v0 = float(spec.profile(0.0))
     return delta0_threshold(regime, g, spec.d, q, z, pm, v0=v0, c=c)
 
 
@@ -309,9 +289,8 @@ def gated_lower_bound(spec: PotentialSpec, delta0: float, h: float, gate: dict
     no lower bound is established there.  An unchecked gate (threshold
     None) leaves the bound ungated.
     """
-    nu = spec.nu if isinstance(spec, GenCauchy) else None
     return lower_bound_complexity(
-        growth_params(spec), spec.d, delta0, h=h, nu=nu,
+        growth_params(spec), spec.d, delta0, h=h, nu=spec.tail_index,
         threshold=gate["delta0_threshold"],
     )
 
@@ -384,9 +363,8 @@ def _phase_leg(
     steps_run = int(trace.iters[-1])
     measured = iterations_to_threshold(trace, threshold)
     delta0 = coupling_delta0(spec, sigma2)
-    nu = spec.nu if isinstance(spec, GenCauchy) else None
     lower = gated_lower_bound(spec, delta0, config.h, gate)
-    if isinstance(spec, Sublinear):
+    if spec.has_iteration_bound:
         upper = assemble_upper_bound(
             spec, config.q, config.q_prime, config.eps, sigma2
         )
@@ -400,9 +378,9 @@ def _phase_leg(
         upper_meta = {"feasible": False,
                       "infeasibility": "outside the iteration theorem's growth regime"}
     return {
-        "family": spec_to_json(spec)["family"],
+        "family": spec.tag,
         "alpha": g.alpha,
-        "nu": nu,
+        "nu": spec.tail_index,
         "d": spec.d,
         "h": config.h,
         "sigma2": sigma2,
@@ -444,19 +422,13 @@ def _phase_families(config: ExperimentConfig, only: Optional[Sequence[str]]
                     ) -> list[PotentialSpec]:
     """The family sweep at the config's dimension.
 
-    Canonical trio: square-exponential, subexponential alpha = 1/2, and
-    log-tailed nu = 2; the config's own spec overrides the matching slot's
-    parameters.
+    Each registered family at its ``sweep_params`` (square-exponential,
+    subexponential alpha = 1/2, and log-tailed nu = 2); the config's own spec
+    overrides the matching slot's parameters.
     """
     d = config.spec.d
-    trio: dict[str, PotentialSpec] = {
-        "gaussian": Gaussian(d=d),
-        "sublinear": Sublinear(d=d, alpha=0.5, lam=1.0),
-        "gen_cauchy": GenCauchy(d=d, nu=2.0),
-    }
-    own = spec_to_json(config.spec)["family"]
-    if own in trio:
-        trio[own] = config.spec
+    trio = {tag: cls(d=d, **cls.sweep_params) for tag, cls in FAMILY_TAGS.items()}
+    trio[spec_to_json(config.spec)["family"]] = config.spec
     names = list(only) if only else list(trio)
     unknown = [n for n in names if n not in trio]
     if unknown:
@@ -709,72 +681,68 @@ def cmd_fp_evolve(args: argparse.Namespace) -> int:
 def _r_init_orders(spec: PotentialSpec, sigma2: float) -> float:
     """A divergence value dominating every order: the sup-log-ratio bound
     for heavy-tailed families, the exact closed form for the square case."""
-    if isinstance(spec, Gaussian):
-        from .diagnostics import gaussian_renyi
+    if isinstance(spec, Gaussian) and sigma2 > 1.0:
+        raise InputValidationError(
+            "the square-case sup-ratio is infinite for sigma2 > 1; "
+            "use the kl kind or sigma2 <= 1"
+        )
+    return spec.start_renyi(math.inf, sigma2)[0]
 
-        if sigma2 >= 1.0 and sigma2 != 1.0:
-            raise InputValidationError(
-                "the square-case sup-ratio is infinite for sigma2 > 1; "
-                "use the kl kind or sigma2 <= 1"
-            )
-        return gaussian_renyi(math.inf, sigma2, 1.0, spec.d)
-    return init_divergence_bound(spec, sigma2, kind="Rinf").value
+
+def _lower_bound_from_flags(p: argparse.Namespace) -> BoundReport:
+    if p.b is not None:
+        b = p.b
+    elif p.alpha == 0.0 and p.nu is not None:
+        b = p.d + p.nu
+    else:
+        raise InputValidationError(
+            "--b is required (or --nu for the alpha = 0 regime)"
+        )
+    growth = GrowthParams(b=b, alpha=p.alpha)
+    return lower_bound_complexity(
+        growth, p.d, p.delta0, h=p.h, nu=p.nu, threshold=p.threshold, c=p.c
+    )
+
+
+def _diffusion_time_from_flags(p: argparse.Namespace) -> BoundReport:
+    spec = _spec_from_args(p)
+    r0 = _r_init_orders(spec, p.sigma2)
+    query = BoundQuery(
+        q=p.q, q_prime=p.q_prime, eps=p.eps, spec=spec, sigma2=p.sigma2,
+        r_init={"q": r0, "qprime": r0},
+    )
+    return diffusion_time_bound(query, beta_for_spec(spec))
+
+
+#: ``bounds --thm`` selector -> (flags it requires, its calculator on the flags)
+_BOUNDS = {
+    "beta-cauchy": (("nu", "r"),
+                    lambda p: beta_wpi_cauchy_report(p.nu, p.d, p.r)),
+    "beta-sublinear": (("alpha", "r"), lambda p: beta_wpi_sublinear_report(
+        p.alpha, p.d, p.r, gamma=p.gamma)),
+    "lower": (("alpha", "delta0"), _lower_bound_from_flags),
+    "delta0-threshold": ((), lambda p: lower_bound_threshold(
+        _spec_from_args(p), p.q, c=p.c)),
+    "h-max": ((), lambda p: step_size_upper_bound(
+        _spec_from_args(p), p.q, p.eps)),
+    "init": (("sigma2",), lambda p: init_divergence_bound(
+        _spec_from_args(p), p.sigma2, kind=p.kind, T=p.T)),
+    "warm-start": ((), lambda p: warm_start_divergence_bound(
+        _spec_from_args(p), T=p.T, target=p.target)),
+    "diffusion-time": (("sigma2",), _diffusion_time_from_flags),
+    "lmc-iters": (("sigma2",), lambda p: assemble_upper_bound(
+        _spec_from_args(p), p.q, p.q_prime, p.eps, p.sigma2)),
+    "disc-h": (("s", "L", "T", "m", "r2_hat"), lambda p: disc_step_size(
+        p.s, p.L, p.d, p.q, p.eps, p.T, p.m, p.r2_hat, p.n_guess)),
+}
 
 
 def _dispatch_bounds(thm: str, p: argparse.Namespace) -> BoundReport:
-    if thm == "beta-cauchy":
-        _need(p, "nu", "r")
-        return beta_wpi_cauchy_report(p.nu, p.d, p.r)
-    if thm == "beta-sublinear":
-        _need(p, "alpha", "r")
-        return beta_wpi_sublinear_report(p.alpha, p.d, p.r, gamma=p.gamma)
-    if thm == "lower":
-        _need(p, "alpha", "delta0")
-        if p.b is not None:
-            b = p.b
-        elif p.alpha == 0.0 and p.nu is not None:
-            b = p.d + p.nu
-        else:
-            raise InputValidationError(
-                "--b is required (or --nu for the alpha = 0 regime)"
-            )
-        from .targets import GrowthParams
-
-        growth = GrowthParams(b=b, alpha=p.alpha)
-        return lower_bound_complexity(
-            growth, p.d, p.delta0, h=p.h, nu=p.nu, threshold=p.threshold, c=p.c
-        )
-    if thm == "delta0-threshold":
-        return lower_bound_threshold(_spec_from_args(p), p.q, c=p.c)
-    if thm == "h-max":
-        spec = _spec_from_args(p)
-        return step_size_upper_bound(spec, p.q, p.eps)
-    if thm == "init":
-        spec = _spec_from_args(p)
-        _need(p, "sigma2")
-        return init_divergence_bound(spec, p.sigma2, kind=p.kind, T=p.T)
-    if thm == "warm-start":
-        spec = _spec_from_args(p)
-        return warm_start_divergence_bound(spec, T=p.T, target=p.target)
-    if thm == "diffusion-time":
-        spec = _spec_from_args(p)
-        _need(p, "sigma2")
-        r0 = _r_init_orders(spec, p.sigma2)
-        query = BoundQuery(
-            q=p.q, q_prime=p.q_prime, eps=p.eps, spec=spec, sigma2=p.sigma2,
-            r_init={"q": r0, "qprime": r0},
-        )
-        return diffusion_time_bound(query, beta_for_spec(spec))
-    if thm == "lmc-iters":
-        spec = _spec_from_args(p)
-        _need(p, "sigma2")
-        return assemble_upper_bound(spec, p.q, p.q_prime, p.eps, p.sigma2)
-    if thm == "disc-h":
-        _need(p, "s", "L", "T", "m", "r2_hat")
-        return disc_step_size(
-            p.s, p.L, p.d, p.q, p.eps, p.T, p.m, p.r2_hat, p.n_guess
-        )
-    raise InputValidationError(f"unknown theorem selector {thm!r}")
+    if thm not in _BOUNDS:
+        raise InputValidationError(f"unknown theorem selector {thm!r}")
+    required, calculator = _BOUNDS[thm]
+    _need(p, *required)
+    return calculator(p)
 
 
 def _need(args: argparse.Namespace, *names: str) -> None:
@@ -959,14 +927,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_flags(p_phase)
     p_phase.add_argument("--families", type=str, default=None,
                          help="comma-separated subset of "
-                              "gaussian,sublinear,gen_cauchy")
+                              + ",".join(FAMILY_TAGS))
 
     p_bounds = sub.add_parser("bounds", help="evaluate one named bound")
-    p_bounds.add_argument("--thm", type=str, default=None, choices=[
-        "beta-cauchy", "beta-sublinear", "lower", "delta0-threshold",
-        "h-max", "init", "warm-start", "diffusion-time", "lmc-iters",
-        "disc-h",
-    ])
+    p_bounds.add_argument("--thm", type=str, default=None,
+                          choices=list(_BOUNDS))
     p_bounds.add_argument("--json", type=str, default=None,
                           help="JSON query object with a 'thm' field")
     _add_spec_flags(p_bounds)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .sampler import MomentTrace
@@ -35,10 +36,9 @@ from .targets import (
     InputValidationError,
     MomentUndefinedError,
     PotentialSpec,
+    gaussian_renyi,
     log_normalizing_constant,
-    potential,
     radial_moment,
-    radial_profile,
     tail_mass,
 )
 
@@ -115,26 +115,6 @@ def sigma2_eps(spec: PotentialSpec, q: float, eps: float) -> float:
     return math.exp(frac * eps) * pm**frac
 
 
-def gaussian_renyi(q: float, s2_rho: float, s2_pi: float, d: int) -> float:
-    """Closed-form R_q(N(0, s2_rho I_d) || N(0, s2_pi I_d)); inf when undefined.
-
-    Supports q = inf (the sup-log-ratio), which is finite iff s2_rho <= s2_pi.
-    """
-    if s2_rho <= 0 or s2_pi <= 0:
-        raise InputValidationError("variances must be positive")
-    if math.isinf(q):
-        if s2_rho > s2_pi:
-            return math.inf
-        return 0.5 * d * math.log(s2_pi / s2_rho)
-    if not (q > 1):
-        raise InputValidationError(f"Renyi order q must exceed 1, got {q}")
-    c = q / s2_rho + (1.0 - q) / s2_pi
-    if c <= 0:
-        return math.inf
-    log_f = 0.5 * d * (-q * math.log(s2_rho) + (q - 1.0) * math.log(s2_pi) - math.log(c))
-    return log_f / (q - 1.0)
-
-
 def comparison_process_z(
     spec: PotentialSpec, h: float, z0: float, k_max: int
 ) -> np.ndarray:
@@ -155,7 +135,7 @@ def comparison_process_z(
         raise InputValidationError(f"z0 must be >= 0, got {z0}")
     if k_max < 0:
         raise InputValidationError(f"k_max must be >= 0, got {k_max}")
-    _, fp = radial_profile(spec)
+    fp = spec.profile_prime
     d = spec.d
 
     def g(r: np.ndarray) -> np.ndarray:
@@ -206,9 +186,8 @@ def _bin_masses(spec: PotentialSpec, edges: np.ndarray) -> np.ndarray:
     """Exact (composite-Simpson) target mass of each histogram bin, d=1."""
     n_sub = 8  # per-bin Simpson panels; error is O(width^5 f'''') per panel
     fine = np.linspace(edges[0], edges[-1], (len(edges) - 1) * n_sub + 1)
-    f, _ = radial_profile(spec)
     log_z = log_normalizing_constant(spec)
-    dens = np.exp(-np.asarray(f(fine * fine), dtype=float) - log_z)
+    dens = np.exp(-np.asarray(spec.profile(fine * fine), dtype=float) - log_z)
     w = np.tile(np.array([2.0, 4.0]), n_sub // 2 + 1)[: n_sub + 1]
     w[0] = w[-1] = 1.0
     step = (edges[1] - edges[0]) / n_sub
@@ -246,8 +225,6 @@ def hist_renyi_1d(
         lo_r, hi_r = 1e-3, 10.0
         while tail_mass(spec, hi_r) > 1e-4:
             hi_r *= 2.0
-        from scipy.optimize import brentq
-
         R = brentq(lambda r: tail_mass(spec, r) - 1e-4, lo_r, hi_r, xtol=1e-10)
         range_ = (-R, R)
     lo, hi = float(range_[0]), float(range_[1])

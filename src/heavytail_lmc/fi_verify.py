@@ -28,12 +28,12 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .targets import (
+    GenCauchy,
     InputValidationError,
     NumericsError,
     PotentialSpec,
-    UnsupportedFamilyError,
+    Sublinear,
     log_normalizing_constant,
-    radial_profile,
     tail_mass,
 )
 
@@ -134,6 +134,12 @@ def _cell_average_density(
     return centers, widths, masses / widths
 
 
+def _log_pi(spec: PotentialSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """log pi(x) on the line, with log Z computed once."""
+    log_z = log_normalizing_constant(spec)
+    return lambda x: -np.asarray(spec.profile(x * x), dtype=float) - log_z
+
+
 def make_grid(
     spec: PotentialSpec,
     n_core: int = 1536,
@@ -154,13 +160,7 @@ def make_grid(
         core_halfwidth = 1.5 * _tail_quantile(spec, 1e-4)
     window = max(_tail_quantile(spec, window_tail_mass), 2.0 * core_halfwidth)
     edges = _cell_edges(core_halfwidth, n_core, window, n_tail)
-    f, _ = radial_profile(spec)
-    log_z = log_normalizing_constant(spec)
-
-    def log_pi(x: np.ndarray) -> np.ndarray:
-        return -np.asarray(f(x * x), dtype=float) - log_z
-
-    centers, widths, values = _cell_average_density(log_pi, edges)
+    centers, widths, values = _cell_average_density(_log_pi(spec), edges)
     total = float(values @ widths)
     if total < 1.0 - 1e-6:
         raise NumericsError(
@@ -177,8 +177,6 @@ def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
     instead (quadrature degrades in the far tail), which errs on the wide
     side -- harmless for window selection.
     """
-    from .targets import Gaussian, GenCauchy, Sublinear
-
     if mass >= 1e-5:
         hi = 8.0
         while tail_mass(spec, hi) > mass:
@@ -188,26 +186,7 @@ def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
         return float(
             brentq(lambda r: tail_mass(spec, r) - mass, 1e-6, hi, xtol=1e-9)
         )
-    log_mass = math.log(mass)
-    if isinstance(spec, GenCauchy):
-        # (nu+d)^{nu/2} R^{-nu} = mass
-        return math.exp(
-            (0.5 * spec.nu * math.log(spec.nu + spec.d) - log_mass) / spec.nu
-        )
-    if isinstance(spec, Sublinear):
-        # e^{1/2} 2^{d/alpha} exp(-(1+R^2)^{alpha/2}/2) = mass, then rescale
-        # by lam^{-1/alpha} (the family is a dilation of the lam = 1 case).
-        a = 2.0 * (0.5 + (spec.d / spec.alpha) * math.log(2.0) - log_mass)
-        r1 = math.sqrt(max(a ** (2.0 / spec.alpha) - 1.0, 1.0))
-        return r1 / spec.lam ** (1.0 / spec.alpha)
-    if isinstance(spec, Gaussian):
-        from scipy.special import erfcinv
-
-        return math.sqrt(2.0) * float(erfcinv(mass))
-    raise UnsupportedFamilyError(
-        f"no deep tail quantile for {type(spec).__name__}; "
-        "pass an explicit window"
-    )
+    return spec.deep_tail_quantile(mass)
 
 
 def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
@@ -215,13 +194,7 @@ def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
     edges = np.empty(len(grid.nodes) + 1)
     edges[:-1] = grid.nodes - 0.5 * grid.widths
     edges[-1] = grid.nodes[-1] + 0.5 * grid.widths[-1]
-    f, _ = radial_profile(spec)
-    log_z = log_normalizing_constant(spec)
-
-    def log_pi(x: np.ndarray) -> np.ndarray:
-        return -np.asarray(f(x * x), dtype=float) - log_z
-
-    _, _, values = _cell_average_density(log_pi, edges)
+    _, _, values = _cell_average_density(_log_pi(spec), edges)
     total = float(values @ grid.widths)
     return values / total
 
@@ -380,6 +353,21 @@ class FIReport:
         "inequality, never prove it"
     )
 
+    @classmethod
+    def from_entries(cls, check: str, entries: list[dict], falsify: bool) -> FIReport:
+        """The report over entries that carry their ``margin`` and
+        ``violated``; ``check`` gains a ``-falsify`` suffix in that mode."""
+        n_bad = sum(e["violated"] for e in entries)
+        worst = min([0.0] + [e["margin"] for e in entries])
+        return cls(
+            check=check + "-falsify" if falsify else check,
+            entries=tuple(entries),
+            n_violations=n_bad,
+            max_violation=float(-worst),
+            passed=(n_bad == 0),
+            falsify=falsify,
+        )
+
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -407,7 +395,7 @@ def _target_density(spec: PotentialSpec) -> Callable[[float], float]:
     share an entry; pi is even, so their values agree.  The memo lives as
     long as the returned function, i.e. one checker call.
     """
-    f, _ = radial_profile(spec)
+    f = spec.profile
     log_z = log_normalizing_constant(spec)
     memo: dict[float, float] = {}
 
@@ -531,16 +519,11 @@ def wpi_check(
     density = _target_density(spec)
     betas = [beta(r) for r in r_grid]
     entries: list[dict] = []
-    worst = 0.0
-    n_bad = 0
     for tf in fset:
         stats = _function_stats(density, tf, window)
         for r, beta_r in zip(r_grid, betas):
             rhs = scale * beta_r * stats["grad2"] + r * stats["osc"] ** 2
             margin = rhs + _SLACK - stats["var"]
-            violated = margin < 0.0
-            n_bad += violated
-            worst = min(worst, margin)
             entries.append(
                 {
                     "function": tf.name,
@@ -548,17 +531,10 @@ def wpi_check(
                     "lhs_var": stats["var"],
                     "rhs": rhs,
                     "margin": margin,
-                    "violated": bool(violated),
+                    "violated": bool(margin < 0.0),
                 }
             )
-    return FIReport(
-        check="wpi" if not falsify else "wpi-falsify",
-        entries=tuple(entries),
-        n_violations=int(n_bad),
-        max_violation=float(-worst),
-        passed=(n_bad == 0),
-        falsify=falsify,
-    )
+    return FIReport.from_entries("wpi", entries, falsify)
 
 
 def converse_pi_check(
@@ -569,8 +545,6 @@ def converse_pi_check(
     The constant is 1/(d+nu) when nu >= d+2 and 2/nu otherwise.  The inf
     over c is the w-weighted mean, solved exactly.
     """
-    from .targets import GenCauchy
-
     if not isinstance(spec, GenCauchy) or spec.d != 1:
         raise InputValidationError(
             "the converse inequality check targets 1D log-tailed families"
@@ -583,8 +557,6 @@ def converse_pi_check(
     density = _target_density(spec)
     w_mass = _pi_quadrature(density, w, window, None, _KINKS)
     entries: list[dict] = []
-    worst = 0.0
-    n_bad = 0
     for tf in fset:
         f = _memo_on_nodes(tf.f)
         fw = _pi_quadrature(density, lambda x: f(x) * w(x), window, tf.support,
@@ -596,26 +568,16 @@ def converse_pi_check(
                                tf.support, _KINKS)
         rhs = scale * c_const * grad2
         margin = rhs + _SLACK - lhs
-        violated = margin < 0.0
-        n_bad += violated
-        worst = min(worst, margin)
         entries.append(
             {
                 "function": tf.name,
                 "lhs_weighted_var": lhs,
                 "rhs": rhs,
                 "margin": margin,
-                "violated": bool(violated),
+                "violated": bool(margin < 0.0),
             }
         )
-    return FIReport(
-        check="converse-pi" if not falsify else "converse-pi-falsify",
-        entries=tuple(entries),
-        n_violations=int(n_bad),
-        max_violation=float(-worst),
-        passed=(n_bad == 0),
-        falsify=falsify,
-    )
+    return FIReport.from_entries("converse-pi", entries, falsify)
 
 
 def weighted_pi_check(
@@ -625,8 +587,6 @@ def weighted_pi_check(
 
     C_{d,alpha} = 12 d / alpha^3 + (d + alpha) / alpha^4 (upper estimate).
     """
-    from .targets import Sublinear
-
     if not isinstance(spec, Sublinear) or spec.d != 1:
         raise InputValidationError(
             "the weighted inequality check targets 1D subexponential families"
@@ -643,32 +603,20 @@ def weighted_pi_check(
     weight = lambda x: np.abs(np.asarray(x, dtype=float)) ** expo
     density = _target_density(spec)
     entries: list[dict] = []
-    worst = 0.0
-    n_bad = 0
     for tf in fset:
         stats = _function_stats(density, tf, window, weight=weight)
         rhs = scale * math.e * c_const * stats["grad2"]
         margin = rhs + _SLACK - stats["var"]
-        violated = margin < 0.0
-        n_bad += violated
-        worst = min(worst, margin)
         entries.append(
             {
                 "function": tf.name,
                 "lhs_var": stats["var"],
                 "rhs": rhs,
                 "margin": margin,
-                "violated": bool(violated),
+                "violated": bool(margin < 0.0),
             }
         )
-    return FIReport(
-        check="weighted-pi" if not falsify else "weighted-pi-falsify",
-        entries=tuple(entries),
-        n_violations=int(n_bad),
-        max_violation=float(-worst),
-        passed=(n_bad == 0),
-        falsify=falsify,
-    )
+    return FIReport.from_entries("weighted-pi", entries, falsify)
 
 
 # ---------------------------------------------------------------------------

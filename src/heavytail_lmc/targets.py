@@ -2,11 +2,12 @@
 
 This module is the root of the package: it defines the potential families,
 their analytic structure (gradients, growth envelopes, smoothness constants,
-normalizing constants, moments, tail bounds), exact samplers, and the
+normalizing constants, moments, tail bounds, the couplings and bounds the
+complexity theorems attach to each tail regime), exact samplers, and the
 radius-penalized modification of a target used by the discretization
 analysis.  Everything downstream (chains, diagnostics, bound calculators,
 functional-inequality checkers) consumes the small frozen dataclasses
-declared here.
+declared here, and asks them for their family-specific knowledge.
 
 Families
 --------
@@ -22,6 +23,17 @@ Families
 ``RadialCustom(d, f, fprime)``
     V(x) = f(|x|^2) for a user-supplied radial profile.  Only generic
     (quadrature-backed) operations are available.
+
+Adding a family
+---------------
+Write one frozen dataclass deriving from :class:`RadialFamily` with an
+integer field ``d`` and the methods ``profile(t)`` and ``profile_prime(t)``
+(f and f' at t = |x|^2, elementwise).  Potentials, gradients, chains, and
+log Z, moments, tails and samples by quadrature then work.  Closed forms
+and bounds are opt-in, one method each (see :class:`RadialFamily`); the
+rest raise :class:`UnsupportedFamilyError`.  For JSON and the command line,
+set ``tag``, ``json_fields`` and ``sweep_params`` and list the class in
+:data:`FAMILY_TAGS`.
 
 Conventions
 -----------
@@ -42,9 +54,10 @@ raise :class:`InputValidationError`.
 
 from __future__ import annotations
 
+import abc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Callable, ClassVar, Mapping, Optional, Union
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -56,11 +69,13 @@ __all__ = [
     "MomentUndefinedError",
     "NumericsError",
     "AssumptionViolatedError",
+    "RadialFamily",
     "GenCauchy",
     "Sublinear",
     "Gaussian",
     "RadialCustom",
     "PotentialSpec",
+    "FAMILY_TAGS",
     "GrowthParams",
     "HolderSmoothness",
     "SublinearMomentBound",
@@ -126,8 +141,123 @@ def _validate_dimension(d: int) -> None:
         raise InputValidationError(f"dimension d must be a positive integer, got {d!r}")
 
 
+class RadialFamily(abc.ABC):
+    """A radially symmetric target, V(x) = f(|x|^2) on R^d.
+
+    Subclasses are frozen dataclasses with an integer field ``d``; they
+    must provide the profile f and its derivative on t = |x|^2.  The other
+    methods default to quadrature where quadrature can answer; a closed
+    form or bound that a family does not override raises
+    :class:`UnsupportedFamilyError`.
+    """
+
+    #: JSON ``family`` tag; a family without one cannot be serialized.
+    tag: ClassVar[Optional[str]] = None
+    #: JSON key -> dataclass field for the parameters besides ``d``.
+    json_fields: ClassVar[Mapping[str, str]] = {}
+    #: Parameters of the family's leg in the phase sweep, besides ``d``.
+    sweep_params: ClassVar[Mapping[str, float]] = {}
+    #: Whether the LMC iteration theorem's growth regime covers the family.
+    has_iteration_bound: ClassVar[bool] = False
+
+    @abc.abstractmethod
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        """f(t) with V(x) = f(|x|^2), elementwise."""
+
+    @abc.abstractmethod
+    def profile_prime(self, t: np.ndarray) -> np.ndarray:
+        """f'(t), elementwise."""
+
+    def _unsupported(self, what: str) -> UnsupportedFamilyError:
+        return UnsupportedFamilyError(f"{type(self).__name__} registers no {what}")
+
+    @property
+    def tail_index(self) -> Optional[float]:
+        """The order nu from which moments diverge, or None if all exist."""
+        return None
+
+    def growth(self) -> GrowthParams:
+        """The envelope of :func:`growth_params`."""
+        raise self._unsupported("growth envelope (closed-form families only)")
+
+    def holder(self) -> HolderSmoothness:
+        """The constants of :func:`holder_smoothness`."""
+        raise self._unsupported("Holder constants (closed-form families only)")
+
+    def log_z(self) -> float:
+        """log Z by validated radial quadrature."""
+        integral = _radial_integral(self.profile, self.d, p=0.0)
+        return _log_sphere_area(self.d) + math.log(integral)
+
+    def closed_moment(self, p: float):
+        """Closed-form E_pi |x|^p, for an order p the moment exists at."""
+        raise self._unsupported("closed-form moment; use radial_moment")
+
+    def tail_bound(self, R: float) -> float:
+        """Explicit upper bound on pi(|x| >= R) for R > 0."""
+        raise self._unsupported("tail bound")
+
+    def deep_tail_quantile(self, mass: float) -> float:
+        """Radius with two-sided mass <= ``mass`` by an analytic (wide) estimate."""
+        raise self._unsupported("deep tail quantile; pass an explicit window")
+
+    def sampling_radius(self, tail_eps: float = 1e-12) -> float:
+        """A radius whose tail mass is below ``tail_eps``, by doubling."""
+        R = 1.0
+        while tail_mass(self, R) > tail_eps:
+            R *= 2.0
+            if R > 1e12:
+                raise NumericsError("direct_sampler: tail radius search failed")
+        return R
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws from pi: radial inverse-CDF lookup times a direction."""
+        r_max = self.sampling_radius()
+        inv = _radial_inverse_cdf(self, r_max)
+        u = rng.random(n)
+        r = np.asarray(inv(u), dtype=float)
+        r = np.nan_to_num(r, nan=r_max)
+        dirs = _sphere_directions(rng, n, self.d)
+        return r[:, None] * dirs
+
+    def to_json(self) -> dict:
+        """The :func:`spec_to_json` dict."""
+        if self.tag is None:
+            raise self._unsupported("JSON tag; it cannot be serialized")
+        out = {"family": self.tag, "d": self.d}
+        out.update({key: getattr(self, name) for key, name in self.json_fields.items()})
+        out.setdefault("lambda", 1.0)
+        return out
+
+    def coupling_delta0(self, sigma2: float) -> float:
+        """The divergence scale the lower-bound theorems couple to sigma2."""
+        raise self._unsupported("divergence coupling")
+
+    def wpi_beta(self) -> Callable[[float], float]:
+        """The family's weak-Poincare weighting r -> beta(r)."""
+        raise self._unsupported("closed-form WPI weighting")
+
+    def rinf_bound(self, sigma2: float) -> tuple[float, dict]:
+        """Sup-log-ratio bound of N(0, sigma2 I_d) against pi, intermediates."""
+        raise self._unsupported("sup-log-ratio bound")
+
+    def kl_bound(self, sigma2: float) -> tuple[float, dict]:
+        """Relative-entropy bound of N(0, sigma2 I_d) against the target."""
+        raise self._unsupported(
+            "KL initialization bound (stated for gaussian-tail targets); "
+            "use kind='Rinf' for heavy-tailed families"
+        )
+
+    def start_renyi(self, q: float, sigma2: float) -> tuple[float, dict]:
+        """Upper bound on R_q(N(0, sigma2 I_d) || pi), q in (1, inf], with
+        intermediates naming it: the sup-log-ratio bound dominates every q."""
+        inner, inter = self.rinf_bound(sigma2)
+        inter["inner_rinf"] = inner
+        return inner, inter
+
+
 @dataclass(frozen=True)
-class GenCauchy:
+class GenCauchy(RadialFamily):
     """Generalized Cauchy target: pi(x) ~ (1 + |x|^2)^(-(d+nu)/2).
 
     Parameters
@@ -141,14 +271,95 @@ class GenCauchy:
     d: int
     nu: float
 
+    tag: ClassVar[str] = "gen_cauchy"
+    json_fields: ClassVar[Mapping[str, str]] = {"nu": "nu"}
+    sweep_params: ClassVar[Mapping[str, float]] = {"nu": 2.0}
+
     def __post_init__(self) -> None:
         _validate_dimension(self.d)
         if not (math.isfinite(self.nu) and self.nu > 0):
             raise InputValidationError(f"nu must be a finite positive real, got {self.nu!r}")
 
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        half = 0.5 * (self.d + self.nu)
+        return half * np.log1p(t)
+
+    def profile_prime(self, t: np.ndarray) -> np.ndarray:
+        half = 0.5 * (self.d + self.nu)
+        return half / (1.0 + np.asarray(t, dtype=float))
+
+    @property
+    def tail_index(self) -> float:
+        return self.nu
+
+    def growth(self) -> GrowthParams:
+        return GrowthParams(b=float(self.d + self.nu), alpha=0.0)
+
+    def holder(self) -> HolderSmoothness:
+        return HolderSmoothness(L=float(self.d + self.nu), s=1.0)
+
+    def log_z(self) -> float:
+        return (
+            0.5 * self.d * math.log(math.pi)
+            + special.gammaln(0.5 * self.nu)
+            - special.gammaln(0.5 * (self.d + self.nu))
+        )
+
+    def closed_moment(self, p: float) -> float:
+        d, nu = self.d, self.nu
+        lg = (
+            math.log(d / (d + p))
+            + special.gammaln(0.5 * (nu - p))
+            + special.gammaln(0.5 * (d + 2 + p))
+            - special.gammaln(0.5 * nu)
+            - special.gammaln(0.5 * (d + 2))
+        )
+        return math.exp(lg)
+
+    def tail_bound(self, R: float) -> float:
+        return (self.nu + self.d) ** (0.5 * self.nu) * R ** (-self.nu)
+
+    def deep_tail_quantile(self, mass: float) -> float:
+        # (nu+d)^{nu/2} R^{-nu} = mass
+        return math.exp(
+            (0.5 * self.nu * math.log(self.nu + self.d) - math.log(mass)) / self.nu
+        )
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        z = rng.standard_normal((n, self.d))
+        w = rng.chisquare(self.nu, size=n)
+        return z / np.sqrt(w)[:, None]
+
+    def coupling_delta0(self, sigma2: float) -> float:
+        if sigma2 <= 1.0:
+            raise InputValidationError(
+                f"the log-tail coupling needs sigma2 > 1, got {sigma2}"
+            )
+        return self.nu * math.log(sigma2)
+
+    def wpi_beta(self) -> Callable[[float], float]:
+        return lambda r: beta_wpi_cauchy(self.nu, self.d, r)
+
+    def rinf_bound(self, sigma2: float) -> tuple[float, dict]:
+        d, nu = self.d, self.nu
+        log_z = log_normalizing_constant(self)
+        if sigma2 < 1.0 / (d + nu):
+            raise InputValidationError(
+                f"log-tail bound needs sigma2 >= 1/(d+nu) = {1.0 / (d + nu)}, "
+                f"got {sigma2}"
+            )
+        value = (
+            0.5 * nu * math.log(sigma2)
+            + log_z
+            + 0.5 * (d + nu) * (math.log(d + nu) - 1.0)
+            - 0.5 * d * math.log(2.0 * math.pi)
+            + 0.5 / sigma2
+        )
+        return value, {"log_Z": log_z, "nu": nu}
+
 
 @dataclass(frozen=True)
-class Sublinear:
+class Sublinear(RadialFamily):
     """Stretched-tail target with sub-linearly growing potential.
 
     V(x) = (1 + lam^(2/alpha) |x|^2)^(alpha/2), alpha in (0, 1], lam > 0.
@@ -157,6 +368,11 @@ class Sublinear:
     d: int
     alpha: float
     lam: float = 1.0
+
+    tag: ClassVar[str] = "sublinear"
+    json_fields: ClassVar[Mapping[str, str]] = {"alpha": "alpha", "lambda": "lam"}
+    sweep_params: ClassVar[Mapping[str, float]] = {"alpha": 0.5}
+    has_iteration_bound: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _validate_dimension(self.d)
@@ -167,19 +383,156 @@ class Sublinear:
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise InputValidationError(f"lam must be a positive real, got {self.lam!r}")
 
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        c = self.lam ** (2.0 / self.alpha)
+        return (1.0 + c * np.asarray(t, dtype=float)) ** (0.5 * self.alpha)
+
+    def profile_prime(self, t: np.ndarray) -> np.ndarray:
+        a = self.alpha
+        c = self.lam ** (2.0 / a)
+        return 0.5 * a * c * (1.0 + c * np.asarray(t, dtype=float)) ** (0.5 * a - 1.0)
+
+    def growth(self) -> GrowthParams:
+        c = self.lam ** (2.0 / self.alpha)
+        return GrowthParams(b=self.alpha * max(c, self.lam), alpha=self.alpha)
+
+    def holder(self) -> HolderSmoothness:
+        c = self.lam ** (2.0 / self.alpha)
+        return HolderSmoothness(L=max(1.0, self.alpha * c), s=1.0)
+
+    def closed_moment(self, p: float) -> SublinearMomentBound:
+        tilde = tilde_moment(self.d, self.alpha, self.lam, p)
+        return SublinearMomentBound(tilde_exact=tilde, upper=math.e * tilde)
+
+    def tail_bound(self, R: float) -> float:
+        if self.lam != 1.0:
+            raise UnsupportedFamilyError(
+                "tail_bound for Sublinear is registered only at lam = 1"
+            )
+        log_val = (
+            0.5
+            + (self.d / self.alpha) * math.log(2.0)
+            - 0.5 * (1.0 + R * R) ** (0.5 * self.alpha)
+        )
+        return math.exp(log_val)
+
+    def deep_tail_quantile(self, mass: float) -> float:
+        # e^{1/2} 2^{d/alpha} exp(-(1+R^2)^{alpha/2}/2) = mass, then rescale
+        # by lam^{-1/alpha} (the family is a dilation of the lam = 1 case).
+        a = 2.0 * (0.5 + (self.d / self.alpha) * math.log(2.0) - math.log(mass))
+        r1 = math.sqrt(max(a ** (2.0 / self.alpha) - 1.0, 1.0))
+        return r1 / self.lam ** (1.0 / self.alpha)
+
+    def sampling_radius(self, tail_eps: float = 1e-12) -> float:
+        """Smallest R with the registered tail bound below tail_eps (lam = 1)."""
+        if self.lam != 1.0:
+            return super().sampling_radius(tail_eps)
+        u = 2.0 * (
+            math.log(1.0 / tail_eps) + 0.5 + (self.d / self.alpha) * math.log(2.0)
+        )
+        t = u ** (2.0 / self.alpha) - 1.0
+        return math.sqrt(max(t, 1.0))
+
+    def coupling_delta0(self, sigma2: float) -> float:
+        expo = self.alpha / (2.0 - self.alpha)
+        return (self.growth().b * sigma2) ** expo / self.alpha
+
+    def wpi_beta(self) -> Callable[[float], float]:
+        return lambda r: beta_wpi_sublinear(self.alpha, self.d, r)
+
+    def rinf_bound(self, sigma2: float) -> tuple[float, dict]:
+        d = self.d
+        log_z = log_normalizing_constant(self)
+        g = self.growth()
+        b, alpha = g.b, g.alpha
+        if sigma2 < 1.0 / b:
+            raise InputValidationError(
+                f"subexponential bound needs sigma2 >= 1/b = {1.0 / b}, got {sigma2}"
+            )
+        # V(0) - b/alpha corrects for the potential's value at the origin;
+        # it vanishes at unit scale (lam = 1).
+        origin_term = 1.0 - b / alpha
+        peak = b ** (2.0 / (2.0 - alpha)) * sigma2 ** (alpha / (2.0 - alpha)) / alpha
+        value = (
+            peak
+            + origin_term
+            + log_z
+            - 0.5 * d * math.log(2.0 * math.pi * sigma2)
+            + 0.5 / sigma2
+        )
+        return value, {"log_Z": log_z, "b": b, "peak_term": peak}
+
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(RadialFamily):
     """Standard Gaussian target: V(x) = |x|^2 / 2."""
 
     d: int
 
+    tag: ClassVar[str] = "gaussian"
+
     def __post_init__(self) -> None:
         _validate_dimension(self.d)
 
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        return 0.5 * np.asarray(t, dtype=float)
+
+    def profile_prime(self, t: np.ndarray) -> np.ndarray:
+        return np.full_like(np.asarray(t, dtype=float), 0.5)
+
+    def growth(self) -> GrowthParams:
+        return GrowthParams(b=1.0, alpha=2.0)
+
+    def holder(self) -> HolderSmoothness:
+        return HolderSmoothness(L=1.0, s=1.0)
+
+    def log_z(self) -> float:
+        return 0.5 * self.d * math.log(2.0 * math.pi)
+
+    def closed_moment(self, p: float) -> float:
+        lg = 0.5 * p * math.log(2.0) + special.gammaln(0.5 * (self.d + p)) - special.gammaln(
+            0.5 * self.d
+        )
+        return math.exp(lg)
+
+    def deep_tail_quantile(self, mass: float) -> float:
+        return math.sqrt(2.0) * float(special.erfcinv(mass))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_normal((n, self.d))
+
+    def coupling_delta0(self, sigma2: float) -> float:
+        return 0.5 * self.growth().b * self.d * sigma2
+
+    def wpi_beta(self) -> Callable[[float], float]:
+        # an ordinary Poincare inequality: the constant 1 (unit variance proxy)
+        return lambda r: 1.0
+
+    def rinf_bound(self, sigma2: float) -> tuple[float, dict]:
+        raise InputValidationError(
+            "sup-log-ratio of a wide Gaussian start against a gaussian "
+            "target is infinite; use kind='KL'"
+        )
+
+    def kl_bound(self, sigma2: float) -> tuple[float, dict]:
+        d = self.d
+        b = self.growth().b
+        log_z = log_normalizing_constant(self)
+        value = (
+            0.5 * d * (b * sigma2 - 1.0)
+            + log_z
+            - 0.5 * d * math.log(2.0 * math.pi * sigma2)
+        )
+        return value, {"log_Z": log_z, "b": b}
+
+    def start_renyi(self, q: float, sigma2: float) -> tuple[float, dict]:
+        """Exact, by the closed form (inf where the divergence is infinite)."""
+        inner = gaussian_renyi(q, sigma2, 1.0, self.d)
+        return inner, {f"inner_r{q:g}": inner}
+
 
 @dataclass(frozen=True)
-class RadialCustom:
+class RadialCustom(RadialFamily):
     """Target defined by a user-supplied radial potential profile.
 
     Parameters
@@ -191,7 +544,8 @@ class RadialCustom:
         arrays elementwise.
     fprime : callable, optional
         Derivative of ``f`` with respect to t = |x|^2.  When omitted, a
-        central finite difference with relative step ~cbrt(eps) is used.
+        central finite difference with step ``cbrt(eps) * max(1, |t|)`` is
+        used.
     """
 
     d: int
@@ -205,10 +559,27 @@ class RadialCustom:
         if self.fprime is not None and not callable(self.fprime):
             raise InputValidationError("RadialCustom.fprime must be callable or None")
 
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        return self.f(t)
 
-PotentialSpec = Union[GenCauchy, Sublinear, Gaussian, RadialCustom]
+    def profile_prime(self, t: np.ndarray) -> np.ndarray:
+        if self.fprime is not None:
+            return self.fprime(t)
+        tt = np.asarray(t, dtype=float)
+        h = float(np.cbrt(np.finfo(float).eps)) * np.maximum(1.0, np.abs(tt))
+        lo = np.maximum(tt - h, 0.0)
+        hi = tt + h
+        return (np.asarray(self.f(hi), dtype=float) - np.asarray(self.f(lo), dtype=float)) / (
+            hi - lo
+        )
 
-_FAMILIES = (GenCauchy, Sublinear, Gaussian, RadialCustom)
+
+PotentialSpec = RadialFamily
+
+#: The serializable families by JSON tag, in the phase sweep's order.
+FAMILY_TAGS: Mapping[str, type] = {
+    cls.tag: cls for cls in (Gaussian, Sublinear, GenCauchy)
+}
 
 
 @dataclass(frozen=True)
@@ -268,57 +639,10 @@ def radial_profile(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Return (f, fprime) acting on the squared radius t, with V(x) = f(|x|^2).
 
-    Both callables are vectorized over numpy arrays.  For
-    :class:`RadialCustom` without an explicit derivative, ``fprime`` is a
-    central finite difference with step ``cbrt(eps) * max(1, |t|)``.
+    Both callables are vectorized over numpy arrays: the family's
+    ``profile`` and ``profile_prime``.
     """
-    if isinstance(spec, GenCauchy):
-        half = 0.5 * (spec.d + spec.nu)
-
-        def f(t: np.ndarray) -> np.ndarray:
-            return half * np.log1p(t)
-
-        def fp(t: np.ndarray) -> np.ndarray:
-            return half / (1.0 + np.asarray(t, dtype=float))
-
-        return f, fp
-    if isinstance(spec, Sublinear):
-        a = spec.alpha
-        c = spec.lam ** (2.0 / a)
-
-        def f(t: np.ndarray) -> np.ndarray:
-            return (1.0 + c * np.asarray(t, dtype=float)) ** (0.5 * a)
-
-        def fp(t: np.ndarray) -> np.ndarray:
-            return 0.5 * a * c * (1.0 + c * np.asarray(t, dtype=float)) ** (0.5 * a - 1.0)
-
-        return f, fp
-    if isinstance(spec, Gaussian):
-
-        def f(t: np.ndarray) -> np.ndarray:
-            return 0.5 * np.asarray(t, dtype=float)
-
-        def fp(t: np.ndarray) -> np.ndarray:
-            return np.full_like(np.asarray(t, dtype=float), 0.5)
-
-        return f, fp
-    if isinstance(spec, RadialCustom):
-        if spec.fprime is not None:
-            return spec.f, spec.fprime
-        f = spec.f
-        rel = float(np.cbrt(np.finfo(float).eps))
-
-        def fp(t: np.ndarray) -> np.ndarray:
-            tt = np.asarray(t, dtype=float)
-            h = rel * np.maximum(1.0, np.abs(tt))
-            lo = np.maximum(tt - h, 0.0)
-            hi = tt + h
-            return (np.asarray(f(hi), dtype=float) - np.asarray(f(lo), dtype=float)) / (
-                hi - lo
-            )
-
-        return f, fp
-    raise UnsupportedFamilyError(f"unknown potential spec {type(spec).__name__}")
+    return spec.profile, spec.profile_prime
 
 
 def potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
@@ -326,9 +650,8 @@ def potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     pts, single = _as_points(spec, x)
     if not np.all(np.isfinite(pts)):
         raise InputValidationError("potential: points must be finite")
-    f, _ = radial_profile(spec)
     t = np.einsum("ij,ij->i", pts, pts)
-    v = np.asarray(f(t), dtype=float)
+    v = np.asarray(spec.profile(t), dtype=float)
     return float(v[0]) if single else v
 
 
@@ -337,9 +660,8 @@ def grad_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     pts, single = _as_points(spec, x)
     if not np.all(np.isfinite(pts)):
         raise InputValidationError("grad_potential: points must be finite")
-    _, fp = radial_profile(spec)
     t = np.einsum("ij,ij->i", pts, pts)
-    g = 2.0 * np.asarray(fp(t), dtype=float)[:, None] * pts
+    g = 2.0 * np.asarray(spec.profile_prime(t), dtype=float)[:, None] * pts
     return g[0] if single else g
 
 
@@ -357,16 +679,7 @@ def growth_params(spec: PotentialSpec) -> GrowthParams:
     * Sublinear: (b, alpha) = (alpha * max(lam^(2/alpha), lam), alpha)
     * Gaussian:  (b, alpha) = (1, 2)
     """
-    if isinstance(spec, GenCauchy):
-        return GrowthParams(b=float(spec.d + spec.nu), alpha=0.0)
-    if isinstance(spec, Sublinear):
-        c = spec.lam ** (2.0 / spec.alpha)
-        return GrowthParams(b=spec.alpha * max(c, spec.lam), alpha=spec.alpha)
-    if isinstance(spec, Gaussian):
-        return GrowthParams(b=1.0, alpha=2.0)
-    raise UnsupportedFamilyError(
-        "growth_params is only defined for closed-form families, not RadialCustom"
-    )
+    return spec.growth()
 
 
 def holder_smoothness(spec: PotentialSpec) -> HolderSmoothness:
@@ -376,16 +689,7 @@ def holder_smoothness(spec: PotentialSpec) -> HolderSmoothness:
     constant is clamped from below at 1 (only the sublinear family at small
     scale is affected).
     """
-    if isinstance(spec, GenCauchy):
-        return HolderSmoothness(L=float(spec.d + spec.nu), s=1.0)
-    if isinstance(spec, Sublinear):
-        c = spec.lam ** (2.0 / spec.alpha)
-        return HolderSmoothness(L=max(1.0, spec.alpha * c), s=1.0)
-    if isinstance(spec, Gaussian):
-        return HolderSmoothness(L=1.0, s=1.0)
-    raise UnsupportedFamilyError(
-        "holder_smoothness is only defined for closed-form families, not RadialCustom"
-    )
+    return spec.holder()
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +764,24 @@ def log_normalizing_constant(spec: PotentialSpec) -> float:
     Closed form for GenCauchy and Gaussian; validated adaptive radial
     quadrature (relative tolerance 1e-8 or better) for the others.
     """
-    if isinstance(spec, GenCauchy):
-        return (
-            0.5 * spec.d * math.log(math.pi)
-            + special.gammaln(0.5 * spec.nu)
-            - special.gammaln(0.5 * (spec.d + spec.nu))
-        )
-    if isinstance(spec, Gaussian):
-        return 0.5 * spec.d * math.log(2.0 * math.pi)
-    f, _ = radial_profile(spec)
-    integral = _radial_integral(f, spec.d, p=0.0)
-    return _log_sphere_area(spec.d) + math.log(integral)
+    return spec.log_z()
 
 
 def normalizing_constant(spec: PotentialSpec) -> float:
     """Z = integral of exp(-V)."""
     return math.exp(log_normalizing_constant(spec))
+
+
+def _require_moment(spec: PotentialSpec, p: float) -> None:
+    """Reject a negative order, or one at or beyond the family's tail index."""
+    if p < 0:
+        raise InputValidationError(f"moment order p must be >= 0, got {p}")
+    nu = spec.tail_index
+    if nu is not None and p >= nu:
+        raise MomentUndefinedError(
+            f"{type(spec).__name__} moment of order p={p} diverges "
+            f"(requires p < nu={nu})"
+        )
 
 
 def radial_moment(spec: PotentialSpec, p: float) -> float:
@@ -484,17 +790,11 @@ def radial_moment(spec: PotentialSpec, p: float) -> float:
     Raises :class:`MomentUndefinedError` when the integral diverges
     (GenCauchy with p >= nu).
     """
-    if p < 0:
-        raise InputValidationError(f"moment order p must be >= 0, got {p}")
-    if isinstance(spec, GenCauchy) and p >= spec.nu:
-        raise MomentUndefinedError(
-            f"GenCauchy moment of order p={p} diverges (requires p < nu={spec.nu})"
-        )
+    _require_moment(spec, p)
     if p == 0:
         return 1.0
-    f, _ = radial_profile(spec)
-    num = _radial_integral(f, spec.d, p=p)
-    den = _radial_integral(f, spec.d, p=0.0)
+    num = _radial_integral(spec.profile, spec.d, p=p)
+    den = _radial_integral(spec.profile, spec.d, p=0.0)
     return num / den
 
 
@@ -505,33 +805,8 @@ def closed_form_moment(spec: PotentialSpec, p: float):
     :class:`SublinearMomentBound` pair (exact surrogate moment, e-factor
     upper bound).  RadialCustom has no closed form.
     """
-    if p < 0:
-        raise InputValidationError(f"moment order p must be >= 0, got {p}")
-    if isinstance(spec, GenCauchy):
-        if p >= spec.nu:
-            raise MomentUndefinedError(
-                f"GenCauchy moment of order p={p} diverges (requires p < nu={spec.nu})"
-            )
-        d, nu = spec.d, spec.nu
-        lg = (
-            math.log(d / (d + p))
-            + special.gammaln(0.5 * (nu - p))
-            + special.gammaln(0.5 * (d + 2 + p))
-            - special.gammaln(0.5 * nu)
-            - special.gammaln(0.5 * (d + 2))
-        )
-        return math.exp(lg)
-    if isinstance(spec, Gaussian):
-        lg = 0.5 * p * math.log(2.0) + special.gammaln(0.5 * (spec.d + p)) - special.gammaln(
-            0.5 * spec.d
-        )
-        return math.exp(lg)
-    if isinstance(spec, Sublinear):
-        tilde = tilde_moment(spec.d, spec.alpha, spec.lam, p)
-        return SublinearMomentBound(tilde_exact=tilde, upper=math.e * tilde)
-    raise UnsupportedFamilyError(
-        "closed_form_moment is not available for RadialCustom; use radial_moment"
-    )
+    _require_moment(spec, p)
+    return spec.closed_moment(p)
 
 
 def tilde_moment(d: int, alpha: float, lam: float, p: float) -> float:
@@ -587,22 +862,7 @@ def tail_bound(spec: PotentialSpec, R: float) -> float:
     """
     if R <= 0:
         raise InputValidationError(f"tail radius R must be positive, got {R}")
-    if isinstance(spec, GenCauchy):
-        return (spec.nu + spec.d) ** (0.5 * spec.nu) * R ** (-spec.nu)
-    if isinstance(spec, Sublinear):
-        if spec.lam != 1.0:
-            raise UnsupportedFamilyError(
-                "tail_bound for Sublinear is registered only at lam = 1"
-            )
-        log_val = (
-            0.5
-            + (spec.d / spec.alpha) * math.log(2.0)
-            - 0.5 * (1.0 + R * R) ** (0.5 * spec.alpha)
-        )
-        return math.exp(log_val)
-    raise UnsupportedFamilyError(
-        f"no registered tail bound for {type(spec).__name__}"
-    )
+    return spec.tail_bound(R)
 
 
 def tail_mass(spec: PotentialSpec, R: float) -> float:
@@ -611,9 +871,8 @@ def tail_mass(spec: PotentialSpec, R: float) -> float:
         raise InputValidationError(f"tail radius R must be >= 0, got {R}")
     if R == 0:
         return 1.0
-    f, _ = radial_profile(spec)
-    num = _radial_integral(f, spec.d, p=0.0, lower=R)
-    den = _radial_integral(f, spec.d, p=0.0)
+    num = _radial_integral(spec.profile, spec.d, p=0.0, lower=R)
+    den = _radial_integral(spec.profile, spec.d, p=0.0)
     return num / den
 
 
@@ -655,7 +914,7 @@ def modified_target_spec(spec: PotentialSpec, T: float, m: Union[float, None] = 
         m = modified_target_m(spec)
     if m < 0:
         raise InputValidationError(f"core radius m must be >= 0, got {m}")
-    f, fp = radial_profile(spec)
+    f, fp = spec.profile, spec.profile_prime
     coef = 1.0 / (6144.0 * T)
     two_m = 2.0 * m
 
@@ -691,31 +950,14 @@ def _sphere_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z / norms
 
 
-def _sublinear_r_max(spec: Sublinear, tail_eps: float = 1e-12) -> float:
-    """Smallest R with the registered sublinear tail bound below tail_eps."""
-    u = 2.0 * (
-        math.log(1.0 / tail_eps) + 0.5 + (spec.d / spec.alpha) * math.log(2.0)
-    )
-    t = u ** (2.0 / spec.alpha) - 1.0
-    return math.sqrt(max(t, 1.0))
-
-
-def _custom_r_max(spec: PotentialSpec, tail_eps: float = 1e-12) -> float:
-    R = 1.0
-    while tail_mass(spec, R) > tail_eps:
-        R *= 2.0
-        if R > 1e12:
-            raise NumericsError("direct_sampler: tail radius search failed")
-    return R
-
-
 def _radial_inverse_cdf(
     spec: PotentialSpec, r_max: float, n_nodes: int = 4096
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Monotone (PCHIP) interpolant of the inverse radial CDF on [0, r_max]."""
+    # Imported here: only the inverse-CDF sampler needs it, and at module top
+    # it would add about 25 ms to every import of the package.
     from scipy.interpolate import PchipInterpolator
 
-    f, _ = radial_profile(spec)
     n_lin = n_nodes // 2
     r_knee = min(4.0 * median_radius(spec), r_max / 4.0)
     nodes = np.concatenate(
@@ -727,7 +969,7 @@ def _radial_inverse_cdf(
     t = nodes * nodes
     with np.errstate(divide="ignore"):
         log_dens = (spec.d - 1.0) * np.log(np.maximum(nodes, 1e-300)) - np.asarray(
-            f(t), dtype=float
+            spec.profile(t), dtype=float
         )
     dens = np.exp(log_dens - log_dens.max())
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes))])
@@ -752,84 +994,171 @@ def direct_sampler(spec: PotentialSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise InputValidationError(f"sample count n must be >= 1, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if isinstance(spec, GenCauchy):
-        z = rng.standard_normal((n, spec.d))
-        w = rng.chisquare(spec.nu, size=n)
-        return z / np.sqrt(w)[:, None]
-    if isinstance(spec, Gaussian):
-        return rng.standard_normal((n, spec.d))
-    if isinstance(spec, (Sublinear, RadialCustom)):
-        r_max = (
-            _sublinear_r_max(spec)
-            if isinstance(spec, Sublinear) and spec.lam == 1.0
-            else _custom_r_max(spec)
-        )
-        inv = _radial_inverse_cdf(spec, r_max)
-        u = rng.random(n)
-        r = np.asarray(inv(u), dtype=float)
-        r = np.nan_to_num(r, nan=r_max)
-        dirs = _sphere_directions(rng, n, spec.d)
-        return r[:, None] * dirs
-    raise UnsupportedFamilyError(f"unknown potential spec {type(spec).__name__}")
+    return spec.sample(rng, n)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-_FAMILY_TAGS = {"gen_cauchy": GenCauchy, "sublinear": Sublinear, "gaussian": Gaussian}
+
+def _json_int(value, name: str) -> int:
+    """An integer JSON field: booleans and non-integral numbers are rejected."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def spec_to_json(spec: PotentialSpec) -> dict:
     """Serialize a closed-form family spec to a plain JSON-compatible dict."""
-    if isinstance(spec, GenCauchy):
-        return {"family": "gen_cauchy", "d": spec.d, "nu": spec.nu, "lambda": 1.0}
-    if isinstance(spec, Sublinear):
-        return {"family": "sublinear", "d": spec.d, "alpha": spec.alpha, "lambda": spec.lam}
-    if isinstance(spec, Gaussian):
-        return {"family": "gaussian", "d": spec.d, "lambda": 1.0}
-    raise UnsupportedFamilyError("RadialCustom specs cannot be serialized")
+    return spec.to_json()
 
 
 def spec_from_json(obj: Mapping) -> PotentialSpec:
     """Inverse of :func:`spec_to_json`; strict about fields and values.
 
     ``lambda`` defaults to 1 and must equal 1 for gen_cauchy and gaussian.
+    Parameters given as null count as absent.
     """
     if not isinstance(obj, Mapping):
         raise InputValidationError(f"spec JSON must be a mapping, got {type(obj).__name__}")
     data = dict(obj)
     family = data.pop("family", None)
-    if family not in _FAMILY_TAGS:
+    if family not in FAMILY_TAGS:
         raise UnsupportedFamilyError(
-            f"unknown family tag {family!r}; expected one of {sorted(_FAMILY_TAGS)}"
+            f"unknown family tag {family!r}; expected one of {sorted(FAMILY_TAGS)}"
         )
-    try:
-        d = int(data.pop("d"))
-    except KeyError:
-        raise InputValidationError("spec JSON missing required field 'd'") from None
-    lam = float(data.pop("lambda", 1.0))
-    if family == "gen_cauchy":
-        try:
-            nu = float(data.pop("nu"))
-        except KeyError:
-            raise InputValidationError("gen_cauchy spec requires field 'nu'") from None
-        if lam != 1.0:
-            raise InputValidationError("gen_cauchy only supports lambda = 1")
-        spec: PotentialSpec = GenCauchy(d=d, nu=nu)
-    elif family == "sublinear":
-        try:
-            alpha = float(data.pop("alpha"))
-        except KeyError:
-            raise InputValidationError("sublinear spec requires field 'alpha'") from None
-        spec = Sublinear(d=d, alpha=alpha, lam=lam)
-    else:
-        if lam != 1.0:
-            raise InputValidationError("gaussian only supports lambda = 1")
-        spec = Gaussian(d=d)
-    for key in ("alpha", "nu"):
-        if key in data and data[key] is None:
-            data.pop(key)
+    cls = FAMILY_TAGS[family]
+    if "d" not in data:
+        raise InputValidationError("spec JSON missing required field 'd'")
+    d = _json_int(data.pop("d"), "d")
+    params = {key for c in FAMILY_TAGS.values() for key in c.json_fields}
+    data = {k: v for k, v in data.items() if v is not None or k not in params}
+    if "lambda" not in cls.json_fields and float(data.pop("lambda", 1.0)) != 1.0:
+        raise InputValidationError(f"{family} only supports lambda = 1")
+    missing = [k for k in cls.json_fields if k not in data and k != "lambda"]
+    if missing:
+        raise InputValidationError(f"{family} spec requires field {missing[0]!r}")
+    kwargs = {name: float(data.pop(key))
+              for key, name in cls.json_fields.items() if key in data}
     if data:
         raise InputValidationError(f"unrecognized spec fields: {sorted(data)}")
-    return spec
+    return cls(d=d, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms the family methods use
+# ---------------------------------------------------------------------------
+
+_EXP_MAX = 709.0  # ln(float max); exponents beyond this are reported as inf
+
+
+def _safe_exp(x: float) -> float:
+    if x >= _EXP_MAX:
+        return math.inf
+    return math.exp(x)
+
+
+def gaussian_renyi(q: float, s2_rho: float, s2_pi: float, d: int) -> float:
+    """Closed-form R_q(N(0, s2_rho I_d) || N(0, s2_pi I_d)); inf when undefined.
+
+    Supports q = inf (the sup-log-ratio), which is finite iff s2_rho <= s2_pi.
+    """
+    if s2_rho <= 0 or s2_pi <= 0:
+        raise InputValidationError("variances must be positive")
+    if math.isinf(q):
+        if s2_rho > s2_pi:
+            return math.inf
+        return 0.5 * d * math.log(s2_pi / s2_rho)
+    if not (q > 1):
+        raise InputValidationError(f"Renyi order q must exceed 1, got {q}")
+    c = q / s2_rho + (1.0 - q) / s2_pi
+    if c <= 0:
+        return math.inf
+    log_f = 0.5 * d * (-q * math.log(s2_rho) + (q - 1.0) * math.log(s2_pi) - math.log(c))
+    return log_f / (q - 1.0)
+
+
+def beta_wpi_cauchy(nu: float, d: int, r: float) -> float:
+    """WPI weighting 2/nu + 2(d/nu + 1) r^{-2/nu} for log-tailed targets."""
+    if not (nu > 0.0):
+        raise InputValidationError(f"nu must be positive, got {nu}")
+    if d < 1:
+        raise InputValidationError(f"d must be a positive integer, got {d}")
+    if not (r > 0.0):
+        raise InputValidationError(f"r must be positive, got {r}")
+    log_term = math.log(2.0 * (d / nu + 1.0)) - (2.0 / nu) * math.log(r)
+    return 2.0 / nu + _safe_exp(log_term)
+
+
+def _beta_sublinear_at(
+    alpha: float, d: int, r: float, gamma: float
+) -> tuple[float, dict]:
+    """Value and intermediates of the subexponential WPI chain at fixed gamma.
+
+    Log-domain throughout: the constituent a = gamma (e C)^{2/gamma} /
+    (2(1-alpha)+gamma) overflows floats for small gamma.
+    """
+    c_da = 12.0 * d / alpha**3 + (d + alpha) / alpha**4
+    denom = 2.0 * (1.0 - alpha) + gamma
+    log_a = math.log(gamma) + (2.0 / gamma) * (1.0 + math.log(c_da)) - math.log(denom)
+    b = 2.0 * (1.0 - alpha) / denom
+    expo = 1.0 - alpha + gamma / 2.0
+    # t < 1 is required for the chain's geometric-series prefactor (1-t)^{-2}.
+    log_t = math.log(expo) + 0.5 * math.log(b) - ((alpha - gamma / 2.0) / 2.0) * log_a
+    inter = {
+        "gamma": gamma,
+        "C_d_alpha": c_da,
+        "log_a": log_a,
+        "b": b,
+        "exponent": expo,
+    }
+    if log_t >= 0.0:
+        return math.inf, inter
+    t = math.exp(log_t)
+    # w aggregates the dimension and resolution contributions; -ln r is used
+    # directly so that subnormal r (down to ~5e-324) stays representable.
+    w = 1.0 + (2.0 * d / alpha) * math.log(2.0) + 2.0 * max(-math.log(r), 0.0)
+    inter["w"] = w
+    log_val = -2.0 * math.log1p(-t) + expo * np.logaddexp(
+        log_a, math.log(b) + (2.0 / alpha) * math.log(w)
+    )
+    if log_val >= _EXP_MAX:
+        return math.inf, inter
+    return math.exp(log_val), inter
+
+
+def _beta_sublinear(
+    alpha: float, d: int, r: float, gamma: Optional[float] = None
+) -> tuple[float, dict]:
+    """Value and intermediates of the subexponential WPI weighting at
+    ``gamma``, or minimized over a 64-point log grid on (0, 2 alpha]."""
+    if not (0.0 < alpha < 1.0):
+        raise InputValidationError(
+            f"alpha must lie in (0, 1) for the subexponential weighting, got {alpha}"
+        )
+    if d < 1:
+        raise InputValidationError(f"d must be a positive integer, got {d}")
+    if not (r > 0.0):
+        raise InputValidationError(f"r must be positive, got {r}")
+    if gamma is not None:
+        if not (0.0 < gamma <= 2.0 * alpha):
+            raise InputValidationError(
+                f"gamma must lie in (0, 2*alpha] = (0, {2 * alpha}], got {gamma}"
+            )
+        return _beta_sublinear_at(alpha, d, r, gamma)
+    value, inter = math.inf, {"gamma": 2.0 * alpha}
+    for g in np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64):
+        v, i = _beta_sublinear_at(alpha, d, r, float(g))
+        if v < value:
+            value, inter = v, i
+    return value, inter
+
+
+def beta_wpi_sublinear(
+    alpha: float, d: int, r: float, gamma: Optional[float] = None
+) -> float:
+    """Value-only form of :func:`~heavytail_lmc.bounds.beta_wpi_sublinear_report`."""
+    return _beta_sublinear(alpha, d, r, gamma)[0]

@@ -78,6 +78,41 @@ def test_config_json_strictness():
     assert cfg.q_prime == 7.0
 
 
+@pytest.mark.parametrize("field, value, ok", [
+    ("d", 2.7, False), ("d", True, False), ("d", 2.0, True),
+    ("n_chains", 2.5, False), ("n_iters", 10.5, False),
+    ("record_every", True, False), ("seed", 1.7, False), ("seed", 7.0, True),
+])
+def test_json_integer_fields_reject_non_integers(tmp_path, field, value, ok):
+    spec = {"family": "gaussian", "d": 1}
+    cfg = {"spec": spec, "sigma2_list": [0.5], "n_chains": 8, "n_iters": 20,
+           "output_dir": str(tmp_path / "out")}
+    if field == "d":
+        spec["d"] = value
+    else:
+        cfg[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    if ok:
+        loaded = config_from_json(cfg)
+        assert getattr(loaded.spec if field == "d" else loaded, field) == int(value)
+        return
+    with pytest.raises(InputValidationError, match=field):
+        config_from_json(cfg)
+    assert main(["sample", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "sublinear", "--alpha", "0.5", "--lam", "0"],
+    ["--family", "gaussian", "--lam", "3"],
+    ["--family", "gen_cauchy", "--nu", "2", "--lam", "3"],
+])
+def test_lam_the_family_cannot_take_is_a_usage_error(capsys, flags):
+    rc = main(["bounds", "--thm", "h-max", "--d", "1", *flags])
+    assert rc == 2
+    assert "lam" in capsys.readouterr().err
+
+
 def test_coupling_delta0_values():
     assert coupling_delta0(GenCauchy(d=1, nu=2), 4.0) == pytest.approx(
         2.0 * math.log(4.0)

@@ -8,6 +8,7 @@ brute-force quadrature written from scratch) and then frozen.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from heavytail_lmc import (
     InputValidationError,
     MomentUndefinedError,
     RadialCustom,
+    RadialFamily,
     Sublinear,
     SublinearMomentBound,
     closed_form_moment,
+    gaussian_init,
     direct_sampler,
     grad_potential,
     growth_params,
@@ -36,6 +39,7 @@ from heavytail_lmc import (
     potential,
     radial_moment,
     radial_profile,
+    run_chains,
     spec_from_json,
     spec_to_json,
     tail_bound,
@@ -121,6 +125,42 @@ def test_radial_custom_roundtrip():
     x = np.array([[3.0, 4.0]])
     assert potential(spec, x)[0] == pytest.approx(12.5)
     np.testing.assert_allclose(grad_potential(spec, x), x, rtol=1e-12)
+
+
+@dataclass(frozen=True)
+class ScaledGaussian(RadialFamily):
+    """N(0, s I_d), a family defined only in this file: V(x) = |x|^2 / (2s)."""
+
+    d: int
+    s: float
+
+    def profile(self, t):
+        return 0.5 * np.asarray(t, dtype=float) / self.s
+
+    def profile_prime(self, t):
+        return np.full_like(np.asarray(t, dtype=float), 0.5 / self.s)
+
+
+def test_family_defined_in_one_class_runs_end_to_end():
+    spec = ScaledGaussian(d=2, s=3.0)
+    x = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    np.testing.assert_allclose(potential(spec, x), (x * x).sum(axis=1) / 6.0,
+                               rtol=1e-14)
+    np.testing.assert_allclose(grad_potential(spec, x), x / 3.0, rtol=1e-14)
+    # quadrature fallback against log Z = (d/2) ln(2 pi s)
+    assert log_normalizing_constant(spec) == pytest.approx(
+        math.log(2.0 * math.pi * 3.0), rel=1e-10)
+    # E|x|^p = (2s)^{p/2} Gamma((d+p)/2) / Gamma(d/2)
+    assert radial_moment(spec, 2.0) == pytest.approx(6.0, rel=1e-8)
+    assert radial_moment(spec, 1.0) == pytest.approx(
+        math.sqrt(6.0) * math.gamma(1.5), rel=1e-8)
+    # 50 LMC steps: per coordinate v_{k+1} = (1 - h/s)^2 v_k + 2h exactly
+    h, n_steps = 0.1, 50
+    trace = run_chains(spec, gaussian_init(4.0, 2, 4000, h, seed=3), n_steps,
+                       record_every=10)
+    v_inf = 3.0 / (1.0 - h / 6.0)
+    exact = 2.0 * ((1.0 - h / 3.0) ** (2 * n_steps) * (4.0 - v_inf) + v_inf)
+    assert abs(trace.m2[-1] - exact) <= 5.0 * trace.se[-1]
 
 
 # ---------------------------------------------------------------------------
