@@ -91,6 +91,10 @@ class BoundReport:
     feasible: bool = True
     infeasibility: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # A numpy comparison yields numpy.bool_, which json cannot encode.
+        object.__setattr__(self, "feasible", bool(self.feasible))
+
     def to_dict(self) -> dict:
         def _num(v: float) -> Union[float, str]:
             if isinstance(v, float) and not math.isfinite(v):

@@ -53,6 +53,7 @@ from .diagnostics import (
     sigma2_eps,
 )
 from .fi_verify import (
+    _falsify_scale,
     converse_pi_check,
     default_test_functions,
     fokker_planck_evolve_1d,
@@ -75,6 +76,7 @@ from .targets import (
     PotentialSpec,
     Sublinear,
     UnsupportedFamilyError,
+    _json_float,
     _json_int,
     growth_params,
     modified_target_m,
@@ -167,23 +169,24 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         raise InputValidationError("config JSON missing required field 'spec'")
     spec = spec_from_json(data.pop("spec"))
     kwargs = {}
-    scalar_fields = {
-        "q": float,
-        "eps": float,
-        "h": float,
-        "output_dir": str,
-    }
-    for name, conv in scalar_fields.items():
+    if "output_dir" in data:
+        kwargs["output_dir"] = str(data.pop("output_dir"))
+    for name in ("q", "eps", "h"):
         if name in data:
-            kwargs[name] = conv(data.pop(name))
+            kwargs[name] = _json_float(data.pop(name), name)
     for name in ("n_chains", "n_iters", "record_every", "seed"):
         if name in data:
             kwargs[name] = _json_int(data.pop(name), name)
     if "q_prime" in data:
         raw = data.pop("q_prime")
-        kwargs["q_prime"] = math.inf if raw in ("inf", None) else float(raw)
+        kwargs["q_prime"] = (math.inf if raw in ("inf", None)
+                             else _json_float(raw, "q_prime"))
     if "sigma2_list" in data:
-        kwargs["sigma2_list"] = tuple(float(s) for s in data.pop("sigma2_list"))
+        raw = data.pop("sigma2_list")
+        if not isinstance(raw, (list, tuple)):
+            raise InputValidationError(
+                f"sigma2_list must be a list of numbers, got {raw!r}")
+        kwargs["sigma2_list"] = tuple(_json_float(s, "sigma2_list") for s in raw)
     if data:
         raise InputValidationError(
             f"unknown config fields: {sorted(data)}"
@@ -788,15 +791,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fp_suite(falsify: bool) -> dict:
-    """Flow-solver checks on the canonical log-tail decay experiment.
+def _fp_suite() -> tuple[dict, dict]:
+    """Flow-solver checks on the canonical log-tail decay experiment, as the
+    clean and the falsify report, from one evolution of each flow.
 
     Mass conservation, monotone order-2 divergence, the decay-rate identity
     (compared at every interior record), and the moment ODE of a square
     target.  The falsification mode scales the identity's constant by 1e-6,
     which must break the match wherever the derivative is resolvable.
     """
-    entries = []
     spec = GenCauchy(d=1, nu=2.0)
     grid = make_grid(spec, core_halfwidth=24.0, n_core=2048, n_tail=256)
     rho0 = gaussian_on_grid(grid, 4.0)
@@ -806,79 +809,76 @@ def _fp_suite(falsify: bool) -> dict:
     for t, frame in zip(traj.times, traj.densities):
         f_q, g_q = fq_gq(frame, spec, 2.0)
         stats.append((float(t), math.log(f_q), f_q, g_q, frame.mass))
-    scale = 1e-6 if falsify else 1.0
-    for i in range(len(stats)):
-        t, r, f, g, mass = stats[i]
-        entries.append({
-            "kind": "mass", "t": t, "value": mass,
-            "violated": bool(abs(mass - 1.0) > 1e-8),
-        })
-        if i > 0:
-            entries.append({
-                "kind": "monotone", "t": t, "value": r - stats[i - 1][1],
-                "violated": bool(r > stats[i - 1][1] + 1e-6),
-            })
-        if 0 < i < len(stats) - 1:
-            t0, r0 = stats[i - 1][0], stats[i - 1][1]
-            t2, r2 = stats[i + 1][0], stats[i + 1][1]
-            deriv = (r2 - r0) / (t2 - t0)
-            pred = -2.0 * scale * g / f
-            if abs(deriv) > 1e-4:
-                rel = abs(deriv - pred) / abs(deriv)
-                entries.append({
-                    "kind": "decay-identity", "t": t, "value": rel,
-                    "violated": bool(rel > 0.05),
-                })
     gspec = Gaussian(d=1)
     ggrid = make_grid(gspec, core_halfwidth=6.0, n_core=1024, n_tail=128)
     gtraj = fokker_planck_evolve_1d(gspec, gaussian_on_grid(ggrid, 4.0),
                                     t_final=0.5, dt=2e-5, record_every=5000)
-    for t, frame in zip(gtraj.times, gtraj.densities):
-        exact = 1.0 + 3.0 * math.exp(-2.0 * float(t))
-        entries.append({
-            "kind": "moment-ode", "t": float(t), "value": frame.m2 - exact,
-            "violated": bool(abs(frame.m2 - exact) > 1e-3),
-        })
-    n_bad = sum(e["violated"] for e in entries)
-    return {
-        "check": "fp-falsify" if falsify else "fp",
-        "passed": n_bad == 0,
-        "falsify": falsify,
-        "n_violations": n_bad,
-        "entries": entries,
-        "note": "grid-resolution checks; tolerances are stated per entry kind",
-    }
+
+    def report(falsify: bool) -> dict:
+        scale = _falsify_scale(falsify)
+        entries = []
+        for i, (t, r, f, g, mass) in enumerate(stats):
+            entries.append({"kind": "mass", "t": t, "value": mass,
+                            "violated": bool(abs(mass - 1.0) > 1e-8)})
+            if i > 0:
+                entries.append({
+                    "kind": "monotone", "t": t, "value": r - stats[i - 1][1],
+                    "violated": bool(r > stats[i - 1][1] + 1e-6),
+                })
+            if 0 < i < len(stats) - 1:
+                t0, r0 = stats[i - 1][0], stats[i - 1][1]
+                t2, r2 = stats[i + 1][0], stats[i + 1][1]
+                deriv = (r2 - r0) / (t2 - t0)
+                pred = -2.0 * scale * g / f
+                if abs(deriv) > 1e-4:
+                    rel = abs(deriv - pred) / abs(deriv)
+                    entries.append({"kind": "decay-identity", "t": t,
+                                    "value": rel, "violated": bool(rel > 0.05)})
+        for t, frame in zip(gtraj.times, gtraj.densities):
+            exact = 1.0 + 3.0 * math.exp(-2.0 * float(t))
+            entries.append({
+                "kind": "moment-ode", "t": float(t), "value": frame.m2 - exact,
+                "violated": bool(abs(frame.m2 - exact) > 1e-3),
+            })
+        n_bad = sum(e["violated"] for e in entries)
+        return {
+            "check": "fp-falsify" if falsify else "fp",
+            "passed": n_bad == 0,
+            "falsify": falsify,
+            "n_violations": n_bad,
+            "entries": entries,
+            "note": "grid-resolution checks; tolerances are stated per entry kind",
+        }
+
+    return report(False), report(True)
 
 
-def _run_suite(suite: str, args: argparse.Namespace, falsify: bool) -> dict:
-    fset = default_test_functions()
-    if suite == "wpi":
-        spec = _spec_from_args(args) if args.family else GenCauchy(d=1, nu=2.0)
-        r_grid = args.r_grid or [1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.7, 1.0]
-        return wpi_check(spec, beta_for_spec(spec), fset, r_grid,
-                         falsify=falsify).to_dict()
-    if suite == "converse":
-        spec = _spec_from_args(args) if args.family else GenCauchy(d=1, nu=2.0)
-        return converse_pi_check(spec, fset, falsify=falsify).to_dict()
-    if suite == "weighted":
-        spec = (_spec_from_args(args) if args.family
-                else Sublinear(d=1, alpha=0.5, lam=1.0))
-        return weighted_pi_check(spec, fset, falsify=falsify).to_dict()
+def _run_suite(suite: str, args: argparse.Namespace) -> tuple[dict, dict]:
+    """The suite's clean and falsify reports, from one numerics pass."""
     if suite == "fp":
-        return _fp_suite(falsify)
-    raise InputValidationError(f"unknown suite {suite!r}")
+        return _fp_suite()
+    fset = default_test_functions()
+    spec = _spec_from_args(args) if args.family else (
+        Sublinear(d=1, alpha=0.5, lam=1.0) if suite == "weighted"
+        else GenCauchy(d=1, nu=2.0))
+    if suite == "wpi":
+        r_grid = args.r_grid or [1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.7, 1.0]
+        report = wpi_check(spec, beta_for_spec(spec), fset, r_grid)
+    elif suite == "converse":
+        report = converse_pi_check(spec, fset)
+    else:
+        report = weighted_pi_check(spec, fset)
+    return report.to_dict(), report.falsified().to_dict()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     report_path = os.path.join(args.output_dir, f"verify_{args.suite}.json")
+    report, counterpart = _run_suite(args.suite, args)
     if args.falsify:
-        report = _run_suite(args.suite, args, falsify=True)
-        payload = {"falsify_only": report}
-        code = 1 if report["n_violations"] >= 1 else 0
+        payload = {"falsify_only": counterpart}
+        code = 1 if counterpart["n_violations"] >= 1 else 0
     else:
-        report = _run_suite(args.suite, args, falsify=False)
-        counterpart = _run_suite(args.suite, args, falsify=True)
         payload = {"main": report, "falsify": counterpart}
         ok = report["n_violations"] == 0 and counterpart["n_violations"] >= 1
         code = 0 if ok else 1
@@ -907,9 +907,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config file; flags override its fields")
         _add_spec_flags(p)
         p.add_argument("--q", type=float, default=None)
-        p.add_argument("--q-prime", dest="q_prime", type=str, default=None)
+        p.add_argument("--q-prime", dest="q_prime", type=_parse_qprime,
+                       default=None)
         p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--sigma2", type=str, default=None,
+        p.add_argument("--sigma2", type=_parse_floats, default=None,
                        help="comma-separated start variances")
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--n-chains", dest="n_chains", type=int, default=None)
@@ -1015,7 +1016,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.eps is not None:
         base["eps"] = args.eps
     if args.sigma2 is not None:
-        base["sigma2_list"] = _parse_floats(args.sigma2)
+        base["sigma2_list"] = args.sigma2
     for name in ("h", "n_chains", "n_iters", "record_every", "seed",
                  "output_dir"):
         val = getattr(args, name)

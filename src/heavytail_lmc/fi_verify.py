@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .targets import (
     NumericsError,
     PotentialSpec,
     Sublinear,
+    _c_d_alpha,
     log_normalizing_constant,
     tail_mass,
 )
@@ -191,9 +192,8 @@ def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
 
 def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
     """Cell-averaged target density on an existing grid (window-renormalized)."""
-    edges = np.empty(len(grid.nodes) + 1)
-    edges[:-1] = grid.nodes - 0.5 * grid.widths
-    edges[-1] = grid.nodes[-1] + 0.5 * grid.widths[-1]
+    edges = np.append(grid.nodes - 0.5 * grid.widths,
+                      grid.nodes[-1] + 0.5 * grid.widths[-1])
     _, _, values = _cell_average_density(_log_pi(spec), edges)
     total = float(values @ grid.widths)
     return values / total
@@ -207,9 +207,8 @@ def gaussian_on_grid(grid: DensityGrid, sigma2: float) -> DensityGrid:
     """
     if not (sigma2 > 0.0):
         raise InputValidationError(f"sigma2 must be positive, got {sigma2}")
-    edges = np.empty(len(grid.nodes) + 1)
-    edges[:-1] = grid.nodes - 0.5 * grid.widths
-    edges[-1] = grid.nodes[-1] + 0.5 * grid.widths[-1]
+    edges = np.append(grid.nodes - 0.5 * grid.widths,
+                      grid.nodes[-1] + 0.5 * grid.widths[-1])
 
     def log_rho(x: np.ndarray) -> np.ndarray:
         return -0.5 * x * x / sigma2 - 0.5 * math.log(2.0 * math.pi * sigma2)
@@ -332,6 +331,14 @@ def default_test_functions() -> TestFunctionSet:
 # ---------------------------------------------------------------------------
 
 
+def _falsify_scale(falsify: bool) -> float:
+    """The factor on a checked constant: 1e-6 in falsify mode, else 1."""
+    return 1e-6 if falsify else 1.0
+
+
+_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class FIReport:
     """Outcome of one inequality battery.
@@ -339,7 +346,9 @@ class FIReport:
     ``entries`` holds one dict per (function, resolution) pair with both
     sides and the margin (rhs - lhs; negative means violated).  A finite
     test set can only falsify an inequality, never prove it; ``note``
-    restates this in every report.
+    restates this in every report.  The scale-free rows stay with the
+    report (outside :meth:`to_dict`), so :meth:`falsified` reads the
+    falsify-mode report off the same integrals.
     """
 
     check: str
@@ -352,11 +361,21 @@ class FIReport:
         "a finite test-function battery can only falsify a for-all-f "
         "inequality, never prove it"
     )
+    _rows: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
-    def from_entries(cls, check: str, entries: list[dict], falsify: bool) -> FIReport:
-        """The report over entries that carry their ``margin`` and
-        ``violated``; ``check`` gains a ``-falsify`` suffix in that mode."""
+    def from_rows(cls, check: str, rows: Sequence[tuple], falsify: bool
+                  ) -> FIReport:
+        """The report over ``rows`` of (labels, lhs name, lhs, rhs as a
+        function of the falsify scale); ``check`` gains a ``-falsify``
+        suffix in falsify mode."""
+        scale = _falsify_scale(falsify)
+        entries = []
+        for labels, lhs_name, lhs, rhs_at in rows:
+            rhs = rhs_at(scale)
+            margin = rhs + _SLACK - lhs
+            entries.append({**labels, lhs_name: lhs, "rhs": rhs,
+                            "margin": margin, "violated": bool(margin < 0.0)})
         n_bad = sum(e["violated"] for e in entries)
         worst = min([0.0] + [e["margin"] for e in entries])
         return cls(
@@ -366,7 +385,13 @@ class FIReport:
             max_violation=float(-worst),
             passed=(n_bad == 0),
             falsify=falsify,
+            _rows=tuple(rows),
         )
+
+    def falsified(self) -> FIReport:
+        """This battery's falsify-mode report, without integrating again."""
+        return FIReport.from_rows(self.check.removesuffix("-falsify"),
+                                  self._rows, True)
 
     def to_dict(self) -> dict:
         return {
@@ -378,9 +403,6 @@ class FIReport:
             "entries": list(self.entries),
             "note": self.note,
         }
-
-
-_SLACK = 1e-9
 
 
 def _target_density(spec: PotentialSpec) -> Callable[[float], float]:
@@ -463,38 +485,34 @@ def _pi_quadrature(
 _KINKS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
 
 
-def _function_stats(
-    density: Callable[[float], float], tf: TestFunction, window: float,
-    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
-) -> dict:
-    """Var_pi(f), E_pi[w f'^2], Osc(f), and weighted first moments.
+def _battery_stats(
+    spec: PotentialSpec, fset: TestFunctionSet,
+    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    var_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[float, list[tuple[float, float]]]:
+    """The window holding all but 1e-13 of pi's mass, and (Var_pi f,
+    E_pi[weight f'^2]) per function, three integrals each, with pi built once.
 
-    f is memoized per node, so the first and second moments share its
-    evaluations.
+    With a ``var_weight`` w the variance is the w-weighted one,
+    inf_c E_pi[(f - c)^2 w] = E[f^2 w] - E[f w]^2 / E[w].  f is memoized
+    per node, so the two moments share its evaluations.
     """
-    f = _memo_on_nodes(tf.f)
-    mean = _pi_quadrature(density, f, window, tf.support, _KINKS)
-    second = _pi_quadrature(density, lambda x: f(x) ** 2, window, tf.support,
-                            _KINKS)
-    if weight is None:
-        grad2 = _pi_quadrature(
-            density, lambda x: tf.fprime(x) ** 2, window, tf.support, _KINKS
-        )
-    else:
-        grad2 = _pi_quadrature(
-            density, lambda x: weight(x) * tf.fprime(x) ** 2, window,
-            tf.support, _KINKS
-        )
-    span = tf.support if tf.support is not None else window
-    xs = np.linspace(-span, span, 65537)
-    fv = tf.f(xs)
-    osc = float(fv.max() - fv.min())
-    return {
-        "mean": mean,
-        "var": max(second - mean * mean, 0.0),
-        "grad2": grad2,
-        "osc": osc,
-    }
+    window = _tail_quantile(spec, 1e-13)
+    density = _target_density(spec)
+
+    def integral(fn, w, support):
+        full = fn if w is None else (lambda x: fn(x) * w(x))
+        return _pi_quadrature(density, full, window, support, _KINKS)
+
+    mass = 1.0 if var_weight is None else integral(var_weight, None, None)
+    stats = []
+    for tf in fset:
+        f = _memo_on_nodes(tf.f)
+        mean = integral(f, var_weight, tf.support)
+        second = integral(lambda x: f(x) ** 2, var_weight, tf.support)
+        grad2 = integral(lambda x: tf.fprime(x) ** 2, weight, tf.support)
+        stats.append((max(second - mean * mean / mass, 0.0), grad2))
+    return window, stats
 
 
 def wpi_check(
@@ -514,27 +532,20 @@ def wpi_check(
     r_grid = [float(r) for r in r_grid]
     if not r_grid or any(r <= 0.0 for r in r_grid):
         raise InputValidationError("r_grid must be non-empty with positive entries")
-    scale = 1e-6 if falsify else 1.0
-    window = _tail_quantile(spec, 1e-13)
-    density = _target_density(spec)
     betas = [beta(r) for r in r_grid]
-    entries: list[dict] = []
-    for tf in fset:
-        stats = _function_stats(density, tf, window)
-        for r, beta_r in zip(r_grid, betas):
-            rhs = scale * beta_r * stats["grad2"] + r * stats["osc"] ** 2
-            margin = rhs + _SLACK - stats["var"]
-            entries.append(
-                {
-                    "function": tf.name,
-                    "r": r,
-                    "lhs_var": stats["var"],
-                    "rhs": rhs,
-                    "margin": margin,
-                    "violated": bool(margin < 0.0),
-                }
-            )
-    return FIReport.from_entries("wpi", entries, falsify)
+    window, stats = _battery_stats(spec, fset)
+    rows = []
+    for tf, (var, grad2) in zip(fset, stats):
+        span = tf.support if tf.support is not None else window
+        fv = tf.f(np.linspace(-span, span, 65537))
+        osc = float(fv.max() - fv.min())
+        for r, beta_r in zip(r_grid, betas):  # defaults bind this row's values
+            rows.append((
+                {"function": tf.name, "r": r}, "lhs_var", var,
+                lambda scale, b=beta_r, g=grad2, r=r, o=osc:
+                    scale * b * g + r * o ** 2,
+            ))
+    return FIReport.from_rows("wpi", rows, falsify)
 
 
 def converse_pi_check(
@@ -551,33 +562,12 @@ def converse_pi_check(
         )
     nu, d = spec.nu, spec.d
     c_const = 1.0 / (d + nu) if nu >= d + 2 else 2.0 / nu
-    scale = 1e-6 if falsify else 1.0
-    window = _tail_quantile(spec, 1e-13)
     w = lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2)
-    density = _target_density(spec)
-    w_mass = _pi_quadrature(density, w, window, None, _KINKS)
-    entries: list[dict] = []
-    for tf in fset:
-        f = _memo_on_nodes(tf.f)
-        fw = _pi_quadrature(density, lambda x: f(x) * w(x), window, tf.support,
-                            _KINKS)
-        f2w = _pi_quadrature(density, lambda x: f(x) ** 2 * w(x), window,
-                             tf.support, _KINKS)
-        lhs = max(f2w - fw * fw / w_mass, 0.0)
-        grad2 = _pi_quadrature(density, lambda x: tf.fprime(x) ** 2, window,
-                               tf.support, _KINKS)
-        rhs = scale * c_const * grad2
-        margin = rhs + _SLACK - lhs
-        entries.append(
-            {
-                "function": tf.name,
-                "lhs_weighted_var": lhs,
-                "rhs": rhs,
-                "margin": margin,
-                "violated": bool(margin < 0.0),
-            }
-        )
-    return FIReport.from_entries("converse-pi", entries, falsify)
+    _, stats = _battery_stats(spec, fset, var_weight=w)
+    rows = [({"function": tf.name}, "lhs_weighted_var", var,
+             lambda scale, g=grad2: scale * c_const * g)
+            for tf, (var, grad2) in zip(fset, stats)]
+    return FIReport.from_rows("converse-pi", rows, falsify)
 
 
 def weighted_pi_check(
@@ -596,27 +586,14 @@ def weighted_pi_check(
         raise InputValidationError(
             f"the weighted inequality needs alpha in (0, 1), got {alpha}"
         )
-    c_const = 12.0 * d / alpha**3 + (d + alpha) / alpha**4
-    scale = 1e-6 if falsify else 1.0
-    window = _tail_quantile(spec, 1e-13)
+    c_const = _c_d_alpha(d, alpha)
     expo = 2.0 * (1.0 - alpha)
     weight = lambda x: np.abs(np.asarray(x, dtype=float)) ** expo
-    density = _target_density(spec)
-    entries: list[dict] = []
-    for tf in fset:
-        stats = _function_stats(density, tf, window, weight=weight)
-        rhs = scale * math.e * c_const * stats["grad2"]
-        margin = rhs + _SLACK - stats["var"]
-        entries.append(
-            {
-                "function": tf.name,
-                "lhs_var": stats["var"],
-                "rhs": rhs,
-                "margin": margin,
-                "violated": bool(margin < 0.0),
-            }
-        )
-    return FIReport.from_entries("weighted-pi", entries, falsify)
+    _, stats = _battery_stats(spec, fset, weight=weight)
+    rows = [({"function": tf.name}, "lhs_var", var,
+             lambda scale, g=grad2: scale * math.e * c_const * g)
+            for tf, (var, grad2) in zip(fset, stats)]
+    return FIReport.from_rows("weighted-pi", rows, falsify)
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +696,15 @@ def fq_gq(rho: DensityGrid, spec: PotentialSpec, q: float) -> tuple[float, float
     return f_q, g_q
 
 
+def _renyi_from_fq(f_q: float, q: float) -> float:
+    """R_q = ln(F_q) / (q - 1); inf when F_q is infinite or not positive."""
+    return math.log(f_q) / (q - 1.0) if math.isfinite(f_q) and f_q > 0.0 \
+        else math.inf
+
+
 def renyi_quadrature(rho: DensityGrid, spec: PotentialSpec, q: float) -> float:
     """Order-q Renyi divergence of the grid density from the target."""
-    f_q, _ = fq_gq(rho, spec, q)
-    if not math.isfinite(f_q):
-        return math.inf
-    if f_q <= 0.0:
-        return math.inf
-    return math.log(f_q) / (q - 1.0)
+    return _renyi_from_fq(fq_gq(rho, spec, q)[0], q)
 
 
 def grid_r_inf(rho: DensityGrid, spec: PotentialSpec) -> float:
@@ -749,8 +727,7 @@ def write_fp_csv(
         writer.writerow(["t", "R_q", "F_q", "G_q", "mass", "m2"])
         for t, frame in zip(traj.times, traj.densities):
             f_q, g_q = fq_gq(frame, spec, q)
-            r_q = math.log(f_q) / (q - 1.0) if math.isfinite(f_q) and f_q > 0 \
-                else math.inf
+            r_q = _renyi_from_fq(f_q, q)
             writer.writerow(
                 [
                     f"{t:.12g}",

@@ -259,6 +259,17 @@ def run_chains(
         pending = sq
         return stop_below is not None and m2 + 2.0 * se < stop_below
 
+    def trace(**final) -> MomentTrace:
+        return MomentTrace(
+            iters=np.asarray(iters, dtype=int),
+            m2=np.asarray(m2s),
+            se=np.asarray(ses),
+            n_chains=init.n_chains,
+            dm2_next=np.asarray(d_next),
+            dm2_next_se=np.asarray(d_next_se),
+            **final,
+        )
+
     try:
         if record(0, _sq_norms(batch.positions)):
             stopped = True
@@ -277,26 +288,9 @@ def run_chains(
                         stopped = True
                         break
     except ChainDivergenceError as err:
-        err.partial_trace = MomentTrace(
-            iters=np.asarray(iters, dtype=int),
-            m2=np.asarray(m2s),
-            se=np.asarray(ses),
-            n_chains=init.n_chains,
-            dm2_next=np.asarray(d_next),
-            dm2_next_se=np.asarray(d_next_se),
-        )
+        err.partial_trace = trace()
         raise
-
-    return MomentTrace(
-        iters=np.asarray(iters, dtype=int),
-        m2=np.asarray(m2s),
-        se=np.asarray(ses),
-        n_chains=init.n_chains,
-        dm2_next=np.asarray(d_next),
-        dm2_next_se=np.asarray(d_next_se),
-        final_positions=batch.positions,
-        stopped_early=stopped,
-    )
+    return trace(final_positions=batch.positions, stopped_early=stopped)
 
 
 def reference_diffusion(

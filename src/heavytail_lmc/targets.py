@@ -1011,6 +1011,14 @@ def _json_int(value, name: str) -> int:
     raise InputValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _json_float(value, name: str) -> float:
+    """A real JSON field: null, strings and booleans are rejected."""
+    if isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool):
+        return float(value)
+    raise InputValidationError(f"{name} must be a number, got {value!r}")
+
+
 def spec_to_json(spec: PotentialSpec) -> dict:
     """Serialize a closed-form family spec to a plain JSON-compatible dict."""
     return spec.to_json()
@@ -1036,12 +1044,13 @@ def spec_from_json(obj: Mapping) -> PotentialSpec:
     d = _json_int(data.pop("d"), "d")
     params = {key for c in FAMILY_TAGS.values() for key in c.json_fields}
     data = {k: v for k, v in data.items() if v is not None or k not in params}
-    if "lambda" not in cls.json_fields and float(data.pop("lambda", 1.0)) != 1.0:
+    if ("lambda" not in cls.json_fields
+            and _json_float(data.pop("lambda", 1.0), "lambda") != 1.0):
         raise InputValidationError(f"{family} only supports lambda = 1")
     missing = [k for k in cls.json_fields if k not in data and k != "lambda"]
     if missing:
         raise InputValidationError(f"{family} spec requires field {missing[0]!r}")
-    kwargs = {name: float(data.pop(key))
+    kwargs = {name: _json_float(data.pop(key), key)
               for key, name in cls.json_fields.items() if key in data}
     if data:
         raise InputValidationError(f"unrecognized spec fields: {sorted(data)}")
@@ -1093,6 +1102,11 @@ def beta_wpi_cauchy(nu: float, d: int, r: float) -> float:
     return 2.0 / nu + _safe_exp(log_term)
 
 
+def _c_d_alpha(d: int, alpha: float) -> float:
+    """The subexponential weighted Poincare constant (upper estimate)."""
+    return 12.0 * d / alpha**3 + (d + alpha) / alpha**4
+
+
 def _beta_sublinear_at(
     alpha: float, d: int, r: float, gamma: float
 ) -> tuple[float, dict]:
@@ -1101,7 +1115,7 @@ def _beta_sublinear_at(
     Log-domain throughout: the constituent a = gamma (e C)^{2/gamma} /
     (2(1-alpha)+gamma) overflows floats for small gamma.
     """
-    c_da = 12.0 * d / alpha**3 + (d + alpha) / alpha**4
+    c_da = _c_d_alpha(d, alpha)
     denom = 2.0 * (1.0 - alpha) + gamma
     log_a = math.log(gamma) + (2.0 / gamma) * (1.0 + math.log(c_da)) - math.log(denom)
     b = 2.0 * (1.0 - alpha) / denom

@@ -5,17 +5,28 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import heavytail_lmc
 from heavytail_lmc import (
+    BoundReport,
     Gaussian,
     GenCauchy,
     InputValidationError,
     Sublinear,
+    beta_for_spec,
+    converse_pi_check,
+    default_test_functions,
+    weighted_pi_check,
+    wpi_check,
 )
+from heavytail_lmc import cli, fi_verify
 from heavytail_lmc.cli import (
     ExperimentConfig,
     assemble_upper_bound,
@@ -100,6 +111,50 @@ def test_json_integer_fields_reject_non_integers(tmp_path, field, value, ok):
     with pytest.raises(InputValidationError, match=field):
         config_from_json(cfg)
     assert main(["sample", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("config", "q", None),
+    ("config", "eps", "0.5"),
+    ("config", "h", True),
+    ("config", "q_prime", "abc"),
+    ("config", "q_prime", False),
+    ("config", "sigma2_list", "abc"),
+    ("config", "sigma2_list", 4.0),
+    ("config", "sigma2_list", [1.0, None]),
+    ("gen_cauchy", "nu", "x"),
+    ("gen_cauchy", "lambda", "x"),
+    ("sublinear", "alpha", True),
+    ("sublinear", "lambda", "2"),
+])
+def test_json_float_fields_reject_non_numbers(tmp_path, where, field, value):
+    spec = {"gen_cauchy": {"family": "gen_cauchy", "d": 1, "nu": 2.0},
+            "sublinear": {"family": "sublinear", "d": 1, "alpha": 0.5}
+            }.get(where, {"family": "gaussian", "d": 1})
+    cfg = {"spec": spec, "sigma2_list": [0.5], "n_chains": 8, "n_iters": 20,
+           "output_dir": str(tmp_path / "out")}
+    (cfg if where == "config" else spec)[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(InputValidationError, match=field):
+        config_from_json(cfg)
+    assert main(["sample", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--q-prime", "abc"),
+                                         ("--sigma2", "4,abc")])
+def test_sample_real_flags_reject_non_numbers(tmp_path, flag, value):
+    assert main(["sample", "--family", "gaussian", flag, value,
+                 "--output-dir", str(tmp_path)]) == 2
+
+
+def test_json_float_fields_keep_inf_and_null():
+    base = {"spec": {"family": "gaussian", "d": 1, "nu": None, "alpha": None}}
+    for raw in ("inf", None):
+        assert config_from_json({**base, "q_prime": raw}).q_prime == math.inf
+    cfg = config_from_json({**base, "q": 3, "q_prime": 9, "sigma2_list": [1, 2.5]})
+    assert (cfg.q, cfg.q_prime, cfg.sigma2_list) == (3.0, 9.0, (1.0, 2.5))
+    assert cfg.spec == Gaussian(d=1)
 
 
 @pytest.mark.parametrize("flags", [
@@ -199,6 +254,24 @@ def test_bounds_moment_undefined_exit(capsys):
     assert "moment" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "gen_cauchy", "--nu", "2", "--sigma2", "4"],
+    ["--family", "sublinear", "--alpha", "0.5", "--lam", "2", "--sigma2", "0.5"],
+])
+def test_bounds_diffusion_time_reports(capsys, flags):
+    assert main(["bounds", "--thm", "diffusion-time", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "time_T"
+    assert report["feasible"] is True
+
+
+def test_bound_report_feasible_is_a_python_bool():
+    report = BoundReport(value=1.0, kind="beta", citation="c",
+                         feasible=np.float64(1.0) > 0.0)
+    assert type(report.feasible) is bool
+    json.dumps(report.to_dict())
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 # ---------------------------------------------------------------------------
@@ -234,6 +307,58 @@ def test_verify_weighted_and_fp(tmp_path):
 
 def test_verify_unknown_suite():
     assert main(["verify", "bogus"]) == 2
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, n_quad", [
+    (["wpi", "--r-grid", "0.1,0.5"], 22 * 3),
+    (["converse"], 22 * 3 + 1),
+    (["weighted"], 22 * 3),
+])
+def test_verify_one_pass_serves_both_reports(tmp_path, monkeypatch, argv,
+                                             n_quad):
+    """main and falsify come from one integral pass, and each equals the
+    report of a separate checker call in that mode."""
+    quad_calls = _counted(monkeypatch, fi_verify, "quad")
+    assert main(["verify", *argv, "--output-dir", str(tmp_path)]) == 0
+    assert len(quad_calls) == n_quad
+    payload = json.loads((tmp_path / f"verify_{argv[0]}.json").read_text())
+    fset = default_test_functions()
+    for key, falsify in (("main", False), ("falsify", True)):
+        if argv[0] == "wpi":
+            spec = GenCauchy(d=1, nu=2.0)
+            report = wpi_check(spec, beta_for_spec(spec), fset, [0.1, 0.5],
+                               falsify=falsify)
+        elif argv[0] == "converse":
+            report = converse_pi_check(GenCauchy(d=1, nu=2.0), fset,
+                                       falsify=falsify)
+        else:
+            report = weighted_pi_check(Sublinear(d=1, alpha=0.5), fset,
+                                       falsify=falsify)
+        assert payload[key] == json.loads(json.dumps(report.to_dict()))
+
+
+def test_verify_fp_evolves_each_flow_once(tmp_path, monkeypatch):
+    evolutions = _counted(monkeypatch, cli, "fokker_planck_evolve_1d")
+    assert main(["verify", "fp", "--output-dir", str(tmp_path / "both")]) == 0
+    assert len(evolutions) == 2
+    assert main(["verify", "fp", "--falsify", "--output-dir",
+                 str(tmp_path / "only")]) == 1
+    both = json.loads((tmp_path / "both" / "verify_fp.json").read_text())
+    only = json.loads((tmp_path / "only" / "verify_fp.json").read_text())
+    assert both["falsify"] == only["falsify_only"]
+    assert both["falsify"]["n_violations"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +638,18 @@ def test_console_script_help():
     assert proc.returncode == 0
     for sub in ("sample", "phase-transition", "bounds", "verify", "fp-evolve"):
         assert sub in proc.stdout
+
+
+def test_module_entry_point_help_without_warning():
+    src = os.path.dirname(os.path.dirname(heavytail_lmc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "heavytail_lmc", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: heavytail-lmc")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_no_subcommand_is_usage_error():
