@@ -160,6 +160,11 @@ class ExperimentConfig:
         return out
 
 
+def _json_q_prime(value, name: str) -> float:
+    """The JSON ``q_prime`` field: ``"inf"`` or null mean infinity."""
+    return math.inf if value in ("inf", None) else _json_float(value, name)
+
+
 def config_from_json(obj: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object (strict about field names)."""
     if not isinstance(obj, dict):
@@ -178,9 +183,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         if name in data:
             kwargs[name] = _json_int(data.pop(name), name)
     if "q_prime" in data:
-        raw = data.pop("q_prime")
-        kwargs["q_prime"] = (math.inf if raw in ("inf", None)
-                             else _json_float(raw, "q_prime"))
+        kwargs["q_prime"] = _json_q_prime(data.pop("q_prime"), "q_prime")
     if "sigma2_list" in data:
         raw = data.pop("sigma2_list")
         if not isinstance(raw, (list, tuple)):
@@ -741,7 +744,7 @@ _BOUNDS = {
 
 
 def _dispatch_bounds(thm: str, p: argparse.Namespace) -> BoundReport:
-    if thm not in _BOUNDS:
+    if not isinstance(thm, str) or thm not in _BOUNDS:
         raise InputValidationError(f"unknown theorem selector {thm!r}")
     required, calculator = _BOUNDS[thm]
     _need(p, *required)
@@ -755,6 +758,22 @@ def _need(args: argparse.Namespace, *names: str) -> None:
             f"missing required flags for this theorem: "
             + ", ".join("--" + n.replace("_", "-") for n in missing)
         )
+
+
+def _json_as_given(value, name: str):
+    """A string field, passed on as given and validated where it is used."""
+    return value
+
+
+#: ``bounds --json`` fields that are not reals, with their converters; the
+#: rest go through ``_json_float``.
+_BOUNDS_JSON_FIELDS = {
+    "d": _json_int,
+    "q_prime": _json_q_prime,
+    "family": _json_as_given,
+    "kind": _json_as_given,
+    "target": _json_as_given,
+}
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -773,9 +792,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             if not hasattr(args, key):
                 print(f"unknown query field {key!r}", file=sys.stderr)
                 return 2
-            setattr(args, key, val)
-        if isinstance(getattr(args, "q_prime", None), str):
-            args.q_prime = math.inf if args.q_prime == "inf" else float(args.q_prime)
+            convert = _BOUNDS_JSON_FIELDS.get(key, _json_float)
+            setattr(args, key, convert(val, key))
     else:
         thm = args.thm
     if thm is None:

@@ -12,7 +12,9 @@ conservative explicit finite-volume scheme in the density-ratio variable
 u = rho/pi: the face flux is pi_face * (u_{i+1} - u_i) / delta_face with
 geometric-mean face weights.  The scheme conserves mass to roundoff, keeps
 the target exactly stationary, and satisfies a discrete analogue of the
-dissipation identity dF_q/dt = -(4(q-1)/q) E_pi |grad u^{q/2}|^2.
+dissipation identity dF_q/dt = -(4(q-1)/q) E_pi |grad u^{q/2}|^2.  One
+evolution builds the grid target pi once and carries it on every frame it
+records, so the grid functionals of those frames do not rebuild it.
 """
 
 from __future__ import annotations
@@ -66,11 +68,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Cell-averaged 1D density: sorted centers, positive widths, unit mass."""
+    """Cell-averaged 1D density: sorted centers, positive widths, unit mass.
+
+    A frame recorded by :func:`fokker_planck_evolve_1d` also carries that
+    evolution's grid target as ``_pi = (spec, read-only pi array)``, built
+    once per evolution; :func:`pi_on_grid` returns it for the same spec.
+    The frame shares the start grid's nodes and widths, so the carried
+    array equals a recomputation bit for bit.
+    """
 
     nodes: np.ndarray
     widths: np.ndarray
     values: np.ndarray
+    _pi: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -191,7 +201,13 @@ def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
 
 
 def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
-    """Cell-averaged target density on an existing grid (window-renormalized)."""
+    """Cell-averaged target density on an existing grid (window-renormalized).
+
+    On a frame that carries the target of ``spec`` (see :class:`DensityGrid`)
+    this is the carried read-only array.
+    """
+    if grid._pi is not None and grid._pi[0] == spec:
+        return grid._pi[1]
     edges = np.append(grid.nodes - 0.5 * grid.widths,
                       grid.nodes[-1] + 0.5 * grid.widths[-1])
     _, _, values = _cell_average_density(_log_pi(spec), edges)
@@ -626,15 +642,22 @@ def fokker_planck_evolve_1d(
     geometric-mean face weights and zero-flux boundaries.  The stability
     bound dt * max_i coef_i <= 0.9 is enforced up front (the error message
     suggests a valid dt).  Mass is conserved to roundoff at every step and
-    the target itself is exactly stationary.
+    the target itself is exactly stationary.  Every recorded frame carries
+    the grid target, computed once here.
     """
     if not (t_final > 0.0):
         raise InputValidationError(f"t_final must be positive, got {t_final}")
     if not (dt > 0.0):
         raise InputValidationError(f"dt must be positive, got {dt}")
+    if record_every is not None and record_every < 1:
+        raise InputValidationError(
+            f"record_every must be >= 1, got {record_every}"
+        )
     pi_vals = pi_on_grid(spec, rho0)
     if np.any(pi_vals <= 0.0):
         raise NumericsError("target density underflowed on the grid")
+    pi_vals.flags.writeable = False
+    carried = (spec, pi_vals)
     nodes, widths = rho0.nodes, rho0.widths
     delta = np.diff(nodes)
     pi_face = np.sqrt(pi_vals[:-1] * pi_vals[1:])
@@ -655,21 +678,34 @@ def fokker_planck_evolve_1d(
     if record_every is None:
         record_every = max(1, n_steps // 200)
 
+    def frame(values: np.ndarray) -> DensityGrid:
+        return DensityGrid(nodes=nodes, widths=widths, values=values,
+                           _pi=carried)
+
+    # Each step updates rho in place through preallocated buffers, with the
+    # IEEE operations, and their order, of rho + dt * div / widths on
+    # div = scatter(cond * diff(rho / pi)); folding dt / widths or
+    # cond / widths into one factor would change the rounding.
     rho = rho0.values.copy()
+    u, div = np.empty_like(rho), np.empty_like(rho)
+    flux = np.empty_like(cond)
+    u_lo, u_hi, div_lo, div_hi = u[:-1], u[1:], div[:-1], div[1:]
     times = [0.0]
-    frames = [DensityGrid(nodes=nodes, widths=widths, values=rho.copy())]
+    frames = [frame(rho.copy())]
     for k in range(1, n_steps + 1):
-        u = rho / pi_vals
-        flux = cond * np.diff(u)
-        div = np.zeros_like(rho)
-        div[:-1] += flux
-        div[1:] -= flux
-        rho = rho + dt * div / widths
+        np.divide(rho, pi_vals, out=u)
+        np.subtract(u_hi, u_lo, out=flux)
+        np.multiply(cond, flux, out=flux)
+        div.fill(0.0)
+        div_lo += flux
+        div_hi -= flux
+        np.multiply(dt, div, out=div)
+        np.divide(div, widths, out=div)
+        np.add(rho, div, out=rho)
         if k % record_every == 0 or k == n_steps:
             np.clip(rho, 0.0, None, out=rho)
             times.append(k * dt)
-            frames.append(DensityGrid(nodes=nodes, widths=widths,
-                                      values=rho.copy()))
+            frames.append(frame(rho.copy()))
     return FPTrajectory(times=np.asarray(times), densities=tuple(frames), dt=dt)
 
 

@@ -217,6 +217,35 @@ def test_bounds_json_query(capsys):
     assert out["value"] == pytest.approx(7420.65795512883, rel=1e-12)
 
 
+@pytest.mark.parametrize("query, message", [
+    ({"thm": "diffusion-time", "family": "gen_cauchy", "nu": 2,
+      "sigma2": "4"}, "sigma2 must be a number"),
+    ({"thm": "diffusion-time", "family": "gen_cauchy", "nu": 2, "sigma2": 4,
+      "q_prime": "x"}, "q_prime must be a number"),
+    ({"thm": "beta-cauchy", "nu": 2, "r": True}, "r must be a number"),
+    ({"thm": "beta-cauchy", "nu": 2, "r": 1, "d": 1.5},
+     "d must be an integer"),
+    ({"thm": ["lower"]}, "unknown theorem selector"),
+], ids=["sigma2", "q_prime", "r", "d", "thm"])
+def test_bounds_json_fields_are_typed(capsys, query, message):
+    rc = main(["bounds", "--json", json.dumps(query)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("q_prime", ["inf", None])
+def test_bounds_json_q_prime_inf_or_null(capsys, q_prime):
+    query = {"thm": "diffusion-time", "family": "gen_cauchy", "nu": 2,
+             "sigma2": 4, "q_prime": q_prime}
+    assert main(["bounds", "--json", json.dumps(query)]) == 0
+    by_json = json.loads(capsys.readouterr().out)
+    assert main(["bounds", "--thm", "diffusion-time", "--family",
+                 "gen_cauchy", "--nu", "2", "--sigma2", "4"]) == 0
+    assert by_json == json.loads(capsys.readouterr().out)
+
+
 def test_bounds_init_value(capsys):
     rc = main(["bounds", "--thm", "init", "--family", "gen_cauchy",
                "--d", "1", "--nu", "2", "--sigma2", "1"])
@@ -620,6 +649,17 @@ def test_fp_evolve_dt_violation(tmp_path, capsys):
                "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "dt <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_fp_evolve_rejects_nonpositive_record_every(tmp_path, capsys, every):
+    rc = main(["fp-evolve", "--family", "gaussian", "--d", "1",
+               "--sigma2", "4", "--t-final", "0.01", "--dt", "1e-4",
+               "--record-every", every, "--n-core", "256", "--n-tail", "32",
+               "--core-halfwidth", "6", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "record_every must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "fp.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,95 @@ def test_fp_record_grid_and_final():
         np.testing.assert_array_equal(dens.nodes, g.nodes)
 
 
+@pytest.mark.parametrize("every", [0, -2])
+def test_fp_record_every_must_be_positive(every):
+    g = make_grid(Gaussian(d=1), n_core=256, n_tail=32, core_halfwidth=6.0)
+    rho0 = gaussian_on_grid(g, 2.0)
+    with pytest.raises(InputValidationError, match="record_every must be >= 1"):
+        fokker_planck_evolve_1d(Gaussian(d=1), rho0, t_final=0.01, dt=1e-4,
+                                record_every=every)
+
+
+def _reference_evolve(spec, rho0, t_final, dt, record_every):
+    """The allocating finite-volume loop: record times and frame values."""
+    pi_vals = pi_on_grid(spec, rho0)
+    widths = rho0.widths
+    cond = np.sqrt(pi_vals[:-1] * pi_vals[1:]) / np.diff(rho0.nodes)
+    n_steps = int(math.ceil(t_final / dt - 1e-12))
+    rho = rho0.values.copy()
+    times, frames = [0.0], [rho.copy()]
+    for k in range(1, n_steps + 1):
+        u = rho / pi_vals
+        flux = cond * np.diff(u)
+        div = np.zeros_like(rho)
+        div[:-1] += flux
+        div[1:] -= flux
+        rho = rho + dt * div / widths
+        if k % record_every == 0 or k == n_steps:
+            np.clip(rho, 0.0, None, out=rho)
+            times.append(k * dt)
+            frames.append(rho.copy())
+    return np.asarray(times), frames
+
+
+# (spec, core half-width, dt): 200 steps each, recorded every 37
+_FLOWS = [(GC12, 16.0, 5e-4), (Sublinear(d=1, alpha=0.5), 16.0, 5e-4),
+          (Gaussian(d=1), 6.0, 2.5e-4)]
+
+
+@pytest.mark.parametrize("spec, half, dt", _FLOWS)
+def test_fp_evolve_matches_reference_loop(spec, half, dt):
+    """The in-place step gives the allocating loop's frames byte for byte,
+    the final partial record included."""
+    g = make_grid(spec, n_core=256, n_tail=64, core_halfwidth=half)
+    rho0 = gaussian_on_grid(g, 4.0)
+    traj = fokker_planck_evolve_1d(spec, rho0, t_final=200 * dt, dt=dt,
+                                   record_every=37)
+    times, frames = _reference_evolve(spec, rho0, 200 * dt, dt, 37)
+    assert len(traj) == len(frames) == 7  # 0, 37, ..., 185, and step 200
+    assert traj.times.tobytes() == times.tobytes()
+    for dens, want in zip(traj.densities, frames):
+        assert dens.values.tobytes() == want.tobytes()
+
+
+def test_evolved_frames_carry_pi(monkeypatch):
+    """One evolution builds pi once; its frames' functionals reuse it."""
+    spec = Sublinear(d=1, alpha=0.5)
+    g = make_grid(spec, n_core=256, n_tail=64, core_halfwidth=16.0)
+    rho0 = gaussian_on_grid(g, 4.0)
+    calls = []
+
+    def counted_log_z(s):
+        calls.append(s)
+        return log_normalizing_constant(s)
+
+    monkeypatch.setattr(fi_verify, "log_normalizing_constant", counted_log_z)
+    traj = fokker_planck_evolve_1d(spec, rho0, t_final=0.05, dt=5e-4,
+                                   record_every=25)
+    got = [(fq_gq(f, spec, 2.0), renyi_quadrature(f, spec, 3.0),
+            grid_r_inf(f, Sublinear(d=1, alpha=0.5)))
+           for f in traj.densities]
+    assert len(calls) == 1
+
+    other = GC12
+    for dens, values in zip(traj.densities, got):
+        fresh = DensityGrid(nodes=dens.nodes, widths=dens.widths,
+                            values=dens.values)
+        assert values == (fq_gq(fresh, spec, 2.0),
+                          renyi_quadrature(fresh, spec, 3.0),
+                          grid_r_inf(fresh, spec))
+        carried = pi_on_grid(spec, dens)
+        assert carried.tobytes() == pi_on_grid(spec, fresh).tobytes()
+        assert not carried.flags.writeable
+        with pytest.raises(ValueError):
+            carried[0] = 1.0
+        n = len(calls)
+        assert (pi_on_grid(other, dens).tobytes()
+                == pi_on_grid(other, fresh).tobytes())
+        assert fq_gq(dens, other, 2.0) == fq_gq(fresh, other, 2.0)
+        assert calls[n:] == [other] * 4
+
+
 def test_write_fp_csv_schema_and_determinism(tmp_path):
     g = make_grid(Gaussian(d=1), n_core=256, n_tail=32, core_halfwidth=6.0)
     rho0 = gaussian_on_grid(g, 2.0)
