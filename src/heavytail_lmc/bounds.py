@@ -31,9 +31,7 @@ import numpy as np
 
 from .diagnostics import sigma2_eps
 from .targets import (
-    Gaussian,
     GrowthParams,
-    HolderSmoothness,
     InputValidationError,
     PotentialSpec,
     _beta_sublinear,
@@ -69,6 +67,9 @@ __all__ = [
 
 _R_INIT_KEYS = frozenset({"q", "2q-1", "qprime", "kl", "r2_hat"})
 
+#: The modified-target comparison behind R2_hat needs sigma2 <= this * T.
+_MODIFIED_TARGET_WIDTH = 3072.0
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -79,8 +80,9 @@ class BoundReport:
     size cap (``h_max`` / ``h_disc``), a minimal initial-divergence level
     (``delta0_min``), or an initialization divergence (``init_div``).
     ``regime`` is set for tail-growth-dispatched bounds (``alpha0``,
-    ``alpha_mid``, ``alpha2``).  A non-finite or non-positive value always
-    comes flagged ``feasible=False`` with the reason in ``infeasibility``.
+    ``alpha_mid``, ``alpha2``).  A report is feasible exactly when
+    ``infeasibility`` names no reason; a non-finite or non-positive value
+    always comes with one.
     """
 
     value: float
@@ -88,12 +90,12 @@ class BoundReport:
     citation: str
     regime: Optional[str] = None
     intermediates: Mapping[str, float] = field(default_factory=dict)
-    feasible: bool = True
     infeasibility: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        # A numpy comparison yields numpy.bool_, which json cannot encode.
-        object.__setattr__(self, "feasible", bool(self.feasible))
+    @property
+    def feasible(self) -> bool:
+        """Whether the bound holds: exactly when no infeasibility is named."""
+        return self.infeasibility is None
 
     def to_dict(self) -> dict:
         def _num(v: float) -> Union[float, str]:
@@ -127,8 +129,6 @@ class BoundQuery:
     q_prime: float
     eps: float
     spec: Optional[PotentialSpec] = None
-    h: Optional[float] = None
-    delta0: Optional[float] = None
     sigma2: Optional[float] = None
     r_init: Mapping[str, float] = field(default_factory=dict)
 
@@ -141,12 +141,8 @@ class BoundQuery:
             )
         if not (0.0 < self.eps <= 1.0):
             raise InputValidationError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.h is not None and not (self.h > 0.0):
-            raise InputValidationError(f"h must be positive, got {self.h}")
         if self.sigma2 is not None and not (self.sigma2 > 0.0):
             raise InputValidationError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.delta0 is not None and not (self.delta0 > 0.0):
-            raise InputValidationError(f"delta0 must be positive, got {self.delta0}")
         unknown = set(self.r_init) - _R_INIT_KEYS
         if unknown:
             raise InputValidationError(
@@ -177,15 +173,14 @@ class BoundQuery:
 def beta_wpi_cauchy_report(nu: float, d: int, r: float) -> BoundReport:
     """Report wrapper for :func:`beta_wpi_cauchy`."""
     value = beta_wpi_cauchy(nu, d, r)
-    feasible = math.isfinite(value)
     return BoundReport(
         value=value,
         kind="beta",
         citation="wpi:log-tail-weighting",
         regime="alpha0",
         intermediates={"nu": nu, "d": float(d), "r": r},
-        feasible=feasible,
-        infeasibility=None if feasible else "r so small the weighting overflows",
+        infeasibility=None if math.isfinite(value)
+        else "r so small the weighting overflows",
     )
 
 
@@ -201,15 +196,14 @@ def beta_wpi_sublinear_report(
     value is minimized over a 64-point log grid on (0, 2 alpha].
     """
     value, inter = _beta_sublinear(alpha, d, r, gamma)
-    feasible = math.isfinite(value)
     return BoundReport(
         value=value,
         kind="beta",
         citation="wpi:subexponential-weighting",
         regime="alpha_mid",
         intermediates=inter,
-        feasible=feasible,
-        infeasibility=None if feasible else "weighting overflows at every gamma",
+        infeasibility=None if math.isfinite(value)
+        else "weighting overflows at every gamma",
     )
 
 
@@ -262,6 +256,40 @@ def _resolve_beta_hat(
     return (lambda r: beta_prime(beta, u, r)), u
 
 
+def _start_resolution(
+    query: BoundQuery,
+    beta: Callable[[float], float],
+    order: float,
+    kind: str,
+    citation: str,
+    own: Callable[[float], Mapping[str, float]],
+) -> Union[BoundReport, tuple[Callable[[float], float], float, dict]]:
+    """The opening of the time and iteration bounds at Renyi order ``order``.
+
+    Takes log delta0 = order R_q'(rho0||pi), the resolution
+    r1 = e^{-log delta0} / 4 and the weighting beta^ (transformed with
+    u = 2 q' / order unless q' = inf).  Returns (beta^, r1, intermediates),
+    the latter holding log delta0, the caller's ``own(r1)`` entries and u;
+    when r1 underflows, returns the infeasible report of ``kind`` instead.
+    """
+    beta_hat, u = _resolve_beta_hat(beta, order, query.q_prime)
+    log_delta0 = order * query.r_init["qprime"]
+    r1 = 0.25 * _safe_exp(-log_delta0)
+    inter: dict = {"log_delta0": log_delta0, **own(r1)}
+    if u is not None:
+        inter["beta_transform_u"] = u
+    if r1 == 0.0:
+        return BoundReport(
+            value=math.inf,
+            kind=kind,
+            citation=citation,
+            intermediates=inter,
+            infeasibility="initial order-q' divergence so large that the "
+            "weighting argument underflows",
+        )
+    return beta_hat, r1, inter
+
+
 # ---------------------------------------------------------------------------
 # Upper bounds: diffusion time, LMC iterations, step sizes
 # ---------------------------------------------------------------------------
@@ -278,25 +306,14 @@ def diffusion_time_bound(
     u = 2 q' / q.  Requires r_init keys "q" and "qprime".
     """
     query.require("q", "qprime")
-    q, q_prime, eps = query.q, query.q_prime, query.eps
+    q, eps = query.q, query.eps
     r_q0 = query.r_init["q"]
-    r_qp0 = query.r_init["qprime"]
-    beta_hat, u = _resolve_beta_hat(beta, q, q_prime)
-    log_delta0 = q * r_qp0
-    r1 = 0.25 * _safe_exp(-log_delta0)
-    inter: dict = {"log_delta0": log_delta0, "r_accuracy": r1}
-    if u is not None:
-        inter["beta_transform_u"] = u
-    if r1 == 0.0:
-        return BoundReport(
-            value=math.inf,
-            kind="time_T",
-            citation="diffusion:renyi-time-bound",
-            intermediates=inter,
-            feasible=False,
-            infeasibility="initial order-q' divergence so large that the "
-            "weighting argument underflows",
-        )
+    start = _start_resolution(query, beta, q, "time_T",
+                              "diffusion:renyi-time-bound",
+                              lambda r1: {"r_accuracy": r1})
+    if isinstance(start, BoundReport):
+        return start
+    beta_hat, r1, inter = start
     beta_1 = beta_hat(r1)
     inter["beta_at_quarter_delta0"] = beta_1
     term1 = q * beta_1 * r_q0
@@ -310,14 +327,13 @@ def diffusion_time_bound(
     value = term1 + term2
     inter["term_initial"] = term1
     inter["term_accuracy"] = term2
-    feasible = math.isfinite(value) and value > 0.0
     return BoundReport(
         value=value,
         kind="time_T",
         citation="diffusion:renyi-time-bound",
         intermediates=inter,
-        feasible=feasible,
-        infeasibility=None if feasible else "bound overflowed to inf",
+        infeasibility=None if math.isfinite(value) and value > 0.0
+        else "bound overflowed to inf",
     )
 
 
@@ -360,10 +376,7 @@ def lmc_iteration_count(
 
 
 def lmc_iteration_bound(
-    query: BoundQuery,
-    beta: Callable[[float], float],
-    m: float,
-    holder: Optional[HolderSmoothness] = None,
+    query: BoundQuery, beta: Callable[[float], float], m: float
 ) -> BoundReport:
     """LMC iterations sufficient for order-q Renyi accuracy eps.
 
@@ -374,8 +387,8 @@ def lmc_iteration_bound(
     with u = 2q'/(2q-1) unless q' = inf, then evaluates
     :func:`lmc_iteration_count` at that horizon.  Requires r_init keys
     "2q-1", "qprime", and "r2_hat" (the latter measured against the
-    modified target).  ``holder`` defaults to the smoothness parameters of
-    ``query.spec``.
+    modified target).  ``query.spec`` is required: it gives the dimension
+    and the Holder smoothness (L, s).
 
     The convenience assumptions (eps <= 1/q, q >= 2, and m, L, T, R2_hat,
     1/eps all >= 1) are validated; violations flag the report infeasible
@@ -389,37 +402,22 @@ def lmc_iteration_bound(
         raise InputValidationError(
             f"q_prime must exceed 2q-1 = {order}, got {q_prime}"
         )
-    if holder is None:
-        if query.spec is None:
-            raise InputValidationError(
-                "pass holder smoothness explicitly or set query.spec"
-            )
-        holder = holder_smoothness(query.spec)
-    if query.spec is not None:
-        d = query.spec.d
-    else:
-        raise InputValidationError("query.spec is required (for the dimension)")
+    if query.spec is None:
+        raise InputValidationError(
+            "query.spec is required (for the dimension and smoothness)"
+        )
+    d = query.spec.d
+    holder = query.spec.holder()
     L, s = holder.L, holder.s
     r_2q1 = query.r_init["2q-1"]
-    r_qp0 = query.r_init["qprime"]
     r2_hat = query.r_init["r2_hat"]
 
-    beta_hat, u = _resolve_beta_hat(beta, order, q_prime)
-    log_delta0 = order * r_qp0
-    r1 = 0.25 * _safe_exp(-log_delta0)
-    inter: dict = {"log_delta0": log_delta0, "implicit_const": 1.0}
-    if u is not None:
-        inter["beta_transform_u"] = u
-    if r1 == 0.0:
-        return BoundReport(
-            value=math.inf,
-            kind="iters_N",
-            citation="lmc:iteration-bound",
-            intermediates=inter,
-            feasible=False,
-            infeasibility="initial order-q' divergence so large that the "
-            "weighting argument underflows",
-        )
+    start = _start_resolution(query, beta, order, "iters_N",
+                              "lmc:iteration-bound",
+                              lambda r1: {"implicit_const": 1.0})
+    if isinstance(start, BoundReport):
+        return start
+    beta_hat, r1, inter = start
     beta_1 = beta_hat(r1)
     beta_2 = beta_hat(0.5 * eps * r1)
     T = order * (beta_1 * r_2q1 + beta_2 * math.log(2.0 / eps))
@@ -449,12 +447,10 @@ def lmc_iteration_bound(
             kind="iters_N",
             citation="lmc:iteration-bound",
             intermediates=inter,
-            feasible=False,
             infeasibility="diffusion horizon overflowed to inf",
         )
     value = lmc_iteration_count(T, d, q, L, s, eps, m, r2_hat)
     inter["h_implied"] = T / value if math.isfinite(value) else 0.0
-    feasible = not violations and math.isfinite(value)
     if violations:
         reason = "; ".join(violations)
     elif not math.isfinite(value):
@@ -466,7 +462,6 @@ def lmc_iteration_bound(
         kind="iters_N",
         citation="lmc:iteration-bound",
         intermediates=inter,
-        feasible=feasible,
         infeasibility=reason,
     )
 
@@ -521,7 +516,6 @@ def disc_step_size(
             violations.append(f"{name} >= 1 violated ({name}={v})")
     if eps > 1.0:
         violations.append(f"1/eps >= 1 violated (eps={eps})")
-    feasible = not violations
     return BoundReport(
         value=value,
         kind="h_disc",
@@ -534,18 +528,11 @@ def disc_step_size(
             "n_refined": n_refined,
             "implicit_const": 1.0,
         },
-        feasible=feasible,
         infeasibility="; ".join(violations) if violations else None,
     )
 
 
-def step_size_upper_bound(
-    spec: PotentialSpec,
-    q: float,
-    eps: float,
-    d: Optional[int] = None,
-    sigma2_eps_override: Optional[float] = None,
-) -> BoundReport:
+def step_size_upper_bound(spec: PotentialSpec, q: float, eps: float) -> BoundReport:
     """Largest step size whose moment fixed point still meets accuracy eps.
 
     h <= (1/f'(sigma2_eps)) (1 - d / (2 f'(sigma2_eps) sigma2_eps)), where
@@ -554,14 +541,8 @@ def step_size_upper_bound(
     are not checkable without h; they are verified downstream by the
     comparison process.
     """
-    if d is not None and d != spec.d:
-        raise InputValidationError(
-            f"dimension argument {d} disagrees with spec.d = {spec.d}"
-        )
     d_eff = spec.d
-    s2e = sigma2_eps_override if sigma2_eps_override is not None else sigma2_eps(
-        spec, q, eps
-    )
+    s2e = sigma2_eps(spec, q, eps)
     if not (s2e > 0.0):
         raise InputValidationError(f"sigma2_eps must be positive, got {s2e}")
     fp = float(spec.profile_prime(s2e))
@@ -571,15 +552,13 @@ def step_size_upper_bound(
         )
     paren = 1.0 - d_eff / (2.0 * fp * s2e)
     value = paren / fp
-    feasible = value > 0.0
     return BoundReport(
         value=value,
         kind="h_max",
         citation="lmc:moment-decay-step-cap",
         intermediates={"sigma2_eps": s2e, "f_prime": fp, "paren": paren},
-        feasible=feasible,
         infeasibility=None
-        if feasible
+        if value > 0.0
         else "no positive step size reaches this accuracy: the noise floor "
         "2hd exceeds the contraction at sigma2_eps",
     )
@@ -588,6 +567,19 @@ def step_size_upper_bound(
 # ---------------------------------------------------------------------------
 # Lower bounds and thresholds
 # ---------------------------------------------------------------------------
+
+
+def _regime(alpha: float) -> str:
+    """The lower-bound regime of tail-growth exponent alpha in [0, 2]."""
+    if alpha == 0.0:
+        return "alpha0"
+    if 0.0 < alpha < 2.0:
+        return "alpha_mid"
+    if alpha == 2.0:
+        return "alpha2"
+    raise InputValidationError(
+        f"tail-growth exponent must lie in [0, 2], got {alpha}"
+    )
 
 
 def lower_bound_complexity(
@@ -621,6 +613,7 @@ def lower_bound_complexity(
     if h is not None and not (h > 0.0):
         raise InputValidationError(f"h must be positive, got {h}")
     alpha, b = growth.alpha, growth.b
+    regime = _regime(alpha)
     inter: dict = {"alpha": alpha, "b": b, "delta0": delta0}
     infeasibility = None
     if threshold is not None:
@@ -630,7 +623,7 @@ def lower_bound_complexity(
                 f"delta0 = {delta0} is below the validity threshold {threshold}"
             )
 
-    if alpha == 0.0:
+    if regime == "alpha0":
         nu_eff = nu if nu is not None else b - d
         if not (nu_eff > 0.0):
             raise InputValidationError(
@@ -638,10 +631,9 @@ def lower_bound_complexity(
             )
         inter["nu"] = nu_eff
         time_t = d / (4.0 * nu_eff) * _safe_exp(delta0 / nu_eff)
-        regime = "alpha0"
         citation = "lower:log-tail"
         iters = time_t / h if h is not None else None
-    elif 0.0 < alpha < 2.0:
+    elif regime == "alpha_mid":
         log_t = (
             (1.0 - alpha / 2.0)
             * ((2.0 / alpha - 1.0) * math.log(alpha) - math.log(b) + math.log(d))
@@ -649,10 +641,9 @@ def lower_bound_complexity(
             - math.log(2.0 * (2.0 - alpha) * b)
         )
         time_t = _safe_exp(log_t)
-        regime = "alpha_mid"
         citation = "lower:subexponential"
         iters = time_t / h if h is not None else None
-    elif alpha == 2.0:
+    else:
         if h is not None and not (h < 1.0 / b):
             raise InputValidationError(
                 f"gaussian-tail regime requires h < 1/b = {1.0 / b}, got h={h}"
@@ -665,13 +656,8 @@ def lower_bound_complexity(
         else:
             time_t = c * math.log(delta0 / b) / (2.0 * (1.0 + c) * b)
         inter["c"] = c
-        regime = "alpha2"
         citation = "lower:gaussian"
         iters = time_t if h is not None else None
-    else:
-        raise InputValidationError(
-            f"tail-growth exponent must lie in [0, 2], got {alpha}"
-        )
 
     inter["time_T"] = time_t
     if iters is not None:
@@ -679,8 +665,7 @@ def lower_bound_complexity(
         value, kind = iters, "iters_N"
     else:
         value, kind = time_t, "time_T"
-    feasible = infeasibility is None and math.isfinite(value) and value > 0.0
-    if not feasible and infeasibility is None:
+    if infeasibility is None and not (math.isfinite(value) and value > 0.0):
         infeasibility = "bound is non-finite or non-positive"
     return BoundReport(
         value=value,
@@ -688,13 +673,11 @@ def lower_bound_complexity(
         citation=citation,
         regime=regime,
         intermediates=inter,
-        feasible=feasible,
         infeasibility=infeasibility,
     )
 
 
 def delta0_threshold(
-    regime: str,
     growth: GrowthParams,
     d: int,
     q: float,
@@ -706,13 +689,12 @@ def delta0_threshold(
     """Initial-divergence level above which the matching lower bound holds.
 
     The max-of-terms validity threshold for :func:`lower_bound_complexity`,
-    per regime ("alpha0", "alpha_mid", "alpha2").  ``Z`` is the target's
+    in the regime the tail-growth exponent selects as there ("alpha0" at
+    alpha = 0, "alpha_mid" in (0, 2), "alpha2" at 2).  ``Z`` is the target's
     normalizing constant, ``pi_moment`` the order-2q/(q-1) radial moment,
     and ``v0`` the potential's value at the origin (it shifts the
     normalizing constant in the alpha = 2 regime).
     """
-    if regime not in ("alpha0", "alpha_mid", "alpha2"):
-        raise InputValidationError(f"unknown regime {regime!r}")
     if d < 1:
         raise InputValidationError(f"d must be a positive integer, got {d}")
     if not (q > 1.0):
@@ -724,12 +706,7 @@ def delta0_threshold(
             f"pi_moment must be a finite positive real, got {pi_moment}"
         )
     alpha, b = growth.alpha, growth.b
-    expected = {"alpha0": alpha == 0.0, "alpha_mid": 0.0 < alpha < 2.0,
-                "alpha2": alpha == 2.0}[regime]
-    if not expected:
-        raise InputValidationError(
-            f"regime {regime!r} is inconsistent with tail-growth alpha = {alpha}"
-        )
+    regime = _regime(alpha)
     frac = (q - 1.0) / q
     log_z = math.log(Z)
     log_pm = math.log(pi_moment)
@@ -770,15 +747,14 @@ def delta0_threshold(
     inter = {"term_normalizer": t1, "term_moment": t2}
     if t3 > -math.inf:
         inter["term_floor"] = t3
-    feasible = math.isfinite(value)
     return BoundReport(
         value=value,
         kind="delta0_min",
         citation="lower:delta0-threshold",
         regime=regime,
         intermediates=inter,
-        feasible=feasible,
-        infeasibility=None if feasible else "threshold overflowed to inf",
+        infeasibility=None if math.isfinite(value)
+        else "threshold overflowed to inf",
     )
 
 
@@ -810,15 +786,10 @@ def init_divergence_bound(
     elif kind == "R2_hat":
         if not (T > 0.0):
             raise InputValidationError(f"T must be positive, got {T}")
-        if sigma2 > 3072.0 * T:
+        if sigma2 > _MODIFIED_TARGET_WIDTH * T:
             raise InputValidationError(
-                f"modified-target comparison needs sigma2 <= 3072 T = {3072.0 * T}, "
-                f"got {sigma2}"
-            )
-        if isinstance(spec, Gaussian) and sigma2 >= 1.0:
-            raise InputValidationError(
-                "order-2 Renyi of N(0, 2 sigma2) against the unit gaussian "
-                "target is infinite for sigma2 >= 1"
+                "modified-target comparison needs sigma2 <= 3072 T = "
+                f"{_MODIFIED_TARGET_WIDTH * T}, got {sigma2}"
             )
         inner, inter = spec.start_renyi(2.0, 2.0 * sigma2)
         value = d * math.log(2.0) + inner
@@ -827,14 +798,12 @@ def init_divergence_bound(
             f"kind must be 'Rinf', 'KL', or 'R2_hat', got {kind!r}"
         )
     inter["sigma2"] = sigma2
-    feasible = math.isfinite(value)
     return BoundReport(
         value=value,
         kind="init_div",
         citation="init:gaussian-start",
         intermediates=inter,
-        feasible=feasible,
-        infeasibility=None if feasible else "bound is non-finite",
+        infeasibility=None if math.isfinite(value) else "bound is non-finite",
     )
 
 
@@ -921,12 +890,10 @@ def warm_start_divergence_bound(
         "init_variance": 1.0 / (2.0 * L + 1.0),
         "log_radius_term": 0.5 * d * math.log(12.0 * radius * radius * L),
     }
-    feasible = math.isfinite(value)
     return BoundReport(
         value=value,
         kind="init_div",
         citation="init:warm-start",
         intermediates=inter,
-        feasible=feasible,
-        infeasibility=None if feasible else "bound is non-finite",
+        infeasibility=None if math.isfinite(value) else "bound is non-finite",
     )

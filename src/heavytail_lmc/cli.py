@@ -27,12 +27,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import (
+    _MODIFIED_TARGET_WIDTH,
     BoundQuery,
     BoundReport,
     beta_for_spec,
@@ -92,7 +93,6 @@ __all__ = [
     "coupling_delta0",
     "lower_bound_threshold",
     "lower_bound_gate",
-    "gated_lower_bound",
     "phase_threshold",
     "assemble_upper_bound",
     "main",
@@ -249,22 +249,16 @@ def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
                           ) -> BoundReport:
     """:func:`delta0_threshold` for a target at divergence order q.
 
-    The regime follows the tail-growth exponent; the ingredients are the
-    normalizing constant, the order-2q/(q-1) radial moment, and the
-    potential's value at the origin (1 for the subexponential family, 0
-    otherwise).  Raises :class:`MomentUndefinedError` when that moment
-    diverges (log tails with nu <= 2q/(q-1)).
+    The ingredients are the normalizing constant, the order-2q/(q-1) radial
+    moment, and the potential's value at the origin (1 for the
+    subexponential family, 0 otherwise).  Raises
+    :class:`MomentUndefinedError` when that moment diverges (log tails with
+    nu <= 2q/(q-1)).
     """
-    g = growth_params(spec)
-    regime = (
-        "alpha0" if g.alpha == 0.0
-        else "alpha2" if g.alpha == 2.0
-        else "alpha_mid"
-    )
     z = normalizing_constant(spec)
     pm = radial_moment(spec, 2.0 * q / (q - 1.0))
     v0 = float(spec.profile(0.0))
-    return delta0_threshold(regime, g, spec.d, q, z, pm, v0=v0, c=c)
+    return delta0_threshold(growth_params(spec), spec.d, q, z, pm, v0=v0, c=c)
 
 
 def lower_bound_gate(spec: PotentialSpec, q: float) -> dict:
@@ -285,20 +279,6 @@ def lower_bound_gate(spec: PotentialSpec, q: float) -> dict:
         "lower_threshold_checked": threshold is not None,
         "lower_threshold_reason": reason,
     }
-
-
-def gated_lower_bound(spec: PotentialSpec, delta0: float, h: float, gate: dict
-                      ) -> BoundReport:
-    """Complexity lower bound for a target at ``delta0``, gated by ``gate``.
-
-    A delta0 below ``gate["delta0_threshold"]`` makes the report infeasible:
-    no lower bound is established there.  An unchecked gate (threshold
-    None) leaves the bound ungated.
-    """
-    return lower_bound_complexity(
-        growth_params(spec), spec.d, delta0, h=h, nu=spec.tail_index,
-        threshold=gate["delta0_threshold"],
-    )
 
 
 def phase_threshold(spec: PotentialSpec, q: float, eps: float, sigma2: float
@@ -355,7 +335,10 @@ def _phase_leg(
 ) -> dict:
     """Run one (family, sigma2) leg and assemble its CSV row values.
 
-    ``gate`` is the family's :func:`lower_bound_gate` at ``config.q``.
+    ``gate`` is the family's :func:`lower_bound_gate` at ``config.q``: a
+    delta0 below its threshold makes the lower bound infeasible, and an
+    unchecked gate (threshold None) leaves it ungated.  A start the upper
+    bound's hypotheses exclude gets ``inf`` with the reason in the meta.
     """
     g = growth_params(spec)
     threshold, thr_kind = phase_threshold(spec, config.q, config.eps, sigma2)
@@ -369,20 +352,29 @@ def _phase_leg(
     steps_run = int(trace.iters[-1])
     measured = iterations_to_threshold(trace, threshold)
     delta0 = coupling_delta0(spec, sigma2)
-    lower = gated_lower_bound(spec, delta0, config.h, gate)
-    if spec.has_iteration_bound:
-        upper = assemble_upper_bound(
-            spec, config.q, config.q_prime, config.eps, sigma2
-        )
-        upper_val = upper.value
-        upper_meta = {"feasible": upper.feasible,
-                      "infeasibility": upper.infeasibility}
-    else:
+    lower = lower_bound_complexity(
+        g, spec.d, delta0, h=config.h, nu=spec.tail_index,
+        threshold=gate["delta0_threshold"],
+    )
+    if not spec.has_iteration_bound:
         # The iteration theorem's smoothness/growth regime covers the
         # subexponential family; the other rows carry no finite upper bound.
-        upper_val = math.inf
-        upper_meta = {"feasible": False,
-                      "infeasibility": "outside the iteration theorem's growth regime"}
+        upper_val, upper_reason = (
+            math.inf, "outside the iteration theorem's growth regime")
+    else:
+        try:
+            upper = assemble_upper_bound(
+                spec, config.q, config.q_prime, config.eps, sigma2
+            )
+            upper_val, upper_reason = upper.value, upper.infeasibility
+        except InputValidationError as exc:
+            # A wide start outgrows the modified-target comparison (R2_hat,
+            # unit horizon) and so establishes no upper bound, as a delta0
+            # below the threshold establishes no lower bound.  Every other
+            # input error still aborts the sweep.
+            if not sigma2 > _MODIFIED_TARGET_WIDTH:
+                raise
+            upper_val, upper_reason = math.inf, str(exc)
     return {
         "family": spec.tag,
         "alpha": g.alpha,
@@ -411,7 +403,8 @@ def _phase_leg(
             "lower_feasible": lower.feasible,
             "lower_infeasibility": lower.infeasibility,
             **gate,
-            "upper": upper_meta,
+            "upper": {"feasible": upper_reason is None,
+                      "infeasibility": upper_reason},
         },
     }
 
@@ -684,17 +677,6 @@ def cmd_fp_evolve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _r_init_orders(spec: PotentialSpec, sigma2: float) -> float:
-    """A divergence value dominating every order: the sup-log-ratio bound
-    for heavy-tailed families, the exact closed form for the square case."""
-    if isinstance(spec, Gaussian) and sigma2 > 1.0:
-        raise InputValidationError(
-            "the square-case sup-ratio is infinite for sigma2 > 1; "
-            "use the kl kind or sigma2 <= 1"
-        )
-    return spec.start_renyi(math.inf, sigma2)[0]
-
-
 def _lower_bound_from_flags(p: argparse.Namespace) -> BoundReport:
     if p.b is not None:
         b = p.b
@@ -712,7 +694,8 @@ def _lower_bound_from_flags(p: argparse.Namespace) -> BoundReport:
 
 def _diffusion_time_from_flags(p: argparse.Namespace) -> BoundReport:
     spec = _spec_from_args(p)
-    r0 = _r_init_orders(spec, p.sigma2)
+    # the order-inf start divergence dominates every order
+    r0 = spec.start_renyi(math.inf, p.sigma2)[0]
     query = BoundQuery(
         q=p.q, q_prime=p.q_prime, eps=p.eps, spec=spec, sigma2=p.sigma2,
         r_init={"q": r0, "qprime": r0},
@@ -760,20 +743,20 @@ def _need(args: argparse.Namespace, *names: str) -> None:
         )
 
 
-def _json_as_given(value, name: str):
-    """A string field, passed on as given and validated where it is used."""
-    return value
+def _bounds_json_fields() -> dict:
+    """``bounds --json`` field -> converter, read off the ``bounds`` flags.
 
-
-#: ``bounds --json`` fields that are not reals, with their converters; the
-#: rest go through ``_json_float``.
-_BOUNDS_JSON_FIELDS = {
-    "d": _json_int,
-    "q_prime": _json_q_prime,
-    "family": _json_as_given,
-    "kind": _json_as_given,
-    "target": _json_as_given,
-}
+    Every flag but ``--thm`` and ``--json`` is a field; its converter follows
+    the flag's argparse type, and a string field (None) passes as given, to
+    be validated where it is used.
+    """
+    converters = {float: _json_float, int: _json_int,
+                  _parse_qprime: _json_q_prime}
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_bounds_flags(parser)
+    return {action.dest: converters.get(action.type)
+            for action in parser._actions
+            if action.dest not in ("thm", "json")}
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -788,12 +771,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         thm = payload.pop("thm")
+        fields = _bounds_json_fields()
         for key, val in payload.items():
-            if not hasattr(args, key):
+            if key not in fields:
                 print(f"unknown query field {key!r}", file=sys.stderr)
                 return 2
-            convert = _BOUNDS_JSON_FIELDS.get(key, _json_float)
-            setattr(args, key, convert(val, key))
+            convert = fields[key]
+            setattr(args, key, val if convert is None else convert(val, key))
     else:
         thm = args.thm
     if thm is None:
@@ -948,34 +932,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset of "
                               + ",".join(FAMILY_TAGS))
 
-    p_bounds = sub.add_parser("bounds", help="evaluate one named bound")
-    p_bounds.add_argument("--thm", type=str, default=None,
-                          choices=list(_BOUNDS))
-    p_bounds.add_argument("--json", type=str, default=None,
-                          help="JSON query object with a 'thm' field")
-    _add_spec_flags(p_bounds)
-    p_bounds.add_argument("--q", type=float, default=2.0)
-    p_bounds.add_argument("--q-prime", dest="q_prime", type=_parse_qprime,
-                          default=math.inf)
-    p_bounds.add_argument("--eps", type=float, default=0.1)
-    p_bounds.add_argument("--r", type=float, default=None)
-    p_bounds.add_argument("--gamma", type=float, default=None)
-    p_bounds.add_argument("--delta0", type=float, default=None)
-    p_bounds.add_argument("--h", type=float, default=None)
-    p_bounds.add_argument("--b", type=float, default=None)
-    p_bounds.add_argument("--threshold", type=float, default=None)
-    p_bounds.add_argument("--c", type=float, default=1.0)
-    p_bounds.add_argument("--sigma2", type=float, default=None)
-    p_bounds.add_argument("--kind", type=str, default="Rinf",
-                          choices=["Rinf", "KL", "R2_hat"])
-    p_bounds.add_argument("--T", type=float, default=1.0)
-    p_bounds.add_argument("--target", type=str, default="pi",
-                          choices=["pi", "pi_hat"])
-    p_bounds.add_argument("--s", type=float, default=None)
-    p_bounds.add_argument("--L", type=float, default=None)
-    p_bounds.add_argument("--m", type=float, default=None)
-    p_bounds.add_argument("--r2-hat", dest="r2_hat", type=float, default=None)
-    p_bounds.add_argument("--n-guess", dest="n_guess", type=float, default=100.0)
+    _add_bounds_flags(sub.add_parser("bounds", help="evaluate one named bound"))
 
     p_verify = sub.add_parser("verify", help="run an inequality suite")
     p_verify.add_argument("suite", type=str,
@@ -1003,6 +960,34 @@ def _build_parser() -> argparse.ArgumentParser:
                       default=None)
     p_fp.add_argument("--output-dir", dest="output_dir", type=str, default=".")
     return parser
+
+
+def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--thm", type=str, default=None, choices=list(_BOUNDS))
+    p.add_argument("--json", type=str, default=None,
+                   help="JSON query object with a 'thm' field")
+    _add_spec_flags(p)
+    p.add_argument("--q", type=float, default=2.0)
+    p.add_argument("--q-prime", dest="q_prime", type=_parse_qprime,
+                   default=math.inf)
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--delta0", type=float, default=None)
+    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--sigma2", type=float, default=None)
+    p.add_argument("--kind", type=str, default="Rinf",
+                   choices=["Rinf", "KL", "R2_hat"])
+    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--target", type=str, default="pi", choices=["pi", "pi_hat"])
+    p.add_argument("--s", type=float, default=None)
+    p.add_argument("--L", type=float, default=None)
+    p.add_argument("--m", type=float, default=None)
+    p.add_argument("--r2-hat", dest="r2_hat", type=float, default=None)
+    p.add_argument("--n-guess", dest="n_guess", type=float, default=100.0)
 
 
 def _parse_floats(text: str) -> list[float]:

@@ -147,21 +147,20 @@ def comparison_process_z(
     for k in range(k_max):
         z[k + 1] = float(g(z[k])) + 2.0 * h * d
 
-    if h > 0:
-        hi = 1.5 * float(z.max()) + 1.0
-        grid = np.linspace(0.0, hi, 2001)
-        gv = g(grid)
-        scale = max(1.0, float(np.abs(gv).max()))
-        if np.any(np.diff(gv) < -1e-8 * scale):
-            raise AssumptionViolatedError(
-                "comparison_process_z: g(r) = (1-2hf'(r))^2 r is not "
-                f"non-decreasing on [0, {hi:.3g}] at h={h}"
-            )
-        if np.any(np.diff(gv, 2) < -1e-8 * scale):
-            raise AssumptionViolatedError(
-                "comparison_process_z: g(r) = (1-2hf'(r))^2 r is not convex "
-                f"on [0, {hi:.3g}] at h={h}"
-            )
+    hi = 1.5 * float(z.max()) + 1.0
+    grid = np.linspace(0.0, hi, 2001)
+    gv = g(grid)
+    scale = max(1.0, float(np.abs(gv).max()))
+    if np.any(np.diff(gv) < -1e-8 * scale):
+        raise AssumptionViolatedError(
+            "comparison_process_z: g(r) = (1-2hf'(r))^2 r is not "
+            f"non-decreasing on [0, {hi:.3g}] at h={h}"
+        )
+    if np.any(np.diff(gv, 2) < -1e-8 * scale):
+        raise AssumptionViolatedError(
+            "comparison_process_z: g(r) = (1-2hf'(r))^2 r is not convex "
+            f"on [0, {hi:.3g}] at h={h}"
+        )
     return z
 
 

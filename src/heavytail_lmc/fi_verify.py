@@ -23,7 +23,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -156,12 +156,11 @@ def make_grid(
     n_core: int = 1536,
     n_tail: int = 256,
     core_halfwidth: Optional[float] = None,
-    window_tail_mass: float = 1e-10,
 ) -> DensityGrid:
     """Grid-discretized target: dense uniform core, geometric tail cells.
 
     The window is wide enough that the target mass beyond it is below
-    ``window_tail_mass``; the density is renormalized on the window (a
+    1e-10; the density is renormalized on the window (a
     relative adjustment of at most the truncated mass).  The core covers
     the target's central 1 - 1e-4 mass (override with ``core_halfwidth``).
     """
@@ -169,7 +168,7 @@ def make_grid(
         raise InputValidationError("density grids are 1-dimensional")
     if core_halfwidth is None:
         core_halfwidth = 1.5 * _tail_quantile(spec, 1e-4)
-    window = max(_tail_quantile(spec, window_tail_mass), 2.0 * core_halfwidth)
+    window = max(_tail_quantile(spec, 1e-10), 2.0 * core_halfwidth)
     edges = _cell_edges(core_halfwidth, n_core, window, n_tail)
     centers, widths, values = _cell_average_density(_log_pi(spec), edges)
     total = float(values @ widths)
@@ -373,7 +372,7 @@ class FIReport:
     max_violation: float
     passed: bool
     falsify: bool
-    note: str = (
+    note: ClassVar[str] = (
         "a finite test-function battery can only falsify a for-all-f "
         "inequality, never prove it"
     )

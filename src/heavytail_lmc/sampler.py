@@ -299,7 +299,6 @@ def reference_diffusion(
     T: float,
     substeps_per_unit: int,
     record_every: int = 1,
-    check_discretization: bool = True,
 ) -> MomentTrace:
     """Euler-Maruyama integration of dX = -grad V dt + sqrt(2) dB to time T.
 
@@ -340,13 +339,12 @@ def reference_diffusion(
     xi_odd: Union[np.ndarray, None] = None
     for step in range(1, n_steps + 1):
         xi = _noise_block(root, step, n, d)
-        if check_discretization:
-            if step % 2:
-                xi_odd = xi.copy()
-            else:
-                eta = (xi_odd + xi) / np.sqrt(2.0)
-                y = _euler_update(y, grad_potential(spec, y), 2.0 * dt, eta)
-                _check_divergence(y, step // 2)
+        if step % 2:
+            xi_odd = xi.copy()
+        else:
+            eta = (xi_odd + xi) / np.sqrt(2.0)
+            y = _euler_update(y, grad_potential(spec, y), 2.0 * dt, eta)
+            _check_divergence(y, step // 2)
         x = _euler_update(x, grad_potential(spec, x), dt, xi)
         _check_divergence(x, step)
         if step % record_every == 0 or step == n_steps:
@@ -355,16 +353,15 @@ def reference_diffusion(
             m2s.append(m2)
             ses.append(se)
 
-    if check_discretization:
-        m2_coarse, _ = _m2_stats(y)
-        if abs(m2_coarse - m2s[-1]) > 0.01 * max(1.0, abs(m2s[-1])):
-            warnings.warn(
-                f"reference_diffusion: halving check disagrees "
-                f"(fine m2={m2s[-1]:.6g}, coarse m2={m2_coarse:.6g}); "
-                f"increase substeps_per_unit",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    m2_coarse, _ = _m2_stats(y)
+    if abs(m2_coarse - m2s[-1]) > 0.01 * max(1.0, abs(m2s[-1])):
+        warnings.warn(
+            f"reference_diffusion: halving check disagrees "
+            f"(fine m2={m2s[-1]:.6g}, coarse m2={m2_coarse:.6g}); "
+            f"increase substeps_per_unit",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     arr_iters = np.asarray(iters, dtype=int)
     return MomentTrace(

@@ -21,6 +21,7 @@ from heavytail_lmc import (
     BoundQuery,
     Gaussian,
     GenCauchy,
+    GrowthParams,
     InputValidationError,
     RadialCustom,
     Sublinear,
@@ -450,7 +451,7 @@ def test_lower_bound_threshold_gate():
 def test_delta0_threshold_frozen_log_tail():
     spec = GenCauchy(d=1, nu=6)
     rep = delta0_threshold(
-        "alpha0", growth_params(spec), d=1, q=2.0,
+        growth_params(spec), d=1, q=2.0,
         Z=normalizing_constant(spec), pi_moment=radial_moment(spec, 4.0),
     )
     assert rep.value == pytest.approx(7.216395324324494, rel=1e-9)
@@ -460,7 +461,7 @@ def test_delta0_threshold_frozen_log_tail():
 def test_delta0_threshold_frozen_gaussian():
     spec = Gaussian(d=2)
     rep = delta0_threshold(
-        "alpha2", growth_params(spec), d=2, q=2.0,
+        growth_params(spec), d=2, q=2.0,
         Z=normalizing_constant(spec), pi_moment=radial_moment(spec, 4.0),
     )
     assert rep.value == pytest.approx(8 * math.e, rel=1e-9)
@@ -468,15 +469,17 @@ def test_delta0_threshold_frozen_gaussian():
 
 
 def test_delta0_threshold_regime_consistency():
-    spec = Gaussian(d=2)
-    with pytest.raises(InputValidationError):
-        delta0_threshold("alpha0", growth_params(spec), d=2, q=2.0, Z=1.0, pi_moment=1.0)
+    # the regime follows alpha; an alpha outside [0, 2] selects none
+    for alpha in (-0.5, 2.5, math.nan):
+        with pytest.raises(InputValidationError, match="tail-growth exponent"):
+            delta0_threshold(GrowthParams(b=1.0, alpha=alpha), d=2, q=2.0,
+                             Z=1.0, pi_moment=1.0)
 
 
 def test_delta0_threshold_mid_regime_positive():
     spec = Sublinear(d=2, alpha=0.5)
     rep = delta0_threshold(
-        "alpha_mid", growth_params(spec), d=2, q=2.0,
+        growth_params(spec), d=2, q=2.0,
         Z=normalizing_constant(spec), pi_moment=radial_moment(spec, 4.0),
     )
     assert rep.value > 0
@@ -669,7 +672,7 @@ def test_complexity_sandwich_gen_cauchy():
     delta0 = coupling_delta0(spec, s2)
     assert delta0 == pytest.approx(6.0 * math.log(9.0), rel=1e-12)
     gate = delta0_threshold(
-        "alpha0", growth_params(spec), d=24, q=q,
+        growth_params(spec), d=24, q=q,
         Z=normalizing_constant(spec), pi_moment=pi_moment_for(spec, q),
     )
     assert gate.value == pytest.approx(7.404241112068497, rel=1e-9)

@@ -235,6 +235,17 @@ def test_bounds_json_fields_are_typed(capsys, query, message):
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("field", ["json", "command"])
+def test_bounds_json_fields_are_the_bounds_flags(capsys, field):
+    # only the flags of ``bounds`` are query fields, not other namespace names
+    query = {"thm": "lower", "alpha": 0, "nu": 2, "delta0": 3, "d": 1,
+             field: 1 if field == "json" else "x"}
+    assert main(["bounds", "--json", json.dumps(query)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown query field {field!r}" in captured.err
+
+
 @pytest.mark.parametrize("q_prime", ["inf", None])
 def test_bounds_json_q_prime_inf_or_null(capsys, q_prime):
     query = {"thm": "diffusion-time", "family": "gen_cauchy", "nu": 2,
@@ -295,10 +306,17 @@ def test_bounds_diffusion_time_reports(capsys, flags):
 
 
 def test_bound_report_feasible_is_a_python_bool():
-    report = BoundReport(value=1.0, kind="beta", citation="c",
-                         feasible=np.float64(1.0) > 0.0)
-    assert type(report.feasible) is bool
+    # feasible follows infeasibility; a float64 value cannot make it numpy's
+    report = BoundReport(value=np.float64(1.0), kind="beta", citation="c")
+    assert report.feasible is True
+    infeasible = BoundReport(value=np.float64(np.inf), kind="beta",
+                             citation="c", infeasibility="overflow")
+    assert infeasible.feasible is False
+    assert list(report.to_dict()) == ["value", "kind", "citation", "regime",
+                                      "intermediates", "feasible",
+                                      "infeasibility"]
     json.dumps(report.to_dict())
+    json.dumps(infeasible.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +566,29 @@ def test_phase_transition_partial_flush_on_failure(tmp_path, capsys):
     assert len(lines) == 2  # the square-case leg survived; the rest aborted
     assert lines[1].startswith("gaussian,")
     assert not (out / "phase.svg").exists()
+
+
+def test_phase_transition_wide_start_has_no_upper_bound(tmp_path, capsys):
+    # sigma2 = 8192 outgrows the modified-target comparison (sigma2 <= 3072
+    # at the unit horizon): that row gets inf and the sweep goes on
+    out = tmp_path / "wide"
+    rc = main(["phase-transition", "--families", "sublinear", "--family",
+               "sublinear", "--alpha", "0.5", "--d", "2", "--sigma2",
+               "1024,8192", "--h", "0.1", "--n-chains", "50", "--n-iters",
+               "200", "--record-every", "50", "--output-dir", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    rows = list(csv.DictReader((out / "phase.csv").read_text().splitlines()))
+    assert [float(r["sigma2"]) for r in rows] == [1024.0, 8192.0]
+    assert math.isfinite(float(rows[0]["iters_upper_bound"]))
+    assert rows[1]["iters_upper_bound"] == "inf"
+    uppers = [leg["upper"] for leg in
+              json.loads((out / "phase_meta.json").read_text())["legs"]]
+    assert "3072" not in uppers[0]["infeasibility"]  # eps = 1 > 1/q only
+    assert uppers[1] == {
+        "feasible": False,
+        "infeasibility": "modified-target comparison needs sigma2 <= 3072 T "
+                         "= 3072.0, got 8192.0",
+    }
 
 
 def test_phase_transition_family_subset(tmp_path, capsys):
