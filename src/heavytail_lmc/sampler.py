@@ -48,6 +48,7 @@ from .targets import (
     InputValidationError,
     PotentialSpec,
     grad_potential,
+    sq_norms,
 )
 
 __all__ = [
@@ -163,8 +164,10 @@ def gaussian_init(
 
 
 def _check_divergence(pos: np.ndarray, iteration: int, trace=None) -> None:
-    # One reduction on the common path; NaN fails the comparison.
-    if pos.size == 0 or np.abs(pos).max() <= DIVERGENCE_LIMIT:
+    # Two reductions and no temporary on the common path; NaN and +-inf
+    # fail the comparisons.
+    if pos.size == 0 or (pos.max() <= DIVERGENCE_LIMIT
+                         and pos.min() >= -DIVERGENCE_LIMIT):
         return
     bad = ~(np.abs(pos) <= DIVERGENCE_LIMIT)
     idx = int(np.nonzero(np.any(bad, axis=1))[0][0])
@@ -196,10 +199,6 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec) -> ChainBatch:
     return ChainBatch(positions=new, h=h, k=batch.k + 1, rng_root=batch.rng_root)
 
 
-def _sq_norms(pos: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", pos, pos)
-
-
 def _mean_se(v: np.ndarray) -> tuple[float, float]:
     n = v.shape[0]
     mean = float(v.mean())
@@ -208,7 +207,7 @@ def _mean_se(v: np.ndarray) -> tuple[float, float]:
 
 
 def _m2_stats(pos: np.ndarray) -> tuple[float, float]:
-    return _mean_se(_sq_norms(pos))
+    return _mean_se(sq_norms(pos))
 
 
 def run_chains(
@@ -271,19 +270,19 @@ def run_chains(
         )
 
     try:
-        if record(0, _sq_norms(batch.positions)):
+        if record(0, sq_norms(batch.positions)):
             stopped = True
         else:
             for step in range(1, n_iters + 1):
                 batch = lmc_step(batch, spec)
                 sq = None
                 if pending is not None:
-                    sq = _sq_norms(batch.positions)
+                    sq = sq_norms(batch.positions)
                     d_next[-1], d_next_se[-1] = _mean_se(sq - pending)
                     pending = None
                 if step % record_every == 0 or step == n_iters:
                     if sq is None:
-                        sq = _sq_norms(batch.positions)
+                        sq = sq_norms(batch.positions)
                     if record(step, sq):
                         stopped = True
                         break

@@ -81,6 +81,7 @@ __all__ = [
     "SublinearMomentBound",
     "potential",
     "grad_potential",
+    "sq_norms",
     "radial_profile",
     "growth_params",
     "holder_smoothness",
@@ -187,10 +188,29 @@ class RadialFamily(abc.ABC):
         """The constants of :func:`holder_smoothness`."""
         raise self._unsupported("Holder constants (closed-form families only)")
 
+    def _memo(self, key, compute: Callable[[], float]) -> float:
+        """``compute()``, evaluated once per ``key`` and kept on the instance.
+
+        The memo sits in the instance ``__dict__`` beside the dataclass
+        fields, so equality, hashing, repr and JSON ignore it, and an equal
+        spec built elsewhere starts empty.  The values are deterministic, so
+        threads that race on one entry store the same float; a failed
+        computation stores nothing and raises again on the next call.  Only
+        the normalizer, the moments and the median radius are kept, so a
+        scan over tail radii does not grow it.
+        """
+        memo = self.__dict__.setdefault("_quadratures", {})
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def _integral(self, p: float = 0.0) -> float:
+        """:func:`_radial_integral` of this family's profile over [0, inf)."""
+        return self._memo(p, lambda: _radial_integral(self.profile, self.d, p=p))
+
     def log_z(self) -> float:
         """log Z by validated radial quadrature."""
-        integral = _radial_integral(self.profile, self.d, p=0.0)
-        return _log_sphere_area(self.d) + math.log(integral)
+        return _log_sphere_area(self.d) + math.log(self._integral())
 
     def closed_moment(self, p: float):
         """Closed-form E_pi |x|^p, for an order p the moment exists at."""
@@ -658,12 +678,30 @@ def radial_profile(
     return spec.profile, spec.profile_prime
 
 
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared row norms of an (n, d) array, bit-identical to
+    ``np.einsum("ij,ij->i", x, x)``.
+
+    At d = 1 and 2 the sums are written out as column sums in einsum's own
+    order, which costs a fraction of einsum's call; wider arrays call
+    einsum.  Unlike einsum, a square that overflows raises numpy's overflow
+    warning.
+    """
+    d = x.shape[1]
+    if d > 2:
+        return np.einsum("ij,ij->i", x, x)
+    sq = x * x
+    if d == 1:
+        return sq[:, 0]
+    return sq[:, 0] + sq[:, 1]
+
+
 def potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate V at one point (returns a scalar) or a batch (returns (n,))."""
     pts, single = _as_points(spec, x)
     if not np.all(np.isfinite(pts)):
         raise InputValidationError("potential: points must be finite")
-    t = np.einsum("ij,ij->i", pts, pts)
+    t = sq_norms(pts)
     v = np.asarray(spec.profile(t), dtype=float)
     return float(v[0]) if single else v
 
@@ -671,9 +709,11 @@ def potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
 def grad_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate grad V; output shape matches the input shape."""
     pts, single = _as_points(spec, x)
-    if not np.all(np.isfinite(pts)):
+    t = sq_norms(pts)
+    # A finite |x|^2 has finite coordinates, so the coordinates are checked
+    # only when it is not: a finite point whose square overflows passes.
+    if not np.isfinite(t).all() and not np.isfinite(pts).all():
         raise InputValidationError("grad_potential: points must be finite")
-    t = np.einsum("ij,ij->i", pts, pts)
     g = 2.0 * np.asarray(spec.profile_prime(t), dtype=float)[:, None] * pts
     return g[0] if single else g
 
@@ -805,9 +845,7 @@ def radial_moment(spec: PotentialSpec, p: float) -> float:
     _require_moment(spec, p)
     if p == 0:
         return 1.0
-    num = _radial_integral(spec.profile, spec.d, p=p)
-    den = _radial_integral(spec.profile, spec.d, p=0.0)
-    return num / den
+    return spec._integral(p) / spec._integral()
 
 
 def closed_form_moment(spec: PotentialSpec, p: float):
@@ -884,12 +922,16 @@ def tail_mass(spec: PotentialSpec, R: float) -> float:
     if R == 0:
         return 1.0
     num = _radial_integral(spec.profile, spec.d, p=0.0, lower=R)
-    den = _radial_integral(spec.profile, spec.d, p=0.0)
-    return num / den
+    return num / spec._integral()
 
 
 def median_radius(spec: PotentialSpec) -> float:
-    """The radius R with pi(|x| >= R) = 1/2, found by bracketed root-finding."""
+    """The radius R with pi(|x| >= R) = 1/2, found by bracketed root-finding
+    once per family instance."""
+    return spec._memo("median_radius", lambda: _median_radius(spec))
+
+
+def _median_radius(spec: PotentialSpec) -> float:
     target = 0.5
 
     def g(R: float) -> float:

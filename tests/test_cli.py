@@ -26,7 +26,7 @@ from heavytail_lmc import (
     weighted_pi_check,
     wpi_check,
 )
-from heavytail_lmc import cli, fi_verify
+from heavytail_lmc import cli, fi_verify, targets
 from heavytail_lmc.cli import (
     ExperimentConfig,
     assemble_upper_bound,
@@ -655,6 +655,23 @@ def test_phase_transition_gates_lower_bound_by_threshold(tmp_path, capsys):
             assert leg["lower_threshold_checked"] is False
             assert "moment" in leg["lower_threshold_reason"]
             assert leg["delta0_threshold"] is None
+
+
+def test_phase_sweep_quadratures_do_not_grow_with_legs(tmp_path, monkeypatch):
+    """Each family instance computes its radial quadratures once, so three
+    sigma2 legs cost the quadratures of one."""
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "1")  # no two legs race on an entry
+    calls = _counted(monkeypatch, targets, "_radial_integral")
+    counts = []
+    for sigma2 in ("4", "4,16,64"):
+        before = len(calls)
+        rc = main(["phase-transition", "--families", "sublinear", "--family",
+                   "sublinear", "--alpha", "0.5", "--d", "2", "--sigma2", sigma2,
+                   "--h", "0.1", "--n-chains", "50", "--n-iters", "200",
+                   "--record-every", "50", "--output-dir", str(tmp_path / sigma2)])
+        assert rc == 0
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 def test_phase_transition_bad_thread_env(tmp_path, monkeypatch, capsys):

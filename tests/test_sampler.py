@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heavytail_lmc import sampler
 from heavytail_lmc import (
     ChainBatch,
     ChainDivergenceError,
@@ -236,6 +237,19 @@ def test_divergence_guard():
     assert err.iteration > 0
     assert err.partial_trace is not None
     assert err.partial_trace.m2.size >= 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e150,
+                                 -1.0000001e150, 1e300])
+def test_divergence_guard_names_the_bad_chain(bad):
+    pos = np.zeros((6, 3))
+    pos[:, 1] = 1e150  # the limit itself is allowed
+    pos[2, 0] = -1e150
+    sampler._check_divergence(pos, 7)
+    pos[4, 2] = bad
+    with pytest.raises(ChainDivergenceError) as exc_info:
+        sampler._check_divergence(pos, 7)
+    assert (exc_info.value.chain_index, exc_info.value.iteration) == (4, 7)
 
 
 def test_run_chains_validation():

@@ -8,7 +8,7 @@ brute-force quadrature written from scratch) and then frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from heavytail_lmc import targets
 from heavytail_lmc import (
     Gaussian,
     GenCauchy,
     InputValidationError,
     MomentUndefinedError,
+    NumericsError,
     RadialCustom,
     RadialFamily,
     Sublinear,
@@ -118,6 +120,28 @@ def test_radial_profile_consistent_with_potential():
         h = 1e-6 * np.maximum(1.0, r2)
         fd = (f(r2 + h) - f(r2 - h)) / (2 * h)
         np.testing.assert_allclose(fprime(r2), fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sq_norms_match_einsum_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((1001, d)) * np.exp(6.0 * rng.standard_normal((1001, d)))
+    extreme = np.array([0.0, -0.0, 5e-324, -1e-160, 1e150, -1e150, 1e160, 1.0])
+    rows[:64] = rng.choice(extreme, size=(64, d))
+    for x in (rows, rows[1:], np.asfortranarray(rows)):
+        assert np.array_equal(targets.sq_norms(x), np.einsum("ij,ij->i", x, x))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_grad_potential_finiteness_check_reads_the_coordinates():
+    spec = GenCauchy(d=2, nu=1.0)
+    # finite coordinates whose square overflows are accepted
+    g = grad_potential(spec, np.array([[1e160, 0.0], [1.0, 2.0]]))
+    assert np.all(np.isfinite(g))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputValidationError):
+            grad_potential(spec, np.array([[1.0, 2.0], [0.0, bad]]))
 
 
 def test_radial_custom_roundtrip():
@@ -385,6 +409,81 @@ def test_modified_target_custom_m():
     spec_hat = modified_target_spec(GC12, T=1.0, m=2.0)
     x = np.array([[3.0]])
     assert potential(spec_hat, x)[0] == pytest.approx(potential(GC12, x)[0], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-instance quadrature memo
+# ---------------------------------------------------------------------------
+
+
+def _quadratures(spec):
+    p = 0.5  # below every tail index in FAMILIES
+    return (log_normalizing_constant(spec), radial_moment(spec, p),
+            tail_mass(spec, 1.5), modified_target_m(spec))
+
+
+@pytest.mark.parametrize(
+    "spec", FAMILIES + [modified_target_spec(SUB, T=1.0)], ids=repr)
+def test_memoized_quadratures_equal_a_fresh_instance(spec):
+    warmed = replace(spec)
+    first = _quadratures(warmed)
+    # each value from its own fresh instance, in a different order
+    fresh = (log_normalizing_constant(replace(spec)),
+             radial_moment(replace(spec), 0.5),
+             tail_mass(replace(spec), 1.5),
+             modified_target_m(replace(spec)))
+    assert first == fresh
+    assert _quadratures(warmed) == fresh
+
+
+def _count_quadratures(monkeypatch):
+    calls = []
+    real = targets._radial_integral
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(targets, "_radial_integral", counted)
+    return calls
+
+
+def test_equal_specs_do_not_share_the_memo(monkeypatch):
+    calls = _count_quadratures(monkeypatch)
+    a = Sublinear(d=2, alpha=0.3)
+    z = log_normalizing_constant(a)
+    assert len(calls) == 1
+    assert log_normalizing_constant(a) == z and len(calls) == 1
+    b = Sublinear(d=2, alpha=0.3)
+    assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+    assert spec_to_json(a) == spec_to_json(b)
+    assert log_normalizing_constant(b) == z and len(calls) == 2
+
+
+def test_tail_radius_scan_does_not_grow_the_memo(monkeypatch):
+    calls = _count_quadratures(monkeypatch)
+    spec = Sublinear(d=2, alpha=0.5)
+    m = modified_target_m(spec)
+    kept = len(spec.__dict__["_quadratures"])
+    radii = np.linspace(0.1, 20.0, 50)
+    masses = [tail_mass(spec, R) for R in radii]
+    assert len(spec.__dict__["_quadratures"]) == kept
+    # each scanned radius integrates its own tail; the normalizer is reused
+    assert sum(1 for kw in calls[-50:] if kw.get("lower", 0.0) > 0) == 50
+    assert masses == [tail_mass(Sublinear(d=2, alpha=0.5), R) for R in radii]
+    n = len(calls)
+    assert modified_target_m(spec) == m and len(calls) == n
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_failed_quadrature_is_not_memoized(monkeypatch):
+    calls = _count_quadratures(monkeypatch)
+    # V is undefined past |x| = 2, so the normalizer's quadrature fails
+    spec = RadialCustom(d=1, f=lambda t: np.where(t > 4.0, np.nan, 0.5 * t))
+    for n in (1, 2):
+        with pytest.raises(NumericsError):
+            log_normalizing_constant(spec)
+        assert len(calls) == n
 
 
 # ---------------------------------------------------------------------------
