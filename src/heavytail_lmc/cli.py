@@ -197,10 +197,21 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(spec=spec, **kwargs)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _threads(n_tasks: int) -> int:
+    """Worker threads for ``n_tasks`` legs: ``HEAVYTAIL_THREADS`` if set,
+    else the usable cores, capped by the leg count."""
     raw = os.environ.get("HEAVYTAIL_THREADS", "")
     try:
-        cap = int(raw) if raw else 4
+        cap = int(raw) if raw else _usable_cores()
     except ValueError:
         raise InputValidationError(
             f"HEAVYTAIL_THREADS must be an integer, got {raw!r}"

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .targets import (
@@ -295,7 +293,8 @@ def default_test_functions() -> TestFunctionSet:
     14 polynomial-times-bump functions (degrees 0..6, support half-widths 2
     and 8), 6 bounded tanh ramps, and 2 oscillatory sine-times-bump
     functions.  All have finite oscillation; the compactly supported ones
-    record their support for quadrature windowing.
+    record their support, which bounds the grid their oscillation is read
+    on.
     """
     funcs: list[TestFunction] = []
     for a in (2.0, 8.0):
@@ -359,11 +358,13 @@ class FIReport:
     """Outcome of one inequality battery.
 
     ``entries`` holds one dict per (function, resolution) pair with both
-    sides and the margin (rhs - lhs; negative means violated).  A finite
-    test set can only falsify an inequality, never prove it; ``note``
-    restates this in every report.  The scale-free rows stay with the
-    report (outside :meth:`to_dict`), so :meth:`falsified` reads the
-    falsify-mode report off the same integrals.
+    sides and the margin (rhs - lhs; negative means violated).
+    ``quadrature_error`` is the largest error estimate of the battery's
+    integrals (see :func:`_pi_integrals`).  A finite test set can only
+    falsify an inequality, never prove it; ``note`` restates this in every
+    report.  The scale-free rows stay with the report (outside
+    :meth:`to_dict`), so :meth:`falsified` reads the falsify-mode report
+    off the same integrals.
     """
 
     check: str
@@ -372,6 +373,7 @@ class FIReport:
     max_violation: float
     passed: bool
     falsify: bool
+    quadrature_error: float
     note: ClassVar[str] = (
         "a finite test-function battery can only falsify a for-all-f "
         "inequality, never prove it"
@@ -379,8 +381,8 @@ class FIReport:
     _rows: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
-    def from_rows(cls, check: str, rows: Sequence[tuple], falsify: bool
-                  ) -> FIReport:
+    def from_rows(cls, check: str, rows: Sequence[tuple], falsify: bool,
+                  quadrature_error: float) -> FIReport:
         """The report over ``rows`` of (labels, lhs name, lhs, rhs as a
         function of the falsify scale); ``check`` gains a ``-falsify``
         suffix in falsify mode."""
@@ -400,13 +402,14 @@ class FIReport:
             max_violation=float(-worst),
             passed=(n_bad == 0),
             falsify=falsify,
+            quadrature_error=quadrature_error,
             _rows=tuple(rows),
         )
 
     def falsified(self) -> FIReport:
         """This battery's falsify-mode report, without integrating again."""
         return FIReport.from_rows(self.check.removesuffix("-falsify"),
-                                  self._rows, True)
+                                  self._rows, True, self.quadrature_error)
 
     def to_dict(self) -> dict:
         return {
@@ -415,119 +418,138 @@ class FIReport:
             "falsify": self.falsify,
             "n_violations": self.n_violations,
             "max_violation": self.max_violation,
+            "quadrature_error": self.quadrature_error,
             "entries": list(self.entries),
             "note": self.note,
         }
 
 
-def _target_density(spec: PotentialSpec) -> Callable[[float], float]:
-    """pi(x) at a quadrature node, built once per checker call.
-
-    The profile and log Z are computed here, once; ``density(x)`` then
-    evaluates exp(-f(x^2) - log Z) with the same operations the per-integral
-    form used, so every value is bit-identical to it.  Values are memoized by
-    node: the integrals of one test function, and the functions of one
-    battery, revisit the same nodes (92% of lookups hit in the six
-    criterion-4 wpi suites).  The key is the float node, so -0.0 and 0.0
-    share an entry; pi is even, so their values agree.  The memo lives as
-    long as the returned function, i.e. one checker call.
-    """
-    f = spec.profile
-    log_z = log_normalizing_constant(spec)
-    memo: dict[float, float] = {}
-
-    def density(x: float) -> float:
-        val = memo.get(x)
-        if val is None:
-            xa = np.asarray([x])
-            val = memo[x] = math.exp(-float(f(xa * xa)[0]) - log_z)
-        return val
-
-    return density
-
-
-def _memo_on_nodes(
-    fn: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``fn`` on one-node arrays, memoized by the node.
-
-    The integrals over one test function share nodes (41% of lookups hit in
-    the six criterion-4 wpi suites).  The key is the node's bit pattern, so
-    -0.0 and 0.0 stay apart (an odd function keeps the sign of its zero).
-    """
-    memo: dict[bytes, np.ndarray] = {}
-
-    def at(xa: np.ndarray) -> np.ndarray:
-        key = xa.tobytes()
-        val = memo.get(key)
-        if val is None:
-            val = memo[key] = fn(xa)
-        return val
-
-    return at
-
-
-def _pi_quadrature(
-    density: Callable[[float], float],
-    integrand: Callable[[np.ndarray], np.ndarray],
-    window: float,
-    support: Optional[float],
-    points: Sequence[float],
-) -> float:
-    """integral of integrand(x) pi(x) dx over [-window, window] (or support),
-    with ``density`` from :func:`_target_density`."""
-
-    def full(x: float) -> float:
-        return integrand(np.asarray([x]))[0] * density(x)
-
-    lo, hi = -window, window
-    if support is not None:
-        lo, hi = max(lo, -support), min(hi, support)
-    pts = sorted(p for p in points if lo < p < hi)
-    with warnings.catch_warnings():
-        # The explicit error-estimate gate below is the accuracy control;
-        # quad's tolerance warnings on heavy-tail integrands are redundant.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(full, lo, hi, points=pts or None, limit=400,
-                        epsabs=1e-13, epsrel=1e-11)
-    if err > 1e-7 * max(1.0, abs(val)):
-        raise NumericsError(
-            f"quadrature error {err} too large for value {val}"
-        )
-    return val
-
-
 _KINKS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
+
+# The tanh-sinh rule (Takahasi & Mori 1974) on each piece: abscissae t in
+# [-_TS_T, _TS_T] with step _TS_STEP / 2^level.  Beyond |t| = 3.5 the
+# weights fall below 1e-20 of the piece's width, so a bounded integrand
+# loses nothing there.
+_TS_T = 3.5
+_TS_STEP = 0.25
+_TS_LEVELS = 8
+_TS_RTOL = 1e-12
+
+
+def _ts_abscissae(level: int) -> np.ndarray:
+    """The abscissae that ``level`` adds: every multiple of the coarsest
+    step at level 0, the odd multiples of the halved step after it."""
+    h = _TS_STEP / 2 ** level
+    n = int(round(_TS_T / h))
+    return h * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
+
+
+def _pieces(window: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[-window, window] split at the kinks strictly inside it, as arrays
+    (lo, hi, sign) with one entry per piece.  A piece inside |x| <= 8 is
+    [lo, hi] in x (sign 0).  The piece beyond 8 is [0, log(window / 8)] in
+    s with x = 8 e^s (sign 1), and its mirror has x = -8 e^s (sign -1)."""
+    edges = [-window, *(k for k in _KINKS if -window < k < window), window]
+    pieces = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= -8.0:
+            pieces.append((0.0, math.log(-a / 8.0), -1.0))
+        elif a >= 8.0:
+            pieces.append((0.0, math.log(b / 8.0), 1.0))
+        else:
+            pieces.append((a, b, 0.0))
+    lo, hi, sign = np.array(pieces).T
+    return lo, hi, sign
+
+
+def _pi_integrals(
+    spec: PotentialSpec,
+    integrands: Callable[[np.ndarray], np.ndarray],
+    window: float,
+) -> tuple[np.ndarray, float]:
+    """E_pi[g] over [-window, window] for every row g of ``integrands(x)``,
+    and the largest error estimate among them.
+
+    ``integrands`` maps nodes of shape (n,) to an (m, n) array.  Each piece
+    of :func:`_pieces` gets tanh-sinh nodes in its own variable.  The nodes
+    a level adds to every piece still refining form one array, so pi (log
+    Z computed once) and the integrands are evaluated once per level.  A
+    piece halves its step until each of its m integrals agrees with the
+    previous level to 1e-12 max(1, |value|); a piece that does not agree by
+    the finest level raises :class:`NumericsError`.  An integral's error
+    estimate is the sum over pieces of its last-level differences.
+    """
+    log_z = log_normalizing_constant(spec)
+    lo, hi, sign = _pieces(window)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    active = np.arange(lo.size)
+    values = errors = sums = prev = None
+    for level in range(_TS_LEVELS + 1):
+        t = _ts_abscissae(level)
+        u = 0.5 * math.pi * np.sinh(t)
+        y = centre[active, None] + half[active, None] * np.tanh(u)
+        dy = half[active, None] * (0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
+        finite = sign[active, None] == 0.0
+        far = 8.0 * np.exp(y)
+        x = np.where(finite, y, sign[active, None] * far)
+        pi_dx = (np.exp(-np.asarray(spec.profile(x * x), dtype=float) - log_z)
+                 * dy * np.where(finite, 1.0, far))
+        rows = integrands(x.reshape(-1))
+        part = (rows.reshape(len(rows), *x.shape) * pi_dx).sum(axis=2)
+        if not np.all(np.isfinite(part)):
+            raise NumericsError("a pi-integrand is not finite on the window")
+        if values is None:
+            values, errors = np.zeros((2, len(rows), lo.size))
+        sums = part if sums is None else sums + part
+        cur = (_TS_STEP / 2 ** level) * sums
+        if prev is not None:
+            diff = np.abs(cur - prev)
+            done = np.all(diff <= _TS_RTOL * np.maximum(1.0, np.abs(cur)), axis=0)
+            values[:, active[done]] = cur[:, done]
+            errors[:, active[done]] = diff[:, done]
+            active, sums, cur = active[~done], sums[:, ~done], cur[:, ~done]
+            if active.size == 0:
+                return values.sum(axis=1), float(errors.sum(axis=1).max())
+        prev = cur
+    p = active[0]
+    var = "x" if sign[p] == 0.0 else f"s (x = {8.0 * sign[p]:g} e^s)"
+    raise NumericsError(
+        f"tanh-sinh quadrature over {var} in [{lo[p]:.6g}, {hi[p]:.6g}] did "
+        f"not agree to {_TS_RTOL:g} by step {_TS_STEP / 2 ** _TS_LEVELS:g}"
+    )
 
 
 def _battery_stats(
     spec: PotentialSpec, fset: TestFunctionSet,
     weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     var_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[float, list[tuple[float, float]]]:
-    """The window holding all but 1e-13 of pi's mass, and (Var_pi f,
-    E_pi[weight f'^2]) per function, three integrals each, with pi built once.
+) -> tuple[float, list[tuple[float, float]], float]:
+    """The window holding all but 1e-13 of pi's mass, (Var_pi f,
+    E_pi[weight f'^2]) per function, and the largest error estimate of the
+    integrals, from one :func:`_pi_integrals` call for the whole battery.
 
     With a ``var_weight`` w the variance is the w-weighted one,
-    inf_c E_pi[(f - c)^2 w] = E[f^2 w] - E[f w]^2 / E[w].  f is memoized
-    per node, so the two moments share its evaluations.
+    inf_c E_pi[(f - c)^2 w] = E[f^2 w] - E[f w]^2 / E[w].  f is evaluated
+    once per node array, so the two moments share its values.
     """
     window = _tail_quantile(spec, 1e-13)
-    density = _target_density(spec)
 
-    def integral(fn, w, support):
-        full = fn if w is None else (lambda x: fn(x) * w(x))
-        return _pi_quadrature(density, full, window, support, _KINKS)
+    def integrands(x: np.ndarray) -> np.ndarray:
+        w = 1.0 if var_weight is None else var_weight(x)
+        w_grad = 1.0 if weight is None else weight(x)
+        rows = [] if var_weight is None else [w]
+        for tf in fset:
+            f = tf.f(x)
+            fw = f * w
+            rows += [fw, f * fw, tf.fprime(x) ** 2 * w_grad]
+        return np.array(rows)
 
-    mass = 1.0 if var_weight is None else integral(var_weight, None, None)
-    stats = []
-    for tf in fset:
-        f = _memo_on_nodes(tf.f)
-        mean = integral(f, var_weight, tf.support)
-        second = integral(lambda x: f(x) ** 2, var_weight, tf.support)
-        grad2 = integral(lambda x: tf.fprime(x) ** 2, weight, tf.support)
-        stats.append((max(second - mean * mean / mass, 0.0), grad2))
-    return window, stats
+    vals, error = _pi_integrals(spec, integrands, window)
+    mass = 1.0 if var_weight is None else float(vals[0])
+    moments = vals[0 if var_weight is None else 1:].reshape(len(fset), 3)
+    stats = [(max(float(second) - float(mean) ** 2 / mass, 0.0), float(grad2))
+             for mean, second, grad2 in moments]
+    return window, stats, error
 
 
 def wpi_check(
@@ -548,7 +570,7 @@ def wpi_check(
     if not r_grid or any(r <= 0.0 for r in r_grid):
         raise InputValidationError("r_grid must be non-empty with positive entries")
     betas = [beta(r) for r in r_grid]
-    window, stats = _battery_stats(spec, fset)
+    window, stats, error = _battery_stats(spec, fset)
     rows = []
     for tf, (var, grad2) in zip(fset, stats):
         span = tf.support if tf.support is not None else window
@@ -560,7 +582,7 @@ def wpi_check(
                 lambda scale, b=beta_r, g=grad2, r=r, o=osc:
                     scale * b * g + r * o ** 2,
             ))
-    return FIReport.from_rows("wpi", rows, falsify)
+    return FIReport.from_rows("wpi", rows, falsify, error)
 
 
 def converse_pi_check(
@@ -578,11 +600,11 @@ def converse_pi_check(
     nu, d = spec.nu, spec.d
     c_const = 1.0 / (d + nu) if nu >= d + 2 else 2.0 / nu
     w = lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2)
-    _, stats = _battery_stats(spec, fset, var_weight=w)
+    _, stats, error = _battery_stats(spec, fset, var_weight=w)
     rows = [({"function": tf.name}, "lhs_weighted_var", var,
              lambda scale, g=grad2: scale * c_const * g)
             for tf, (var, grad2) in zip(fset, stats)]
-    return FIReport.from_rows("converse-pi", rows, falsify)
+    return FIReport.from_rows("converse-pi", rows, falsify, error)
 
 
 def weighted_pi_check(
@@ -604,11 +626,11 @@ def weighted_pi_check(
     c_const = _c_d_alpha(d, alpha)
     expo = 2.0 * (1.0 - alpha)
     weight = lambda x: np.abs(np.asarray(x, dtype=float)) ** expo
-    _, stats = _battery_stats(spec, fset, weight=weight)
+    _, stats, error = _battery_stats(spec, fset, weight=weight)
     rows = [({"function": tf.name}, "lhs_var", var,
              lambda scale, g=grad2: scale * math.e * c_const * g)
             for tf, (var, grad2) in zip(fset, stats)]
-    return FIReport.from_rows("weighted-pi", rows, falsify)
+    return FIReport.from_rows("weighted-pi", rows, falsify, error)
 
 
 # ---------------------------------------------------------------------------

@@ -680,16 +680,18 @@ def radial_profile(
 
 def sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared row norms of an (n, d) array, bit-identical to
-    ``np.einsum("ij,ij->i", x, x)``.
+    ``np.einsum("ij,ij->i", c, c)`` on its C-ordered copy c.
 
     At d = 1 and 2 the sums are written out as column sums in einsum's own
     order, which costs a fraction of einsum's call; wider arrays call
-    einsum.  Unlike einsum, a square that overflows raises numpy's overflow
-    warning.
+    einsum on the C-ordered copy, because einsum's summation order follows
+    the memory layout (the copy is no copy for a C-ordered batch).  Unlike
+    einsum, a square that overflows raises numpy's overflow warning.
     """
     d = x.shape[1]
     if d > 2:
-        return np.einsum("ij,ij->i", x, x)
+        c = np.ascontiguousarray(x)
+        return np.einsum("ij,ij->i", c, c)
     sq = x * x
     if d == 1:
         return sq[:, 0]

@@ -368,18 +368,27 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("argv, n_quad", [
+@pytest.mark.parametrize("argv, n_integrals", [
     (["wpi", "--r-grid", "0.1,0.5"], 22 * 3),
     (["converse"], 22 * 3 + 1),
     (["weighted"], 22 * 3),
 ])
 def test_verify_one_pass_serves_both_reports(tmp_path, monkeypatch, argv,
-                                             n_quad):
-    """main and falsify come from one integral pass, and each equals the
-    report of a separate checker call in that mode."""
-    quad_calls = _counted(monkeypatch, fi_verify, "quad")
+                                             n_integrals):
+    """main and falsify come from one call of the quadrature rule over all
+    the battery's integrals, and each equals the report of a separate
+    checker call in that mode."""
+    passes = []
+    rule = fi_verify._pi_integrals
+
+    def counted(spec, integrands, window):
+        values, error = rule(spec, integrands, window)
+        passes.append(len(values))
+        return values, error
+
+    monkeypatch.setattr(fi_verify, "_pi_integrals", counted)
     assert main(["verify", *argv, "--output-dir", str(tmp_path)]) == 0
-    assert len(quad_calls) == n_quad
+    assert passes == [n_integrals]
     payload = json.loads((tmp_path / f"verify_{argv[0]}.json").read_text())
     fset = default_test_functions()
     for key, falsify in (("main", False), ("falsify", True)):
@@ -672,6 +681,20 @@ def test_phase_sweep_quadratures_do_not_grow_with_legs(tmp_path, monkeypatch):
         assert rc == 0
         counts.append(len(calls) - before)
     assert counts[0] == counts[1] > 0
+
+
+def test_thread_default_is_the_usable_cores(monkeypatch):
+    """Unset, the cap is the cores this process may use; the variable
+    overrides it, and the leg count caps both."""
+    monkeypatch.delenv("HEAVYTAIL_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert [cli._threads(n) for n in (1, 2, 15)] == [1, 2, 3]
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._threads(15) == 4
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "5")
+    assert [cli._threads(n) for n in (2, 15)] == [2, 5]
 
 
 def test_phase_transition_bad_thread_env(tmp_path, monkeypatch, capsys):

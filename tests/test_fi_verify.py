@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
 
 from heavytail_lmc import (
     DensityGrid,
@@ -31,7 +29,7 @@ from heavytail_lmc import (
     write_fp_csv,
 )
 from heavytail_lmc import fi_verify
-from heavytail_lmc.targets import log_normalizing_constant, radial_profile
+from heavytail_lmc.targets import NumericsError, log_normalizing_constant
 
 GC12 = GenCauchy(d=1, nu=2)
 R_GRID = [1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.7, 1.0]
@@ -195,6 +193,10 @@ def test_wpi_check_passes_and_falsifies(fset):
     assert bad.falsify
     d = rep.to_dict()
     assert d["passed"] is True
+    # both modes read one integration, so they report its error alike
+    assert 0.0 < d["quadrature_error"] < 1e-4
+    assert bad.to_dict()["quadrature_error"] == d["quadrature_error"]
+    assert rep.falsified().to_dict() == bad.to_dict()
 
 
 def test_wpi_check_other_families(fset):
@@ -240,56 +242,60 @@ def test_checker_reports_carry_finite_battery_note(fset):
     assert "falsify" in rep.note
 
 
-def _per_integral_quadrature(spec, integrand, window, support, points):
-    """One pi-integral as evaluated without any memo: the profile and log Z
-    are rebuilt for this integral, and every node is computed afresh."""
-    f, _ = radial_profile(spec)
-    log_z = log_normalizing_constant(spec)
-
-    def full(x):
-        xa = np.asarray([x])
-        return integrand(xa)[0] * math.exp(-float(f(xa * xa)[0]) - log_z)
-
-    lo, hi = -window, window
-    if support is not None:
-        lo, hi = max(lo, -support), min(hi, support)
-    pts = sorted(p for p in points if lo < p < hi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(full, lo, hi, points=pts or None, limit=400,
-                      epsabs=1e-13, epsrel=1e-11)
-    return val
+# Independent references.  GenCauchy(1, nu) under x = tan(theta) has
+# pi dx = dtheta / pi (nu = 1) and cos(theta) dtheta / 2 (nu = 2), so
+# E tanh(x)^2 is a quadrature of a bounded function on (-pi/2, pi/2); the
+# Sublinear value is scipy quad split over 400 log-spaced pieces out to
+# |x| = 2e12.  The scalar quad over the window read 0.4707925288,
+# 0.3672939116 and 0.004799829445: it lost the mass beyond |x| = 8.
+_REFERENCES = (
+    (GenCauchy(d=1, nu=1.0), "tanh_c0_s1", 0, 0.5499593751917),
+    (GenCauchy(d=1, nu=2.0), "tanh_c0_s1", 0, 0.3750160344915),
+    (Sublinear(d=1, alpha=0.3), "tanh_c5_s3", 1, 0.004939819260544),
+)
 
 
-# odd and even poly*bump, tanh ramps, and an odd sine*bump
-_MEMO_SUBSET = ("poly1_bump2", "poly2_bump2", "poly3_bump8", "tanh_c0_s1",
-                "tanh_c1_s0.5", "sin2_bump4")
-
-
-def test_memoized_checkers_match_per_integral_evaluation(fset, monkeypatch):
-    """The per-call density and per-node memos change no report bit."""
+@pytest.mark.parametrize("spec, name, which, want", _REFERENCES,
+                         ids=["gen_cauchy_nu1", "gen_cauchy_nu2",
+                              "sublinear_alpha0.3"])
+def test_battery_integrals_match_independent_references(fset, spec, name,
+                                                        which, want):
+    """(Var f, E f'^2) of one battery function, tail mass included."""
     sub = fi_verify.TestFunctionSet(functions=tuple(
-        tf for tf in fset.functions if tf.name in _MEMO_SUBSET))
-    assert len(sub) == len(_MEMO_SUBSET)
-    gc1, gc2 = GenCauchy(d=1, nu=1.0), GC12
-    sl = Sublinear(d=1, alpha=0.5)
-    runs = [
-        (wpi_check, (gc2, beta_for_spec(gc2), sub, R_GRID), False),
-        (wpi_check, (gc2, beta_for_spec(gc2), sub, R_GRID), True),
-        (wpi_check, (sl, beta_for_spec(sl), sub, R_GRID), False),
-        (wpi_check, (sl, beta_for_spec(sl), sub, R_GRID), True),
-        (converse_pi_check, (gc1, sub), False),
-        (weighted_pi_check, (sl, sub), False),
-    ]
-    got = [check(*args, falsify=fal).to_dict() for check, args, fal in runs]
-    # The same checkers with the spec in place of the density, each integral
-    # evaluated per integral, and no test-function memo.
-    monkeypatch.setattr(fi_verify, "_target_density", lambda spec: spec)
-    monkeypatch.setattr(fi_verify, "_pi_quadrature", _per_integral_quadrature)
-    monkeypatch.setattr(fi_verify, "_memo_on_nodes", lambda fn: fn)
-    want = [check(*args, falsify=fal).to_dict() for check, args, fal in runs]
-    assert got == want
-    assert any(e["violated"] for e in got[1]["entries"])  # falsify has power
+        tf for tf in fset.functions if tf.name == name))
+    _, stats, error = fi_verify._battery_stats(spec, sub)
+    assert stats[0][which] == pytest.approx(want, rel=1e-9)
+    assert 0.0 <= error < 1e-9
+
+
+@pytest.mark.parametrize("spec, window", [
+    (Gaussian(d=1), 7.44), (Sublinear(d=1, alpha=0.5, lam=50.0), 1.62)],
+    ids=["gaussian", "sublinear_lam50"])
+def test_window_inside_the_outer_kinks(fset, spec, window):
+    """A window narrower than |x| = 8 is integrated only inside itself."""
+    seen = []
+
+    def unit(x):
+        seen.append(np.abs(x).max())
+        return np.ones((1, x.size))
+
+    width = fi_verify._tail_quantile(spec, 1e-13)
+    assert width == pytest.approx(window, abs=5e-3)
+    mass, _ = fi_verify._pi_integrals(spec, unit, width)
+    assert max(seen) <= width
+    assert mass[0] == pytest.approx(1.0, abs=1e-12)
+    rep = wpi_check(spec, beta_for_spec(spec), fset, R_GRID)
+    assert rep.n_violations == 0
+
+
+def test_discontinuous_test_function_raises():
+    """A jump never reaches level agreement: a typed error, not a number."""
+    jump = fi_verify.TestFunction(
+        name="sign_0.3", f=lambda x: np.sign(np.asarray(x) - 0.3),
+        fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    with pytest.raises(NumericsError, match="did not agree"):
+        wpi_check(GC12, beta_for_spec(GC12),
+                  fi_verify.TestFunctionSet(functions=(jump,)), [0.1])
 
 
 def test_density_memo_lives_one_checker_call(fset, monkeypatch):

@@ -130,7 +130,18 @@ def test_sq_norms_match_einsum_bit_for_bit(d):
     extreme = np.array([0.0, -0.0, 5e-324, -1e-160, 1e150, -1e150, 1e160, 1.0])
     rows[:64] = rng.choice(extreme, size=(64, d))
     for x in (rows, rows[1:], np.asfortranarray(rows)):
-        assert np.array_equal(targets.sq_norms(x), np.einsum("ij,ij->i", x, x))
+        c = np.ascontiguousarray(x)
+        assert np.array_equal(targets.sq_norms(x), np.einsum("ij,ij->i", c, c))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_potential_and_gradient_ignore_memory_layout(d):
+    """A Fortran-ordered batch gets the bytes of its C-ordered copy."""
+    spec = GenCauchy(d=d, nu=1.5)
+    x = np.random.default_rng(d).standard_normal((10_000, d)) * 3.0
+    f = np.asfortranarray(x)
+    assert potential(spec, f).tobytes() == potential(spec, x).tobytes()
+    assert grad_potential(spec, f).tobytes() == grad_potential(spec, x).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
