@@ -349,7 +349,9 @@ def _phase_leg(
     ``gate`` is the family's :func:`lower_bound_gate` at ``config.q``: a
     delta0 below its threshold makes the lower bound infeasible, and an
     unchecked gate (threshold None) leaves it ungated.  A start the upper
-    bound's hypotheses exclude gets ``inf`` with the reason in the meta.
+    bound's hypotheses exclude gets ``inf`` with the reason in the meta; an
+    infeasible upper report (e.g. eps > 1/q) gets ``nan``, as an infeasible
+    lower one does, with its reason in the meta.
     """
     g = growth_params(spec)
     threshold, thr_kind = phase_threshold(spec, config.q, config.eps, sigma2)
@@ -377,7 +379,8 @@ def _phase_leg(
             upper = assemble_upper_bound(
                 spec, config.q, config.q_prime, config.eps, sigma2
             )
-            upper_val, upper_reason = upper.value, upper.infeasibility
+            upper_val, upper_reason = (
+                upper.value if upper.feasible else math.nan, upper.infeasibility)
         except InputValidationError as exc:
             # A wide start outgrows the modified-target comparison (R2_hat,
             # unit horizon) and so establishes no upper bound, as a delta0

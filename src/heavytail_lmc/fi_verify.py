@@ -250,6 +250,24 @@ class TestFunction:
     fprime: Callable[[np.ndarray], np.ndarray]
     support: Optional[float] = None  # |x| beyond which f vanishes, if compact
 
+    def osc(self, window: float) -> float:
+        """Osc(f) = max f - min f on 65537 equispaced points of [-s, s].
+
+        s is the support when f has one, else ``window``.  A compact f's
+        grid does not depend on the window, so its value is computed on the
+        first call and kept in the instance ``__dict__`` beside the
+        dataclass fields: equality and repr ignore it, an equal function
+        built elsewhere starts empty, and an f that raises stores nothing.
+        """
+        if "_osc" in self.__dict__:
+            return self.__dict__["_osc"]
+        span = self.support if self.support is not None else window
+        fv = self.f(np.linspace(-span, span, 65537))
+        osc = float(fv.max() - fv.min())
+        if self.support is not None:
+            self.__dict__["_osc"] = osc
+        return osc
+
 
 @dataclass(frozen=True)
 class TestFunctionSet:
@@ -294,7 +312,9 @@ def default_test_functions() -> TestFunctionSet:
     and 8), 6 bounded tanh ramps, and 2 oscillatory sine-times-bump
     functions.  All have finite oscillation; the compactly supported ones
     record their support, which bounds the grid their oscillation is read
-    on.
+    on (see :meth:`TestFunction.osc`).  Nothing is evaluated here: a
+    compact function's oscillation is computed by the first check that
+    uses this battery and kept for the later ones.
     """
     funcs: list[TestFunction] = []
     for a in (2.0, 8.0):
@@ -561,8 +581,11 @@ def wpi_check(
 ) -> FIReport:
     """Check Var_pi(f) <= beta(r) E_pi[f'^2] + r Osc(f)^2 for all (f, r).
 
-    ``falsify=True`` divides the weighting by 1e6, which must produce
-    violations on a sound battery (it demonstrates the checker has power).
+    Osc(f) is read by :meth:`TestFunction.osc`: on f's support when it has
+    one, computed once per battery and kept on the function, else on the
+    integration window, on every call.  ``falsify=True`` divides the
+    weighting by 1e6, which must produce violations on a sound battery (it
+    demonstrates the checker has power).
     """
     if spec.d != 1:
         raise InputValidationError("inequality checks are 1-dimensional")
@@ -573,9 +596,7 @@ def wpi_check(
     window, stats, error = _battery_stats(spec, fset)
     rows = []
     for tf, (var, grad2) in zip(fset, stats):
-        span = tf.support if tf.support is not None else window
-        fv = tf.f(np.linspace(-span, span, 65537))
-        osc = float(fv.max() - fv.min())
+        osc = tf.osc(window)
         for r, beta_r in zip(r_grid, betas):  # defaults bind this row's values
             rows.append((
                 {"function": tf.name, "r": r}, "lhs_var", var,

@@ -170,10 +170,12 @@ def test_criterion2_sublinear_power_slope(phase_rows):
         "the crossing time is identically zero and the log-log slope is "
         "undefined.  The power law is recoverable at starts that begin "
         "above the threshold (sigma2 > ~2.2e3): on the sweep sigma2 in "
-        "{8192, 32768, 131072} the fitted slope is ~2.65, a shade above "
+        "{8192, 32768, 131072} the fitted slope is 2.70 (seed 0), above "
         "the band's upper edge but consistent with the lower-bound "
-        "exponent (2-alpha)^2/(2 alpha) = 2.25, and every leg dominates "
-        "its numeric lower bound "
+        "exponent (2-alpha)^2/(2 alpha) = 2.25.  The sigma2 = 8192 leg has "
+        "delta0 = 32.0 below the lower bound's validity threshold 32.918 "
+        "(q=2), so it carries no lower bound; the two larger legs dominate "
+        "theirs "
         "(scripts/run_phase_transition.py --demo-sublinear reproduces this)."
     )
     x = np.log(np.array([r["delta0"] for r in usable]))
@@ -200,8 +202,10 @@ def test_criterion2_lower_bound_domination(phase_rows):
         "vs initial second moment <= 2048), so the measured crossing time "
         "is 0 while the divergence-based lower bound is positive.  The "
         "comparison is meaningful only when the start lies above the "
-        "threshold; scripts/run_phase_transition.py --demo-sublinear "
-        "demonstrates domination there."
+        "surrogate threshold and delta0 reaches the lower bound's validity "
+        "threshold (32.918 at q=2); scripts/run_phase_transition.py "
+        "--demo-sublinear shows domination on its two larger starts (its "
+        "sigma2 = 8192 start has delta0 = 32.0 and so no lower bound)."
     )
 
 
@@ -284,13 +288,14 @@ def test_criterion4_falsification_power():
         "constant is ~5.5e11 across the whole r-grid -- its leading factor "
         "grows like (e*C)^(2/gamma) with C = 12d/alpha^3 + (d+alpha)/alpha^4 "
         "~ 604 and gamma <= 2*alpha = 0.6 -- so even after division by 1e6 "
-        "the curve sits at ~5.5e5, far above the largest "
-        "variance-to-gradient-energy ratio any bounded test battery can "
-        "exhibit at these r values.  Breaking the inequality at this alpha "
-        "requires weakening by >= 1e12, not 1e6.  The mode does demonstrate "
-        "power everywhere the constants are in detectable range: 27/45/22 "
-        "violations for the log-tailed suites (nu = 1/2/4) and 49/72 for "
-        "alpha = 0.5/0.7."
+        "the curve sits at ~5.5e5, above every ratio "
+        "(Var f - r Osc(f)^2) / E[f'^2] the 22-function battery reaches at "
+        "these r values (its farthest-reaching function is tanh_c5_s3).  "
+        "Functions that reach into the far tail do break it: the one-sided "
+        "ramp with f' = e^V on [838, 5027] has ratio ~1.8e6 at r = 1e-4, so "
+        "the battery, not the 1e6 factor, lacks power here.  The mode does "
+        "demonstrate power on the other suites: 30/67/54 violations for the "
+        "log-tailed suites (nu = 1/2/4) and 49/72 for alpha = 0.5/0.7."
     )
 
 

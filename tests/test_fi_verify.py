@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -321,6 +322,93 @@ def test_density_memo_lives_one_checker_call(fset, monkeypatch):
     converse_pi_check(GC12, sub)
     weighted_pi_check(Sublinear(d=1, alpha=0.5), sub)
     assert counts["log_z"] == 4
+
+
+# ---------------------------------------------------------------------------
+# Osc memo
+# ---------------------------------------------------------------------------
+
+C4_SUITES = (GenCauchy(d=1, nu=1.0), GenCauchy(d=1, nu=2.0),
+             GenCauchy(d=1, nu=4.0), Sublinear(d=1, alpha=0.3),
+             Sublinear(d=1, alpha=0.5), Sublinear(d=1, alpha=0.7))
+OSC_POINTS = 65537
+
+
+def _inline_osc(tf, window):
+    """Osc as wpi_check read it inline before the memo: the reference."""
+    span = tf.support if tf.support is not None else window
+    fv = tf.f(np.linspace(-span, span, OSC_POINTS))
+    return float(fv.max() - fv.min())
+
+
+def _grid_counted(fset):
+    """A copy of ``fset`` whose f's count their calls on the Osc grid."""
+    counts = {tf.name: 0 for tf in fset}
+
+    def counted(tf):
+        def f(x):
+            if np.shape(x) == (OSC_POINTS,):
+                counts[tf.name] += 1
+            return tf.f(x)
+        return dataclasses.replace(tf, f=f)
+
+    return fi_verify.TestFunctionSet(tuple(map(counted, fset))), counts
+
+
+def test_osc_matches_inline_formula_on_every_suite():
+    """One battery across the six suites: every Osc, compact ones read from
+    the memo after the first suite, equals the inline formula bit for bit."""
+    battery = default_test_functions()
+    for spec in C4_SUITES:
+        window = fi_verify._tail_quantile(spec, 1e-13)
+        for tf in battery:
+            want = _inline_osc(tf, window)
+            assert tf.osc(window).hex() == want.hex(), (spec, tf.name)
+
+
+def test_compact_osc_grid_evaluated_once_per_battery():
+    battery, counts = _grid_counted(default_test_functions())
+    for spec in C4_SUITES:
+        for falsify in (False, True):
+            wpi_check(spec, beta_for_spec(spec), battery, R_GRID,
+                      falsify=falsify)
+    compact = {tf.name for tf in battery if tf.support is not None}
+    assert len(compact) == 16
+    assert counts == {name: 1 if name in compact else 12 for name in counts}
+
+
+def test_osc_memo_is_per_battery():
+    beta = beta_for_spec(GC12)
+    used = default_test_functions()
+    want = wpi_check(GC12, beta, used, R_GRID).to_dict()
+    assert all("_osc" in tf.__dict__ for tf in used if tf.support is not None)
+    assert not any("_osc" in tf.__dict__ for tf in used if tf.support is None)
+    fresh = default_test_functions()
+    subset = fi_verify.TestFunctionSet(functions=fresh.functions[::3])
+    assert not any("_osc" in tf.__dict__ for tf in fresh)
+    assert all(tf == dataclasses.replace(tf) for tf in used)
+    assert not any("_osc" in dataclasses.replace(tf).__dict__ for tf in used)
+    assert wpi_check(GC12, beta, fresh, R_GRID).to_dict() == want
+    used_subset = fi_verify.TestFunctionSet(functions=used.functions[::3])
+    assert (wpi_check(GC12, beta, subset, R_GRID).to_dict()
+            == wpi_check(GC12, beta, used_subset, R_GRID).to_dict())
+
+
+def test_osc_failure_stores_nothing():
+    base = default_test_functions().functions[0]
+    assert base.support is not None
+
+    def f(x):
+        if np.shape(x) == (OSC_POINTS,):
+            raise NumericsError("grid refused")
+        return base.f(x)
+
+    tf = dataclasses.replace(base, name="refuses_grid", f=f)
+    battery = fi_verify.TestFunctionSet(functions=(tf,))
+    for _ in range(2):
+        with pytest.raises(NumericsError, match="grid refused"):
+            wpi_check(GC12, beta_for_spec(GC12), battery, R_GRID)
+        assert "_osc" not in tf.__dict__
 
 
 # ---------------------------------------------------------------------------
