@@ -249,19 +249,26 @@ class TestFunction:
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
     support: Optional[float] = None  # |x| beyond which f vanishes, if compact
+    monotone: bool = False  # f is monotone on the whole line
 
     def osc(self, window: float) -> float:
         """Osc(f) = max f - min f on 65537 equispaced points of [-s, s].
 
-        s is the support when f has one, else ``window``.  A compact f's
-        grid does not depend on the window, so its value is computed on the
-        first call and kept in the instance ``__dict__`` beside the
-        dataclass fields: equality and repr ignore it, an equal function
-        built elsewhere starts empty, and an f that raises stores nothing.
+        s is the support when f has one, else ``window``.  A monotone f
+        takes its extremes at the grid's end points, which ``np.linspace``
+        returns exactly as -s and s, so its value is |f(s) - f(-s)| from
+        those two points alone.  A compact f's grid does not depend on the
+        window, so its value is computed on the first call and kept in the
+        instance ``__dict__`` beside the dataclass fields: equality and repr
+        ignore it, an equal function built elsewhere starts empty, and an f
+        that raises stores nothing.
         """
         if "_osc" in self.__dict__:
             return self.__dict__["_osc"]
         span = self.support if self.support is not None else window
+        if self.monotone:
+            ends = self.f(np.array([-span, span]))
+            return float(abs(ends[1] - ends[0]))
         fv = self.f(np.linspace(-span, span, 65537))
         osc = float(fv.max() - fv.min())
         if self.support is not None:
@@ -280,11 +287,37 @@ class TestFunctionSet:
         return iter(self.functions)
 
 
+class _Nodes(np.ndarray):
+    """Quadrature nodes that keep what :func:`_on_nodes` computes on them.
+
+    ``shared`` lives exactly as long as the node array.  An array derived
+    from one (``x * 2``, ``x[1:]``) is a ``_Nodes`` with ``shared`` None,
+    so it shares nothing.
+    """
+
+    shared: Optional[dict] = None
+
+
+def _on_nodes(x: np.ndarray, key: tuple,
+              compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``compute`` of x as a float array, computed once per key on a
+    :class:`_Nodes` array and on every call otherwise."""
+    shared = getattr(x, "shared", None)
+    if shared is None:
+        return compute(np.asarray(x, dtype=float))
+    if key not in shared:
+        shared[key] = compute(np.asarray(x, dtype=float))
+    return shared[key]
+
+
 def _bump_pair(a: float):
-    """The mollifier B(x) = exp(1 - 1/(1 - (x/a)^2)) on (-a, a) and B'."""
+    """The mollifier B(x) = exp(1 - 1/(1 - (x/a)^2)) on (-a, a) and B'.
+
+    Both are kept on a :class:`_Nodes` array, so every function of a
+    battery with support a reads one B and one B' per node array.
+    """
 
     def bump(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         t2 = (x / a) ** 2
         inside = 1.0 - t2 > 1e-12
         out = np.zeros_like(x)
@@ -293,7 +326,6 @@ def _bump_pair(a: float):
         return out
 
     def bump_prime(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         t = x / a
         g = 1.0 - t * t
         inside = g > 1e-12
@@ -302,7 +334,8 @@ def _bump_pair(a: float):
         out[inside] = np.exp(1.0 - 1.0 / gi) * (-2.0 * t[inside] / (a * gi * gi))
         return out
 
-    return bump, bump_prime
+    return (lambda x: _on_nodes(x, (a, 0), bump),
+            lambda x: _on_nodes(x, (a, 1), bump_prime))
 
 
 def default_test_functions() -> TestFunctionSet:
@@ -312,23 +345,26 @@ def default_test_functions() -> TestFunctionSet:
     and 8), 6 bounded tanh ramps, and 2 oscillatory sine-times-bump
     functions.  All have finite oscillation; the compactly supported ones
     record their support, which bounds the grid their oscillation is read
-    on (see :meth:`TestFunction.osc`).  Nothing is evaluated here: a
-    compact function's oscillation is computed by the first check that
-    uses this battery and kept for the later ones.
+    on, and the ramps are declared monotone, so theirs is read at the
+    window's ends (see :meth:`TestFunction.osc`).  Nothing is evaluated
+    here: a compact function's oscillation is computed by the first check
+    that uses this battery and kept for the later ones.
     """
     funcs: list[TestFunction] = []
     for a in (2.0, 8.0):
         bump, bump_p = _bump_pair(a)
         for deg in range(7):
 
+            # The mollifier reads the nodes as passed, so that it can find
+            # the values kept on them (see _bump_pair).
             def f(x, _d=deg, _b=bump):
-                x = np.asarray(x, dtype=float)
-                return x**_d * _b(x)
+                return np.asarray(x, dtype=float)**_d * _b(x)
 
             def fp(x, _d=deg, _b=bump, _bp=bump_p):
+                b, bp = _b(x), _bp(x)
                 x = np.asarray(x, dtype=float)
                 poly_d = _d * x ** (_d - 1) if _d > 0 else np.zeros_like(x)
-                return poly_d * _b(x) + x**_d * _bp(x)
+                return poly_d * b + x**_d * bp
 
             funcs.append(
                 TestFunction(name=f"poly{deg}_bump{a:g}", f=f, fprime=fp, support=a)
@@ -343,17 +379,18 @@ def default_test_functions() -> TestFunctionSet:
             th = np.tanh((np.asarray(x, dtype=float) - _c) / _s)
             return (1.0 - th * th) / _s
 
-        funcs.append(TestFunction(name=f"tanh_c{c:g}_s{s:g}", f=f, fprime=fp))
+        funcs.append(TestFunction(name=f"tanh_c{c:g}_s{s:g}", f=f, fprime=fp,
+                                  monotone=True))
     bump4, bump4_p = _bump_pair(4.0)
     for omega in (2.0, 5.0):
 
         def f(x, _w=omega):
-            x = np.asarray(x, dtype=float)
-            return np.sin(_w * x) * bump4(x)
+            return np.sin(_w * np.asarray(x, dtype=float)) * bump4(x)
 
         def fp(x, _w=omega):
+            b, bp = bump4(x), bump4_p(x)
             x = np.asarray(x, dtype=float)
-            return _w * np.cos(_w * x) * bump4(x) + np.sin(_w * x) * bump4_p(x)
+            return _w * np.cos(_w * x) * b + np.sin(_w * x) * bp
 
         funcs.append(TestFunction(name=f"sin{omega:g}_bump4", f=f, fprime=fp,
                                   support=4.0))
@@ -380,11 +417,12 @@ class FIReport:
     ``entries`` holds one dict per (function, resolution) pair with both
     sides and the margin (rhs - lhs; negative means violated).
     ``quadrature_error`` is the largest error estimate of the battery's
-    integrals (see :func:`_pi_integrals`).  A finite test set can only
-    falsify an inequality, never prove it; ``note`` restates this in every
-    report.  The scale-free rows stay with the report (outside
-    :meth:`to_dict`), so :meth:`falsified` reads the falsify-mode report
-    off the same integrals.
+    integrals (see :func:`_pi_integrals`), and ``quadrature_rel_error`` the
+    largest of each integral's estimate over max(1, |value|).  A finite
+    test set can only falsify an inequality, never prove it; ``note``
+    restates this in every report.  The scale-free rows stay with the
+    report (outside :meth:`to_dict`), so :meth:`falsified` reads the
+    falsify-mode report off the same integrals.
     """
 
     check: str
@@ -394,6 +432,7 @@ class FIReport:
     passed: bool
     falsify: bool
     quadrature_error: float
+    quadrature_rel_error: float
     note: ClassVar[str] = (
         "a finite test-function battery can only falsify a for-all-f "
         "inequality, never prove it"
@@ -402,7 +441,8 @@ class FIReport:
 
     @classmethod
     def from_rows(cls, check: str, rows: Sequence[tuple], falsify: bool,
-                  quadrature_error: float) -> FIReport:
+                  quadrature_error: float, quadrature_rel_error: float
+                  ) -> FIReport:
         """The report over ``rows`` of (labels, lhs name, lhs, rhs as a
         function of the falsify scale); ``check`` gains a ``-falsify``
         suffix in falsify mode."""
@@ -423,13 +463,15 @@ class FIReport:
             passed=(n_bad == 0),
             falsify=falsify,
             quadrature_error=quadrature_error,
+            quadrature_rel_error=quadrature_rel_error,
             _rows=tuple(rows),
         )
 
     def falsified(self) -> FIReport:
         """This battery's falsify-mode report, without integrating again."""
         return FIReport.from_rows(self.check.removesuffix("-falsify"),
-                                  self._rows, True, self.quadrature_error)
+                                  self._rows, True, self.quadrature_error,
+                                  self.quadrature_rel_error)
 
     def to_dict(self) -> dict:
         return {
@@ -439,6 +481,7 @@ class FIReport:
             "n_violations": self.n_violations,
             "max_violation": self.max_violation,
             "quadrature_error": self.quadrature_error,
+            "quadrature_rel_error": self.quadrature_rel_error,
             "entries": list(self.entries),
             "note": self.note,
         }
@@ -486,9 +529,9 @@ def _pi_integrals(
     spec: PotentialSpec,
     integrands: Callable[[np.ndarray], np.ndarray],
     window: float,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """E_pi[g] over [-window, window] for every row g of ``integrands(x)``,
-    and the largest error estimate among them.
+    and the error estimate of each.
 
     ``integrands`` maps nodes of shape (n,) to an (m, n) array.  Each piece
     of :func:`_pieces` gets tanh-sinh nodes in its own variable.  The nodes
@@ -529,7 +572,7 @@ def _pi_integrals(
             errors[:, active[done]] = diff[:, done]
             active, sums, cur = active[~done], sums[:, ~done], cur[:, ~done]
             if active.size == 0:
-                return values.sum(axis=1), float(errors.sum(axis=1).max())
+                return values.sum(axis=1), errors.sum(axis=1)
         prev = cur
     p = active[0]
     var = "x" if sign[p] == 0.0 else f"s (x = {8.0 * sign[p]:g} e^s)"
@@ -543,18 +586,23 @@ def _battery_stats(
     spec: PotentialSpec, fset: TestFunctionSet,
     weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     var_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[float, list[tuple[float, float]], float]:
+) -> tuple[float, list[tuple[float, float]], float, float]:
     """The window holding all but 1e-13 of pi's mass, (Var_pi f,
-    E_pi[weight f'^2]) per function, and the largest error estimate of the
-    integrals, from one :func:`_pi_integrals` call for the whole battery.
+    E_pi[weight f'^2]) per function, and the largest absolute and relative
+    error estimates of the integrals, from one :func:`_pi_integrals` call
+    for the whole battery.
 
     With a ``var_weight`` w the variance is the w-weighted one,
     inf_c E_pi[(f - c)^2 w] = E[f^2 w] - E[f w]^2 / E[w].  f is evaluated
-    once per node array, so the two moments share its values.
+    once per node array, so the two moments share its values, and the
+    functions see the nodes as a :class:`_Nodes` array, so those sharing a
+    mollifier share its values too.
     """
     window = _tail_quantile(spec, 1e-13)
 
     def integrands(x: np.ndarray) -> np.ndarray:
+        x = x.view(_Nodes)
+        x.shared = {}
         w = 1.0 if var_weight is None else var_weight(x)
         w_grad = 1.0 if weight is None else weight(x)
         rows = [] if var_weight is None else [w]
@@ -564,12 +612,14 @@ def _battery_stats(
             rows += [fw, f * fw, tf.fprime(x) ** 2 * w_grad]
         return np.array(rows)
 
-    vals, error = _pi_integrals(spec, integrands, window)
+    vals, errors = _pi_integrals(spec, integrands, window)
+    error = float(errors.max())
+    rel_error = float((errors / np.maximum(1.0, np.abs(vals))).max())
     mass = 1.0 if var_weight is None else float(vals[0])
     moments = vals[0 if var_weight is None else 1:].reshape(len(fset), 3)
     stats = [(max(float(second) - float(mean) ** 2 / mass, 0.0), float(grad2))
              for mean, second, grad2 in moments]
-    return window, stats, error
+    return window, stats, error, rel_error
 
 
 def wpi_check(
@@ -582,10 +632,11 @@ def wpi_check(
     """Check Var_pi(f) <= beta(r) E_pi[f'^2] + r Osc(f)^2 for all (f, r).
 
     Osc(f) is read by :meth:`TestFunction.osc`: on f's support when it has
-    one, computed once per battery and kept on the function, else on the
-    integration window, on every call.  ``falsify=True`` divides the
-    weighting by 1e6, which must produce violations on a sound battery (it
-    demonstrates the checker has power).
+    one, computed once per battery and kept on the function; at the
+    integration window's two ends when f is monotone; else on the window,
+    on every call.  ``falsify=True`` divides the weighting by 1e6, which
+    must produce violations on a sound battery (it demonstrates the
+    checker has power).
     """
     if spec.d != 1:
         raise InputValidationError("inequality checks are 1-dimensional")
@@ -593,7 +644,7 @@ def wpi_check(
     if not r_grid or any(r <= 0.0 for r in r_grid):
         raise InputValidationError("r_grid must be non-empty with positive entries")
     betas = [beta(r) for r in r_grid]
-    window, stats, error = _battery_stats(spec, fset)
+    window, stats, error, rel_error = _battery_stats(spec, fset)
     rows = []
     for tf, (var, grad2) in zip(fset, stats):
         osc = tf.osc(window)
@@ -603,7 +654,7 @@ def wpi_check(
                 lambda scale, b=beta_r, g=grad2, r=r, o=osc:
                     scale * b * g + r * o ** 2,
             ))
-    return FIReport.from_rows("wpi", rows, falsify, error)
+    return FIReport.from_rows("wpi", rows, falsify, error, rel_error)
 
 
 def converse_pi_check(
@@ -621,11 +672,11 @@ def converse_pi_check(
     nu, d = spec.nu, spec.d
     c_const = 1.0 / (d + nu) if nu >= d + 2 else 2.0 / nu
     w = lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2)
-    _, stats, error = _battery_stats(spec, fset, var_weight=w)
+    _, stats, error, rel_error = _battery_stats(spec, fset, var_weight=w)
     rows = [({"function": tf.name}, "lhs_weighted_var", var,
              lambda scale, g=grad2: scale * c_const * g)
             for tf, (var, grad2) in zip(fset, stats)]
-    return FIReport.from_rows("converse-pi", rows, falsify, error)
+    return FIReport.from_rows("converse-pi", rows, falsify, error, rel_error)
 
 
 def weighted_pi_check(
@@ -647,11 +698,11 @@ def weighted_pi_check(
     c_const = _c_d_alpha(d, alpha)
     expo = 2.0 * (1.0 - alpha)
     weight = lambda x: np.abs(np.asarray(x, dtype=float)) ** expo
-    _, stats, error = _battery_stats(spec, fset, weight=weight)
+    _, stats, error, rel_error = _battery_stats(spec, fset, weight=weight)
     rows = [({"function": tf.name}, "lhs_var", var,
              lambda scale, g=grad2: scale * math.e * c_const * g)
             for tf, (var, grad2) in zip(fset, stats)]
-    return FIReport.from_rows("weighted-pi", rows, falsify, error)
+    return FIReport.from_rows("weighted-pi", rows, falsify, error, rel_error)
 
 
 # ---------------------------------------------------------------------------

@@ -464,7 +464,9 @@ class Sublinear(RadialFamily):
         return (self.growth().b * sigma2) ** expo / self.alpha
 
     def wpi_beta(self) -> Callable[[float], float]:
-        return lambda r: beta_wpi_sublinear(self.alpha, self.d, r)
+        # The gamma grid's r-free terms, filled by the first call.
+        table: list = []
+        return lambda r: _beta_sublinear(self.alpha, self.d, r, table=table)[0]
 
     def rinf_bound(self, sigma2: float) -> tuple[float, dict]:
         d = self.d
@@ -1163,10 +1165,10 @@ def _c_d_alpha(d: int, alpha: float) -> float:
     return 12.0 * d / alpha**3 + (d + alpha) / alpha**4
 
 
-def _beta_sublinear_at(
-    alpha: float, d: int, r: float, gamma: float
-) -> tuple[float, dict]:
-    """Value and intermediates of the subexponential WPI chain at fixed gamma.
+def _gamma_terms(alpha: float, d: int, gamma: float) -> tuple[dict, Optional[tuple]]:
+    """The r-free part of the subexponential WPI chain at fixed gamma: its
+    intermediates, and (-2 ln(1 - t), exponent, ln a, ln b) when the
+    chain's t < 1, else None.
 
     Log-domain throughout: the constituent a = gamma (e C)^{2/gamma} /
     (2(1-alpha)+gamma) overflows floats for small gamma.
@@ -1186,25 +1188,46 @@ def _beta_sublinear_at(
         "exponent": expo,
     }
     if log_t >= 0.0:
-        return math.inf, inter
+        return inter, None
     t = math.exp(log_t)
-    # w aggregates the dimension and resolution contributions; -ln r is used
-    # directly so that subnormal r (down to ~5e-324) stays representable.
-    w = 1.0 + (2.0 * d / alpha) * math.log(2.0) + 2.0 * max(-math.log(r), 0.0)
-    inter["w"] = w
-    log_val = -2.0 * math.log1p(-t) + expo * np.logaddexp(
-        log_a, math.log(b) + (2.0 / alpha) * math.log(w)
-    )
+    return inter, (-2.0 * math.log1p(-t), expo, log_a, math.log(b))
+
+
+def _chain_value(alpha: float, terms: tuple[dict, Optional[tuple]], w: float
+                 ) -> float:
+    """The chain's value from its r-free ``terms`` (see :func:`_gamma_terms`)
+    and the resolution weight w; inf when t >= 1 or the value overflows."""
+    parts = terms[1]
+    if parts is None:
+        return math.inf
+    prefactor, expo, log_a, log_b = parts
+    # float() of the numpy scalar leaves its value and every later
+    # operation's rounding as they were, at Python-float cost.
+    log_val = prefactor + expo * float(np.logaddexp(
+        log_a, log_b + (2.0 / alpha) * math.log(w)
+    ))
     if log_val >= _EXP_MAX:
-        return math.inf, inter
-    return math.exp(log_val), inter
+        return math.inf
+    return math.exp(log_val)
+
+
+def _chain_intermediates(terms: tuple[dict, Optional[tuple]], w: float) -> dict:
+    """A fresh copy of the terms' intermediates, with w when t < 1."""
+    inter, parts = terms
+    return dict(inter) if parts is None else {**inter, "w": w}
 
 
 def _beta_sublinear(
-    alpha: float, d: int, r: float, gamma: Optional[float] = None
+    alpha: float, d: int, r: float, gamma: Optional[float] = None,
+    table: Optional[list] = None,
 ) -> tuple[float, dict]:
     """Value and intermediates of the subexponential WPI weighting at
-    ``gamma``, or minimized over a 64-point log grid on (0, 2 alpha]."""
+    ``gamma``, or minimized over a 64-point log grid on (0, 2 alpha].
+
+    The grid's r-free terms are computed per call, or, when a ``table``
+    list is passed, into it on its first use and read from it after: a
+    table serves one (alpha, d).
+    """
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(
             f"alpha must lie in (0, 1) for the subexponential weighting, got {alpha}"
@@ -1213,18 +1236,28 @@ def _beta_sublinear(
         raise InputValidationError(f"d must be a positive integer, got {d}")
     if not (r > 0.0):
         raise InputValidationError(f"r must be positive, got {r}")
+    # w aggregates the dimension and resolution contributions; -ln r is used
+    # directly so that subnormal r (down to ~5e-324) stays representable.
+    w = 1.0 + (2.0 * d / alpha) * math.log(2.0) + 2.0 * max(-math.log(r), 0.0)
     if gamma is not None:
         if not (0.0 < gamma <= 2.0 * alpha):
             raise InputValidationError(
                 f"gamma must lie in (0, 2*alpha] = (0, {2 * alpha}], got {gamma}"
             )
-        return _beta_sublinear_at(alpha, d, r, gamma)
-    value, inter = math.inf, {"gamma": 2.0 * alpha}
-    for g in np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64):
-        v, i = _beta_sublinear_at(alpha, d, r, float(g))
+        terms = _gamma_terms(alpha, d, gamma)
+        return _chain_value(alpha, terms, w), _chain_intermediates(terms, w)
+    table = [] if table is None else table
+    if not table:
+        table[:] = [_gamma_terms(alpha, d, float(g))
+                    for g in np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64)]
+    value, best = math.inf, None
+    for terms in table:
+        v = _chain_value(alpha, terms, w)
         if v < value:
-            value, inter = v, i
-    return value, inter
+            value, best = v, terms
+    if best is None:
+        return value, {"gamma": 2.0 * alpha}
+    return value, _chain_intermediates(best, w)
 
 
 def beta_wpi_sublinear(

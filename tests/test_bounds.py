@@ -160,6 +160,42 @@ def test_beta_sublinear_minimized_r_shape():
     assert 1.8 <= slope <= 2.2
 
 
+C4_R_GRID = (1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_beta_sublinear_matches_per_point_scan(alpha, d,
+                                               beta_sublinear_reference):
+    """The gamma table computed once per weighting gives the values and
+    intermediates of a scan that evaluates every gamma afresh per r."""
+    family_beta = Sublinear(d=d, alpha=alpha).wpi_beta()
+    for r in (*C4_R_GRID, 5e-324, 1e3):
+        want, inter = beta_sublinear_reference(alpha, d, r)
+        assert beta_wpi_sublinear(alpha, d, r) == want, r
+        assert family_beta(r) == want, r
+        rep = beta_wpi_sublinear_report(alpha, d, r)
+        assert rep.value == want
+        assert rep.intermediates == inter
+        for key in ("gamma", "w", "log_a", "b", "exponent"):
+            assert rep.intermediates[key].hex() == inter[key].hex(), (r, key)
+        for gamma in (2e-3 * alpha, 0.3 * alpha, alpha, 2.0 * alpha):
+            fixed, fixed_inter = beta_sublinear_reference(alpha, d, r, gamma)
+            assert beta_wpi_sublinear(alpha, d, r, gamma=gamma) == fixed
+            assert (beta_wpi_sublinear_report(alpha, d, r, gamma=gamma)
+                    .intermediates == fixed_inter)
+
+
+def test_beta_sublinear_table_is_per_weighting():
+    """Each wpi_beta() callable fills its own table on its first call."""
+    a, b = Sublinear(d=1, alpha=0.3).wpi_beta(), Sublinear(d=2, alpha=0.7).wpi_beta()
+    assert a(0.1) == beta_wpi_sublinear(0.3, 1, 0.1)
+    assert b(0.1) == beta_wpi_sublinear(0.7, 2, 0.1)
+    assert a(1e-4) == beta_wpi_sublinear(0.3, 1, 1e-4)
+    with pytest.raises(InputValidationError):
+        Sublinear(d=1, alpha=1.0).wpi_beta()(0.1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     alpha=st.floats(min_value=0.1, max_value=0.9),

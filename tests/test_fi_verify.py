@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -264,9 +266,10 @@ def test_battery_integrals_match_independent_references(fset, spec, name,
     """(Var f, E f'^2) of one battery function, tail mass included."""
     sub = fi_verify.TestFunctionSet(functions=tuple(
         tf for tf in fset.functions if tf.name == name))
-    _, stats, error = fi_verify._battery_stats(spec, sub)
+    _, stats, error, rel_error = fi_verify._battery_stats(spec, sub)
     assert stats[0][which] == pytest.approx(want, rel=1e-9)
     assert 0.0 <= error < 1e-9
+    assert 0.0 <= rel_error <= error
 
 
 @pytest.mark.parametrize("spec, window", [
@@ -366,6 +369,19 @@ def test_osc_matches_inline_formula_on_every_suite():
             assert tf.osc(window).hex() == want.hex(), (spec, tf.name)
 
 
+@pytest.mark.parametrize("window", [0.3, 1.62, 7.44, 40.0])
+def test_monotone_osc_matches_grid_where_ramps_do_not_saturate(window):
+    """On windows where a ramp is not flat at its ends, its two-point Osc is
+    still the grid's, for rising and falling ramps alike."""
+    ramps = [tf for tf in default_test_functions() if tf.monotone]
+    falling = [dataclasses.replace(tf, f=lambda x, g=tf.f: -2.0 * g(x))
+               for tf in ramps]
+    for tf in ramps + falling:
+        want = _inline_osc(tf, window)
+        assert tf.osc(window).hex() == want.hex(), (window, tf.name)
+    assert _inline_osc(ramps[-1], 7.44) < 2.0
+
+
 def test_compact_osc_grid_evaluated_once_per_battery():
     battery, counts = _grid_counted(default_test_functions())
     for spec in C4_SUITES:
@@ -374,7 +390,9 @@ def test_compact_osc_grid_evaluated_once_per_battery():
                       falsify=falsify)
     compact = {tf.name for tf in battery if tf.support is not None}
     assert len(compact) == 16
-    assert counts == {name: 1 if name in compact else 12 for name in counts}
+    assert all(tf.monotone for tf in battery if tf.support is None)
+    # A monotone ramp is read at the window's two ends, never on the grid.
+    assert counts == {name: 1 if name in compact else 0 for name in counts}
 
 
 def test_osc_memo_is_per_battery():
@@ -409,6 +427,120 @@ def test_osc_failure_stores_nothing():
         with pytest.raises(NumericsError, match="grid refused"):
             wpi_check(GC12, beta_for_spec(GC12), battery, R_GRID)
         assert "_osc" not in tf.__dict__
+
+
+# ---------------------------------------------------------------------------
+# Reports against a battery evaluated the old way
+# ---------------------------------------------------------------------------
+
+
+def _on_own(g):
+    """g on a plain copy of the nodes, so it shares no value with another
+    function of the battery."""
+    return lambda x: g(np.array(x))
+
+
+def _old_way(fset):
+    """``fset`` with every f and f' evaluated on its own and every Osc read
+    on the 65537-point grid."""
+    return fi_verify.TestFunctionSet(tuple(
+        dataclasses.replace(tf, f=_on_own(tf.f), fprime=_on_own(tf.fprime),
+                            monotone=False)
+        for tf in fset))
+
+
+def _c4_reports(fset, beta_of):
+    reports = {}
+    for spec in C4_SUITES:
+        for falsify in (False, True):
+            reports["wpi", str(spec), falsify] = wpi_check(
+                spec, beta_of(spec), fset, R_GRID, falsify=falsify)
+    for nu in (1.0, 2.0, 4.0):
+        reports["converse", nu] = converse_pi_check(GenCauchy(d=1, nu=nu), fset)
+    for alpha in (0.3, 0.5, 0.7):
+        reports["weighted", alpha] = weighted_pi_check(
+            Sublinear(d=1, alpha=alpha), fset)
+    return reports
+
+
+@pytest.fixture(scope="module")
+def c4_reports():
+    """The C4 reports of one battery, shared across all suites."""
+    return _c4_reports(default_test_functions(), beta_for_spec)
+
+
+def test_c4_reports_match_old_way_byte_for_byte(c4_reports,
+                                                beta_sublinear_reference):
+    """Monotone Osc, shared mollifiers and the gamma table change no byte of
+    any wpi (clean and falsify), converse or weighted report."""
+
+    def reference_beta(spec):
+        if isinstance(spec, Sublinear):
+            return lambda r: beta_sublinear_reference(spec.alpha, spec.d, r)[0]
+        return beta_for_spec(spec)
+
+    want = _c4_reports(_old_way(default_test_functions()), reference_beta)
+    assert want.keys() == c4_reports.keys()
+    for key, report in c4_reports.items():
+        assert (json.dumps(report.to_dict(), sort_keys=True)
+                == json.dumps(want[key].to_dict(), sort_keys=True)), key
+    falsify_counts = [c4_reports["wpi", str(spec), True].n_violations
+                      for spec in C4_SUITES]
+    assert falsify_counts == [30, 67, 54, 0, 49, 72]
+
+
+def test_quadrature_rel_error_on_c4_suites(c4_reports):
+    """The relative figure stays near the rule's 1e-12 agreement while the
+    absolute one is set by poly6_bump8's large moments."""
+    for key, report in c4_reports.items():
+        d = report.to_dict()
+        assert 0.0 < d["quadrature_rel_error"] < 1e-11, key
+        assert d["quadrature_rel_error"] <= d["quadrature_error"], key
+    gc1 = c4_reports["wpi", str(C4_SUITES[0]), False]
+    assert gc1.quadrature_error > 1e-6
+    assert gc1.falsified().quadrature_rel_error == gc1.quadrature_rel_error
+
+
+def test_replaced_f_on_compact_member_is_integrated(fset):
+    """A member's f, replaced, is what the battery integrates: shared
+    mollifier values never stand in for a call of tf.f."""
+    name = "poly2_bump2"
+    base = next(tf for tf in fset if tf.name == name)
+    others = tuple(tf for tf in fset if tf.support == base.support)
+    doubled = dataclasses.replace(base, f=lambda x: 2.0 * base.f(x))
+    narrowed = dataclasses.replace(base, f=lambda x: base.f(x * 2.0))
+    rows = {}
+    for tf in (base, doubled, narrowed):
+        battery = fi_verify.TestFunctionSet(functions=(*others, tf))
+        report = wpi_check(GC12, beta_for_spec(GC12), battery, [0.1])
+        rows[tf.f] = report.entries[-1]
+        assert report.to_dict() == wpi_check(
+            GC12, beta_for_spec(GC12), _old_way(battery), [0.1]).to_dict()
+    assert rows[doubled.f]["lhs_var"] == 4.0 * rows[base.f]["lhs_var"]
+    assert rows[narrowed.f]["lhs_var"] != rows[base.f]["lhs_var"]
+
+
+def test_shared_mollifier_lives_one_node_array(fset, monkeypatch):
+    """Each support's B and B' are computed once per node array, and no node
+    array outlives the check."""
+    memos, nodes, computed = [], [], []
+    compute = fi_verify._on_nodes
+
+    def counted(x, key, fn):
+        shared = getattr(x, "shared", None)
+        if shared is None:
+            return compute(x, key, fn)
+        if not any(m is shared for m in memos):
+            memos.append(shared)
+            nodes.append(weakref.ref(x))
+        return compute(x, key, lambda y: computed.append(key) or fn(y))
+
+    monkeypatch.setattr(fi_verify, "_on_nodes", counted)
+    assert wpi_check(GC12, beta_for_spec(GC12), fset, [0.1]).passed
+    supports = {(a, i) for a in (2.0, 4.0, 8.0) for i in (0, 1)}
+    assert memos and all(m.keys() == supports for m in memos)
+    assert len(computed) == len(supports) * len(memos)
+    assert all(ref() is None for ref in nodes)
 
 
 # ---------------------------------------------------------------------------

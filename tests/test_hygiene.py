@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package and scripts is used."""
+"""Source hygiene: every imported name in the package and scripts is used,
+and the package keeps no process-wide memo."""
 
 import ast
 import pathlib
@@ -6,11 +7,14 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "heavytail_lmc").glob("*.py"))
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "heavytail_lmc").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py"))
 )
+# Decorators whose memo lives as long as the process and grows with every
+# distinct argument.  Memos stay on the instance that owns them.
+GLOBAL_MEMOS = {"lru_cache", "cache"}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -37,3 +41,36 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _global_memos(tree: ast.Module) -> list[str]:
+    modules = {"functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name in GLOBAL_MEMOS]
+        elif (isinstance(node, ast.Attribute) and node.attr in GLOBAL_MEMOS
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"functools.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_process_wide_memo(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _global_memos(tree) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import functools\n@functools.lru_cache(maxsize=None)\ndef f(x): pass",
+    "import functools as ft\n@ft.cache\ndef f(x): pass",
+    "from functools import lru_cache",
+    "from functools import cache as memo",
+])
+def test_process_wide_memo_check_finds_each_form(source):
+    assert len(_global_memos(ast.parse(source))) == 1
