@@ -251,7 +251,7 @@ class TestFunction:
     support: Optional[float] = None  # |x| beyond which f vanishes, if compact
     monotone: bool = False  # f is monotone on the whole line
 
-    def osc(self, window: float) -> float:
+    def osc(self, window: float, *, _grids: Optional[dict] = None) -> float:
         """Osc(f) = max f - min f on 65537 equispaced points of [-s, s].
 
         s is the support when f has one, else ``window``.  A monotone f
@@ -261,7 +261,8 @@ class TestFunction:
         window, so its value is computed on the first call and kept in the
         instance ``__dict__`` beside the dataclass fields: equality and repr
         ignore it, an equal function built elsewhere starts empty, and an f
-        that raises stores nothing.
+        that raises stores nothing.  ``_grids`` is :func:`wpi_check`'s
+        per-check store of the grid (see :func:`_osc_grid`).
         """
         if "_osc" in self.__dict__:
             return self.__dict__["_osc"]
@@ -269,7 +270,7 @@ class TestFunction:
         if self.monotone:
             ends = self.f(np.array([-span, span]))
             return float(abs(ends[1] - ends[0]))
-        fv = self.f(np.linspace(-span, span, 65537))
+        fv = self.f(_osc_grid(span, _grids))
         osc = float(fv.max() - fv.min())
         if self.support is not None:
             self.__dict__["_osc"] = osc
@@ -288,7 +289,8 @@ class TestFunctionSet:
 
 
 class _Nodes(np.ndarray):
-    """Quadrature nodes that keep what :func:`_on_nodes` computes on them.
+    """Nodes (of a quadrature level or an Osc grid) that keep what
+    :func:`_on_nodes` computes on them.
 
     ``shared`` lives exactly as long as the node array.  An array derived
     from one (``x * 2``, ``x[1:]``) is a ``_Nodes`` with ``shared`` None,
@@ -301,13 +303,39 @@ class _Nodes(np.ndarray):
 def _on_nodes(x: np.ndarray, key: tuple,
               compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``compute`` of x as a float array, computed once per key on a
-    :class:`_Nodes` array and on every call otherwise."""
+    :class:`_Nodes` array, and kept there read-only, and on every call
+    otherwise."""
     shared = getattr(x, "shared", None)
     if shared is None:
         return compute(np.asarray(x, dtype=float))
     if key not in shared:
-        shared[key] = compute(np.asarray(x, dtype=float))
+        value = compute(np.asarray(x, dtype=float))
+        value.flags.writeable = False
+        shared[key] = value
     return shared[key]
+
+
+def _osc_grid(span: float, grids: Optional[dict]) -> np.ndarray:
+    """65537 equispaced points of [-span, span].
+
+    With a ``grids`` dict it is a :class:`_Nodes` array kept there, so the
+    next functions read on the same span get it back and share its
+    mollifier.  Each function reads its own power or sine once, so only
+    the mollifier is kept from one function to the next.  ``grids`` holds
+    one span at a time: a battery ordered by support computes each
+    support's mollifier once and never holds two grids.
+    """
+    if grids is not None and span in grids:
+        grid = grids[span]
+        grid.shared = {k: v for k, v in grid.shared.items() if k[0] == "bump"}
+        return grid
+    grid = np.linspace(-span, span, 65537)
+    if grids is not None:
+        grid = grid.view(_Nodes)
+        grid.shared = {}
+        grids.clear()
+        grids[span] = grid
+    return grid
 
 
 def _bump_pair(a: float):
@@ -334,8 +362,13 @@ def _bump_pair(a: float):
         out[inside] = np.exp(1.0 - 1.0 / gi) * (-2.0 * t[inside] / (a * gi * gi))
         return out
 
-    return (lambda x: _on_nodes(x, (a, 0), bump),
-            lambda x: _on_nodes(x, (a, 1), bump_prime))
+    return (lambda x: _on_nodes(x, ("bump", a, 0), bump),
+            lambda x: _on_nodes(x, ("bump", a, 1), bump_prime))
+
+
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k, kept on a :class:`_Nodes` array for both supports' f and f'."""
+    return _on_nodes(x, ("pow", k), lambda y: y**k)
 
 
 def default_test_functions() -> TestFunctionSet:
@@ -349,22 +382,28 @@ def default_test_functions() -> TestFunctionSet:
     window's ends (see :meth:`TestFunction.osc`).  Nothing is evaluated
     here: a compact function's oscillation is computed by the first check
     that uses this battery and kept for the later ones.
+
+    On a :class:`_Nodes` array each elementary function of x is computed
+    once and read by every f and f' that needs it: each power x**k (k =
+    0..6, by both supports), each mollifier B and B', each ramp's
+    tanh((x - c)/s) (by its f and f') and each sin(omega x) (by its sine's
+    f and f').  Every value is still formed by the function's own f or f',
+    with the operations of evaluating it alone.
     """
     funcs: list[TestFunction] = []
     for a in (2.0, 8.0):
         bump, bump_p = _bump_pair(a)
         for deg in range(7):
 
-            # The mollifier reads the nodes as passed, so that it can find
-            # the values kept on them (see _bump_pair).
+            # The kept values are found on the nodes as passed (see
+            # _on_nodes), so x is not converted before they are read.
             def f(x, _d=deg, _b=bump):
-                return np.asarray(x, dtype=float)**_d * _b(x)
+                return _power(x, _d) * _b(x)
 
             def fp(x, _d=deg, _b=bump, _bp=bump_p):
                 b, bp = _b(x), _bp(x)
-                x = np.asarray(x, dtype=float)
-                poly_d = _d * x ** (_d - 1) if _d > 0 else np.zeros_like(x)
-                return poly_d * b + x**_d * bp
+                poly_d = _d * _power(x, _d - 1) if _d > 0 else np.zeros(np.shape(x))
+                return poly_d * b + _power(x, _d) * bp
 
             funcs.append(
                 TestFunction(name=f"poly{deg}_bump{a:g}", f=f, fprime=fp, support=a)
@@ -373,10 +412,10 @@ def default_test_functions() -> TestFunctionSet:
                  (0.0, 4.0)):
 
         def f(x, _c=c, _s=s):
-            return np.tanh((np.asarray(x, dtype=float) - _c) / _s)
+            return _on_nodes(x, ("tanh", _c, _s), lambda y: np.tanh((y - _c) / _s))
 
-        def fp(x, _c=c, _s=s):
-            th = np.tanh((np.asarray(x, dtype=float) - _c) / _s)
+        def fp(x, _f=f, _s=s):
+            th = _f(x)
             return (1.0 - th * th) / _s
 
         funcs.append(TestFunction(name=f"tanh_c{c:g}_s{s:g}", f=f, fprime=fp,
@@ -384,13 +423,15 @@ def default_test_functions() -> TestFunctionSet:
     bump4, bump4_p = _bump_pair(4.0)
     for omega in (2.0, 5.0):
 
-        def f(x, _w=omega):
-            return np.sin(_w * np.asarray(x, dtype=float)) * bump4(x)
+        def sin(x, _w=omega):
+            return _on_nodes(x, ("sin", _w), lambda y: np.sin(_w * y))
 
-        def fp(x, _w=omega):
+        def f(x, _sin=sin):
+            return _sin(x) * bump4(x)
+
+        def fp(x, _w=omega, _sin=sin):
             b, bp = bump4(x), bump4_p(x)
-            x = np.asarray(x, dtype=float)
-            return _w * np.cos(_w * x) * b + np.sin(_w * x) * bp
+            return _w * np.cos(_w * np.asarray(x, dtype=float)) * b + _sin(x) * bp
 
         funcs.append(TestFunction(name=f"sin{omega:g}_bump4", f=f, fprime=fp,
                                   support=4.0))
@@ -593,24 +634,34 @@ def _battery_stats(
     for the whole battery.
 
     With a ``var_weight`` w the variance is the w-weighted one,
-    inf_c E_pi[(f - c)^2 w] = E[f^2 w] - E[f w]^2 / E[w].  f is evaluated
-    once per node array, so the two moments share its values, and the
-    functions see the nodes as a :class:`_Nodes` array, so those sharing a
-    mollifier share its values too.
+    inf_c E_pi[(f - c)^2 w] = E[f^2 w] - E[f w]^2 / E[w].  On each node
+    array f and f' are evaluated once per function and the weights once
+    per battery, and the rows f w, f (f w) and (f' f') w_grad (w = w_grad
+    = 1 when not given) are written straight into one output array.  The
+    functions see the nodes as a :class:`_Nodes` array, so they share each
+    power, mollifier, tanh and sine they have in common (see
+    :func:`default_test_functions`); nothing is kept past the node array.
     """
     window = _tail_quantile(spec, 1e-13)
+    first = 0 if var_weight is None else 1
 
     def integrands(x: np.ndarray) -> np.ndarray:
         x = x.view(_Nodes)
         x.shared = {}
-        w = 1.0 if var_weight is None else var_weight(x)
+        out = np.empty((first + 3 * len(fset), x.size))
+        if var_weight is not None:
+            out[0] = var_weight(x)
+        w = 1.0 if var_weight is None else out[0]
         w_grad = 1.0 if weight is None else weight(x)
-        rows = [] if var_weight is None else [w]
-        for tf in fset:
+        for i, tf in enumerate(fset):
+            fw, ffw, gg = out[first + 3 * i:first + 3 * i + 3]
             f = tf.f(x)
-            fw = f * w
-            rows += [fw, f * fw, tf.fprime(x) ** 2 * w_grad]
-        return np.array(rows)
+            np.multiply(f, w, out=fw)
+            np.multiply(f, fw, out=ffw)
+            fp = tf.fprime(x)
+            np.multiply(fp, fp, out=gg)
+            np.multiply(gg, w_grad, out=gg)
+        return out
 
     vals, errors = _pi_integrals(spec, integrands, window)
     error = float(errors.max())
@@ -632,7 +683,8 @@ def wpi_check(
     """Check Var_pi(f) <= beta(r) E_pi[f'^2] + r Osc(f)^2 for all (f, r).
 
     Osc(f) is read by :meth:`TestFunction.osc`: on f's support when it has
-    one, computed once per battery and kept on the function; at the
+    one, computed once per battery and kept on the function (the functions
+    of one support read one grid, so they share its values); at the
     integration window's two ends when f is monotone; else on the window,
     on every call.  ``falsify=True`` divides the weighting by 1e6, which
     must produce violations on a sound battery (it demonstrates the
@@ -645,9 +697,9 @@ def wpi_check(
         raise InputValidationError("r_grid must be non-empty with positive entries")
     betas = [beta(r) for r in r_grid]
     window, stats, error, rel_error = _battery_stats(spec, fset)
-    rows = []
+    rows, grids = [], {}
     for tf, (var, grad2) in zip(fset, stats):
-        osc = tf.osc(window)
+        osc = tf.osc(window, _grids=grids)
         for r, beta_r in zip(r_grid, betas):  # defaults bind this row's values
             rows.append((
                 {"function": tf.name, "r": r}, "lhs_var", var,

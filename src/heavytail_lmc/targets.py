@@ -1217,6 +1217,21 @@ def _chain_intermediates(terms: tuple[dict, Optional[tuple]], w: float) -> dict:
     return dict(inter) if parts is None else {**inter, "w": w}
 
 
+def _gamma_grid(alpha: float) -> np.ndarray:
+    """The 64-point log grid on (0, 2 alpha] that the weighting is
+    minimized over."""
+    return np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64)
+
+
+def _gamma_table(alpha: float, d: int) -> list:
+    """The r-free part of the gamma scan: the terms (see
+    :func:`_gamma_terms`) of the grid points whose chain has t < 1, in grid
+    order, and their (prefactor, exponent, ln a, ln b) as a (4, k) array."""
+    terms = [t for g in _gamma_grid(alpha)
+             if (t := _gamma_terms(alpha, d, float(g)))[1] is not None]
+    return [terms, np.array([t[1] for t in terms], dtype=float).reshape(-1, 4).T]
+
+
 def _beta_sublinear(
     alpha: float, d: int, r: float, gamma: Optional[float] = None,
     table: Optional[list] = None,
@@ -1224,9 +1239,12 @@ def _beta_sublinear(
     """Value and intermediates of the subexponential WPI weighting at
     ``gamma``, or minimized over a 64-point log grid on (0, 2 alpha].
 
-    The grid's r-free terms are computed per call, or, when a ``table``
-    list is passed, into it on its first use and read from it after: a
-    table serves one (alpha, d).
+    The grid's r-free terms (:func:`_gamma_table`) are computed per call,
+    or, when a ``table`` list is passed, into it on its first use and read
+    from it after: a table serves one (alpha, d).  One array pass gives
+    every grid point's log value, with the IEEE operations of
+    :func:`_chain_value` in its order; each value is taken with
+    ``math.exp`` and, of equal values, the first gamma's wins.
     """
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(
@@ -1248,16 +1266,16 @@ def _beta_sublinear(
         return _chain_value(alpha, terms, w), _chain_intermediates(terms, w)
     table = [] if table is None else table
     if not table:
-        table[:] = [_gamma_terms(alpha, d, float(g))
-                    for g in np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64)]
-    value, best = math.inf, None
-    for terms in table:
-        v = _chain_value(alpha, terms, w)
-        if v < value:
-            value, best = v, terms
-    if best is None:
+        table[:] = _gamma_table(alpha, d)
+    terms, (prefactor, expo, log_a, log_b) = table
+    log_vals = prefactor + expo * np.logaddexp(
+        log_a, log_b + (2.0 / alpha) * math.log(w))
+    values = [math.exp(v) if v < _EXP_MAX else math.inf
+              for v in log_vals.tolist()]
+    value = min(values, default=math.inf)
+    if value == math.inf:
         return value, {"gamma": 2.0 * alpha}
-    return value, _chain_intermediates(best, w)
+    return value, _chain_intermediates(terms[values.index(value)], w)
 
 
 def beta_wpi_sublinear(

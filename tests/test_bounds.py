@@ -57,6 +57,7 @@ from heavytail_lmc import (
     sublinear_init_bound_simplified,
     warm_start_divergence_bound,
 )
+from heavytail_lmc import targets
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,25 @@ def test_beta_sublinear_matches_per_point_scan(alpha, d,
             assert beta_wpi_sublinear(alpha, d, r, gamma=gamma) == fixed
             assert (beta_wpi_sublinear_report(alpha, d, r, gamma=gamma)
                     .intermediates == fixed_inter)
+
+
+@pytest.mark.parametrize("alpha, d, r", [(0.5, 1, 0.1), (0.3, 1, 1e-4)])
+def test_beta_sublinear_first_of_tied_gammas_wins(alpha, d, r, monkeypatch,
+                                                 beta_sublinear_reference):
+    """Two gammas a few ulps apart at the minimizer give the same float; the
+    scan reports the one that comes first on its grid."""
+    best = beta_wpi_sublinear_report(alpha, d, r).intermediates["gamma"]
+    want = beta_sublinear_reference(alpha, d, r, best)[0]
+    tied = math.nextafter(best, math.inf)
+    while beta_sublinear_reference(alpha, d, r, tied)[0] != want:
+        tied = math.nextafter(tied, math.inf)
+        assert tied - best < 1e-12, "no tie near the minimizer"
+    for grid in ([best, tied], [tied, best]):
+        monkeypatch.setattr(targets, "_gamma_grid", lambda a, g=grid: np.array(g))
+        rep = beta_wpi_sublinear_report(alpha, d, r)
+        assert rep.value == want
+        assert rep.intermediates == beta_sublinear_reference(alpha, d, r, grid[0])[1]
+        assert Sublinear(d=d, alpha=alpha).wpi_beta()(r) == want
 
 
 def test_beta_sublinear_table_is_per_weighting():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -503,44 +504,97 @@ def test_quadrature_rel_error_on_c4_suites(c4_reports):
 
 def test_replaced_f_on_compact_member_is_integrated(fset):
     """A member's f, replaced, is what the battery integrates: shared
-    mollifier values never stand in for a call of tf.f."""
-    name = "poly2_bump2"
-    base = next(tf for tf in fset if tf.name == name)
-    others = tuple(tf for tf in fset if tf.support == base.support)
-    doubled = dataclasses.replace(base, f=lambda x: 2.0 * base.f(x))
-    narrowed = dataclasses.replace(base, f=lambda x: base.f(x * 2.0))
-    rows = {}
-    for tf in (base, doubled, narrowed):
-        battery = fi_verify.TestFunctionSet(functions=(*others, tf))
-        report = wpi_check(GC12, beta_for_spec(GC12), battery, [0.1])
-        rows[tf.f] = report.entries[-1]
-        assert report.to_dict() == wpi_check(
-            GC12, beta_for_spec(GC12), _old_way(battery), [0.1]).to_dict()
-    assert rows[doubled.f]["lhs_var"] == 4.0 * rows[base.f]["lhs_var"]
-    assert rows[narrowed.f]["lhs_var"] != rows[base.f]["lhs_var"]
+    powers, mollifiers, tanh and sine values never stand in for a call of
+    tf.f.  Each battery holds every member that shares values with it."""
+    for name in ("poly2_bump2", "tanh_c1_s0.5", "sin5_bump4"):
+        base = next(tf for tf in fset if tf.name == name)
+        others = tuple(tf for tf in fset if tf.support == base.support)
+        doubled = dataclasses.replace(base, f=lambda x, g=base.f: 2.0 * g(x))
+        narrowed = dataclasses.replace(base, f=lambda x, g=base.f: g(x * 2.0))
+        rows = {}
+        for tf in (base, doubled, narrowed):
+            battery = fi_verify.TestFunctionSet(functions=(*others, tf))
+            report = wpi_check(GC12, beta_for_spec(GC12), battery, [0.1])
+            rows[tf.f] = report.entries[-1]
+            assert report.to_dict() == wpi_check(
+                GC12, beta_for_spec(GC12), _old_way(battery), [0.1]).to_dict()
+        assert rows[doubled.f]["lhs_var"] == 4.0 * rows[base.f]["lhs_var"], name
+        assert rows[narrowed.f]["lhs_var"] != rows[base.f]["lhs_var"], name
 
 
-def test_shared_mollifier_lives_one_node_array(fset, monkeypatch):
-    """Each support's B and B' are computed once per node array, and no node
-    array outlives the check."""
-    memos, nodes, computed = [], [], []
-    compute = fi_verify._on_nodes
+OSC_GRID = (OSC_POINTS,)
+
+
+def _count_shared(monkeypatch):
+    """Wrap ``_on_nodes`` to record each node array that keeps values: its
+    memo, a weak reference to it, its shape, the keys computed on it and
+    how often each key is read."""
+    seen, compute = [], fi_verify._on_nodes
 
     def counted(x, key, fn):
         shared = getattr(x, "shared", None)
         if shared is None:
             return compute(x, key, fn)
-        if not any(m is shared for m in memos):
-            memos.append(shared)
-            nodes.append(weakref.ref(x))
-        return compute(x, key, lambda y: computed.append(key) or fn(y))
+        entry = next((e for e in seen if e["memo"] is shared), None)
+        if entry is None:
+            entry = {"memo": shared, "ref": weakref.ref(x), "shape": x.shape,
+                     "computed": [], "reads": collections.Counter()}
+            seen.append(entry)
+        entry["reads"][key] += 1
+        return compute(x, key, lambda y: entry["computed"].append(key) or fn(y))
 
     monkeypatch.setattr(fi_verify, "_on_nodes", counted)
-    assert wpi_check(GC12, beta_for_spec(GC12), fset, [0.1]).passed
-    supports = {(a, i) for a in (2.0, 4.0, 8.0) for i in (0, 1)}
-    assert memos and all(m.keys() == supports for m in memos)
-    assert len(computed) == len(supports) * len(memos)
-    assert all(ref() is None for ref in nodes)
+    return seen
+
+
+MOLLIFIERS = {("bump", a, i) for a in (2.0, 4.0, 8.0) for i in (0, 1)}
+POWERS = {("pow", k) for k in range(7)}
+TANHS = {("tanh", c, s) for c, s in ((0.0, 1.0), (0.0, 0.25), (1.0, 0.5),
+                                     (-2.0, 2.0), (5.0, 3.0), (0.0, 4.0))}
+SINES = {("sin", 2.0), ("sin", 5.0)}
+
+
+def test_shared_mollifier_lives_one_node_array(monkeypatch):
+    """Each support's B and B' are computed once per node array, and no node
+    array outlives the check."""
+    battery = default_test_functions()
+    wpi_check(GC12, beta_for_spec(GC12), battery, [0.1])  # Osc kept: no grids
+    seen = _count_shared(monkeypatch)
+    assert wpi_check(GC12, beta_for_spec(GC12), battery, [0.1]).passed
+    assert seen and all(MOLLIFIERS <= e["memo"].keys() for e in seen)
+    assert all(sorted(k for k in e["computed"] if k in MOLLIFIERS)
+               == sorted(MOLLIFIERS) for e in seen)
+    assert all(e["ref"]() is None for e in seen)
+
+
+def test_shared_values_live_one_node_array(monkeypatch):
+    """On a fresh battery each x**k, mollifier, ramp tanh and sin(omega x)
+    is computed once per quadrature node array, each support's Osc grid
+    computes its B once for all its members, and every node array is freed
+    when the check returns."""
+    seen = _count_shared(monkeypatch)
+    assert wpi_check(GC12, beta_for_spec(GC12), default_test_functions(),
+                     [0.1]).passed
+    # On the Osc grids B is computed once per support, not once per member.
+    on_grids = collections.Counter(
+        k for e in seen if e["shape"] == OSC_GRID for k in e["computed"])
+    assert on_grids == collections.Counter(
+        [("bump", 2.0, 0), ("bump", 8.0, 0), ("bump", 4.0, 0),
+         *POWERS, *POWERS, *SINES])
+    nodes = [e for e in seen if e["shape"] != OSC_GRID]
+    assert nodes and all(e["memo"].keys() == MOLLIFIERS | POWERS | TANHS | SINES
+                         for e in nodes)
+    assert all(sorted(e["computed"], key=repr) == sorted(e["memo"], key=repr)
+               for e in nodes)
+    # Both f and f' read the values: x**k is x**d of f and f' (degree k, two
+    # supports) and x**(d-1) of f' (degree k + 1).
+    reads = {**{("pow", k): 6 if k < 6 else 4 for k in range(7)},
+             **{("bump", a, 0): 14 for a in (2.0, 8.0)},
+             **{("bump", a, 1): 7 for a in (2.0, 8.0)},
+             ("bump", 4.0, 0): 4, ("bump", 4.0, 1): 2,
+             **{key: 2 for key in TANHS | SINES}}
+    assert all(e["reads"] == reads for e in nodes)
+    assert all(e["ref"]() is None for e in seen)
 
 
 # ---------------------------------------------------------------------------
