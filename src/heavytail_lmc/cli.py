@@ -65,7 +65,7 @@ from .fi_verify import (
     wpi_check,
     write_fp_csv,
 )
-from .sampler import gaussian_init, run_chains, write_trace_csv
+from .sampler import _usable_cores, gaussian_init, run_chains, write_trace_csv
 from .targets import (
     FAMILY_TAGS,
     Gaussian,
@@ -195,15 +195,6 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             f"unknown config fields: {sorted(data)}"
         )
     return ExperimentConfig(spec=spec, **kwargs)
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on (all of them where the platform
-    cannot say)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _threads(n_tasks: int) -> int:

@@ -684,20 +684,23 @@ def sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared row norms of an (n, d) array, bit-identical to
     ``np.einsum("ij,ij->i", c, c)`` on its C-ordered copy c.
 
-    At d = 1 and 2 the sums are written out as column sums in einsum's own
-    order, which costs a fraction of einsum's call; wider arrays call
-    einsum on the C-ordered copy, because einsum's summation order follows
-    the memory layout (the copy is no copy for a C-ordered batch).  Unlike
-    einsum, a square that overflows raises numpy's overflow warning.
+    At d = 1, 2 and 4 the sums are written out as column sums in einsum's
+    own order (at d = 4 it pairs (x0^2 + x2^2) + (x1^2 + x3^2)), which costs
+    a fraction of einsum's call; other widths call einsum on the C-ordered
+    copy, because einsum's summation order follows the memory layout (the
+    copy is no copy for a C-ordered batch).  Unlike einsum, a square that
+    overflows raises numpy's overflow warning.
     """
     d = x.shape[1]
-    if d > 2:
+    if d not in (1, 2, 4):
         c = np.ascontiguousarray(x)
         return np.einsum("ij,ij->i", c, c)
     sq = x * x
     if d == 1:
         return sq[:, 0]
-    return sq[:, 0] + sq[:, 1]
+    if d == 2:
+        return sq[:, 0] + sq[:, 1]
+    return (sq[:, 0] + sq[:, 2]) + (sq[:, 1] + sq[:, 3])
 
 
 def potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:

@@ -450,6 +450,31 @@ def _old_way(fset):
         for tf in fset))
 
 
+def _reference_battery_stats(spec, fset, weight=None, var_weight=None):
+    """``fi_verify._battery_stats`` with its integrand written out here:
+    each function's rows f w, f (f w) and (f' f') w_grad computed on their
+    own, in a loop of their own, and stacked at the end."""
+    window = fi_verify._tail_quantile(spec, 1e-13)
+
+    def integrands(x):
+        x = np.array(x)
+        rows = [] if var_weight is None else [var_weight(x)]
+        w = 1.0 if var_weight is None else rows[0]
+        w_grad = 1.0 if weight is None else weight(x)
+        for tf in fset:
+            f, fp = tf.f(x), tf.fprime(x)
+            rows += [f * w, f * (f * w), (fp * fp) * w_grad]
+        return np.array(rows)
+
+    vals, errors = fi_verify._pi_integrals(spec, integrands, window)
+    rel = errors / np.maximum(1.0, np.abs(vals))
+    mass = 1.0 if var_weight is None else float(vals[0])
+    moments = vals[0 if var_weight is None else 1:].reshape(len(fset), 3)
+    stats = [(max(float(m2) - float(m) ** 2 / mass, 0.0), float(g2))
+             for m, m2, g2 in moments]
+    return window, stats, float(errors.max()), float(rel.max())
+
+
 def _c4_reports(fset, beta_of):
     reports = {}
     for spec in C4_SUITES:
@@ -471,15 +496,18 @@ def c4_reports():
 
 
 def test_c4_reports_match_old_way_byte_for_byte(c4_reports,
-                                                beta_sublinear_reference):
-    """Monotone Osc, shared mollifiers and the gamma table change no byte of
-    any wpi (clean and falsify), converse or weighted report."""
+                                                beta_sublinear_reference,
+                                                monkeypatch):
+    """Monotone Osc, shared mollifiers, the gamma table and the battery's
+    integrand change no byte of any wpi (clean and falsify), converse or
+    weighted report."""
 
     def reference_beta(spec):
         if isinstance(spec, Sublinear):
             return lambda r: beta_sublinear_reference(spec.alpha, spec.d, r)[0]
         return beta_for_spec(spec)
 
+    monkeypatch.setattr(fi_verify, "_battery_stats", _reference_battery_stats)
     want = _c4_reports(_old_way(default_test_functions()), reference_beta)
     assert want.keys() == c4_reports.keys()
     for key, report in c4_reports.items():

@@ -1,8 +1,11 @@
 """Source hygiene: every imported name in the package and scripts is used,
-and the package keeps no process-wide memo."""
+the package keeps no process-wide memo, and importing it starts no thread."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,3 +77,14 @@ def test_no_process_wide_memo(path):
 ])
 def test_process_wide_memo_check_finds_each_form(source):
     assert len(_global_memos(ast.parse(source))) == 1
+
+
+def test_import_starts_no_thread():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, heavytail_lmc; print(threading.active_count())"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "1"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -250,6 +252,106 @@ def test_divergence_guard_names_the_bad_chain(bad):
     with pytest.raises(ChainDivergenceError) as exc_info:
         sampler._check_divergence(pos, 7)
     assert (exc_info.value.chain_index, exc_info.value.iteration) == (4, 7)
+
+
+def test_lmc_step_takes_the_stream_block_it_is_given():
+    spec = GenCauchy(d=2, nu=3)
+    init = gaussian_init(sigma2=1.0, d=2, n_chains=64, h=0.01, seed=4)
+    block = sampler._noise_block(4, 1, 64, 2)
+    given = lmc_step(init, spec, noise=block)
+    assert given.positions.tobytes() == lmc_step(init, spec).positions.tobytes()
+    for shape in ((64, 1), (63, 2), (128,)):
+        with pytest.raises(InputValidationError):
+            lmc_step(init, spec, noise=np.zeros(shape))
+
+
+TRACE_ARRAYS = ("iters", "m2", "se", "dm2_next", "dm2_next_se", "final_positions")
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The helper's core check passes on any machine, and each noise draw
+    records (stream, thread ident)."""
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    seen, draw = [], sampler._noise_block
+
+    def recorded(root, stream, n, d):
+        seen.append((stream, threading.get_ident()))
+        return draw(root, stream, n, d)
+
+    monkeypatch.setattr(sampler, "_noise_block", recorded)
+    return seen
+
+
+def _on_worker_thread(fn, *args, **kwargs):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args, **kwargs).result()
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+@pytest.mark.parametrize("d", [1, 4])
+def test_drawn_ahead_and_inline_noise_give_the_same_bytes(draws, d, above):
+    """run_chains on the main thread (blocks drawn ahead on the helper when
+    they hold DRAW_AHEAD_MIN_NORMALS normals) gives the bytes of the same
+    call on a worker thread (always drawn inline): for 0, 1 and 2 steps,
+    more steps than the depth, a batch k > 0 steps in, and an early stop."""
+    n = sampler.DRAW_AHEAD_MIN_NORMALS // d - (0 if above else 1)
+    spec = Gaussian(d=d)
+    start = gaussian_init(sigma2=16.0, d=d, n_chains=n, h=0.05, seed=13)
+    main = threading.get_ident()
+    for init in (start, ChainBatch(start.positions, h=0.05, k=3, rng_root=13)):
+        full = _on_worker_thread(run_chains, spec, init, 40, record_every=3)
+        halfway = 0.5 * (full.m2[0] + full.m2[-1])
+        for n_iters, stop in ((0, None), (1, None), (2, None), (9, None),
+                              (40, halfway)):
+            draws.clear()
+            ahead = run_chains(spec, init, n_iters, record_every=3,
+                               stop_below=stop)
+            steps = ahead.iters[-1]
+            # every stream up to the last step taken, each drawn once
+            assert sorted(s for s, _ in draws)[:steps] == list(
+                range(init.k + 1, init.k + 1 + steps))
+            assert all((ident != main) == above for _, ident in draws)
+            inline = _on_worker_thread(run_chains, spec, init, n_iters,
+                                       record_every=3, stop_below=stop)
+            for name in TRACE_ARRAYS:
+                assert (getattr(ahead, name).tobytes()
+                        == getattr(inline, name).tobytes()), (n_iters, name)
+            assert ahead.stopped_early == inline.stopped_early == (stop is not None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("end", ["return", "stop", "divergence", "draw_error"])
+def test_helper_thread_ends_with_the_call(draws, monkeypatch, end):
+    """No thread outlives run_chains, however it ends; an error raised by
+    a draw on the helper is the error run_chains raises."""
+    n = sampler.DRAW_AHEAD_MIN_NORMALS
+    h = 3.0 if end == "divergence" else 0.05  # |1 - h| = 2: the chains blow up
+    init = gaussian_init(sigma2=16.0, d=1, n_chains=n, h=h, seed=17)
+    boom, draw = RuntimeError("no noise for stream 5"), sampler._noise_block
+
+    def failing(root, stream, n, d):
+        if stream == 5:
+            raise boom
+        return draw(root, stream, n, d)
+
+    if end == "draw_error":
+        monkeypatch.setattr(sampler, "_noise_block", failing)
+    draws.clear()
+    before = threading.active_count()
+    if end == "divergence":
+        with pytest.raises(ChainDivergenceError):
+            run_chains(Gaussian(d=1), init, n_iters=2000)
+    elif end == "draw_error":
+        with pytest.raises(RuntimeError) as exc_info:
+            run_chains(Gaussian(d=1), init, n_iters=50)
+        assert exc_info.value is boom
+    else:
+        stop = 2.0 if end == "stop" else None
+        trace = run_chains(Gaussian(d=1), init, n_iters=200, stop_below=stop)
+        assert trace.stopped_early == (end == "stop")
+    assert threading.active_count() == before
+    assert draws and all(ident != threading.get_ident() for _, ident in draws)
 
 
 def test_run_chains_validation():
