@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .sampler import MomentTrace
 from .targets import (
@@ -221,6 +219,8 @@ def hist_renyi_1d(
         raise InputValidationError("samples must be non-empty")
 
     if range_ is None:
+        from scipy.optimize import brentq
+
         lo_r, hi_r = 1e-3, 10.0
         while tail_mass(spec, hi_r) > 1e-4:
             hi_r *= 2.0
@@ -249,6 +249,8 @@ def hist_renyi_1d(
             RuntimeWarning,
             stacklevel=2,
         )
+
+    from scipy.special import logsumexp
 
     n = x.size
     keep = counts > 0

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .targets import (
     GenCauchy,
@@ -186,6 +185,8 @@ def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
     side -- harmless for window selection.
     """
     if mass >= 1e-5:
+        from scipy.optimize import brentq
+
         hi = 8.0
         while tail_mass(spec, hi) > mass:
             hi *= 2.0

@@ -50,6 +50,9 @@ All exceptions derive from :class:`HeavyTailError`; operations that are
 structurally undefined for a family raise :class:`UnsupportedFamilyError`,
 divergent integrals raise :class:`MomentUndefinedError`, and bad arguments
 raise :class:`InputValidationError`.
+
+Each function that needs scipy imports it in its body, so importing the
+package loads numpy only and a sampler-only process never loads scipy.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Optional, Union
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 __all__ = [
     "HeavyTailError",
@@ -322,6 +324,8 @@ class GenCauchy(RadialFamily):
         return HolderSmoothness(L=float(self.d + self.nu), s=1.0)
 
     def log_z(self) -> float:
+        from scipy import special
+
         return (
             0.5 * self.d * math.log(math.pi)
             + special.gammaln(0.5 * self.nu)
@@ -329,6 +333,8 @@ class GenCauchy(RadialFamily):
         )
 
     def closed_moment(self, p: float) -> float:
+        from scipy import special
+
         d, nu = self.d, self.nu
         lg = (
             math.log(d / (d + p))
@@ -518,12 +524,16 @@ class Gaussian(RadialFamily):
         return 0.5 * self.d * math.log(2.0 * math.pi)
 
     def closed_moment(self, p: float) -> float:
+        from scipy import special
+
         lg = 0.5 * p * math.log(2.0) + special.gammaln(0.5 * (self.d + p)) - special.gammaln(
             0.5 * self.d
         )
         return math.exp(lg)
 
     def deep_tail_quantile(self, mass: float) -> float:
+        from scipy import special
+
         return math.sqrt(2.0) * float(special.erfcinv(mass))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -759,6 +769,8 @@ def holder_smoothness(spec: PotentialSpec) -> HolderSmoothness:
 
 def _log_sphere_area(d: int) -> float:
     """log of the surface area of the unit sphere S^{d-1} in R^d."""
+    from scipy import special
+
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - special.gammaln(0.5 * d)
 
 
@@ -775,6 +787,8 @@ def _radial_integral(
     :class:`NumericsError` if the combined error estimate exceeds 1e-8
     relative to the value.
     """
+    from scipy import integrate
+
     expo = d - 1.0 + p
 
     def integrand(r):
@@ -880,6 +894,8 @@ def tilde_moment(d: int, alpha: float, lam: float, p: float) -> float:
         raise InputValidationError(f"lam must be positive, got {lam}")
     if p < 0:
         raise InputValidationError(f"moment order p must be >= 0, got {p}")
+    from scipy import special
+
     lg = (
         -(p / alpha) * math.log(lam)
         + special.gammaln((d + p) / alpha)
@@ -895,6 +911,8 @@ def tilde_log_normalizing_constant(d: int, alpha: float, lam: float) -> float:
         raise InputValidationError(f"alpha must lie in (0, 1], got {alpha}")
     if lam <= 0:
         raise InputValidationError(f"lam must be positive, got {lam}")
+    from scipy import special
+
     log_omega = 0.5 * d * math.log(math.pi) - special.gammaln(0.5 * d + 1.0)
     return (
         math.log(d / alpha)
@@ -939,6 +957,8 @@ def median_radius(spec: PotentialSpec) -> float:
 
 
 def _median_radius(spec: PotentialSpec) -> float:
+    from scipy import optimize
+
     target = 0.5
 
     def g(R: float) -> float:
@@ -1016,8 +1036,6 @@ def _radial_inverse_cdf(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Monotone (PCHIP) interpolant of the inverse radial CDF on [0, r_max],
     on 4096 nodes: half linear up to a knee, half geometric beyond it."""
-    # Imported here: only the inverse-CDF sampler needs it, and at module top
-    # it would add about 25 ms to every import of the package.
     from scipy.interpolate import PchipInterpolator
 
     r_knee = min(4.0 * median_radius(spec), r_max / 4.0)
