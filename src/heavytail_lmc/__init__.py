@@ -1,11 +1,11 @@
 """Langevin Monte Carlo on heavy-tailed targets.
 
 Closed-form target families with growth/smoothness descriptors, a
-reproducible batched LMC sampler with a reference diffusion integrator,
-moment-based Renyi diagnostics, every explicit complexity bound (weak
-Poincare weightings, diffusion and iteration upper bounds, step-size
-limits, complexity lower bounds, initialization divergences), and a
-quadrature/PDE verification layer for the underlying inequalities.
+reproducible batched LMC sampler, moment-based Renyi diagnostics, every
+explicit complexity bound (weak Poincare weightings, diffusion and
+iteration upper bounds, step-size limits, complexity lower bounds,
+initialization divergences), and a quadrature/PDE verification layer for
+the underlying inequalities.
 """
 
 from .targets import (
@@ -52,7 +52,6 @@ from .sampler import (
     MomentTrace,
     gaussian_init,
     lmc_step,
-    reference_diffusion,
     run_chains,
     write_trace_csv,
 )
@@ -85,7 +84,6 @@ from .bounds import (
     lmc_iteration_count,
     lower_bound_complexity,
     step_size_upper_bound,
-    sublinear_init_bound_simplified,
     warm_start_divergence_bound,
 )
 from .fi_verify import (

@@ -60,7 +60,6 @@ __all__ = [
     "step_size_upper_bound",
     "init_divergence_bound",
     "gen_cauchy_init_bound_simplified",
-    "sublinear_init_bound_simplified",
     "warm_start_divergence_bound",
     "modified_target_m",
 ]
@@ -828,28 +827,6 @@ def gen_cauchy_init_bound_simplified(d: int, nu: float, sigma2: float) -> float:
         + 0.5 * nu * math.log(2.0)
         + math.lgamma(0.5 * nu)
         + math.log((d + nu) / (2.0 * math.e))
-    )
-
-
-def sublinear_init_bound_simplified(d: int, alpha: float, sigma2: float) -> float:
-    """Closed display form of the subexponential Gaussian-start bound, d >= 2.
-
-    (alpha sigma2)^{alpha/(2-alpha)} + (d/alpha - d/2) ln(d/alpha)
-    - (d/2) ln(2 sigma2) + 1/(2 sigma2), valid for sigma2 >= 1/alpha.
-    """
-    if d < 2:
-        raise InputValidationError(f"the display form requires d >= 2, got {d}")
-    if not (0.0 < alpha < 1.0):
-        raise InputValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    if sigma2 < 1.0 / alpha:
-        raise InputValidationError(
-            f"requires sigma2 >= 1/alpha = {1.0 / alpha}, got {sigma2}"
-        )
-    return (
-        (alpha * sigma2) ** (alpha / (2.0 - alpha))
-        + (d / alpha - 0.5 * d) * math.log(d / alpha)
-        - 0.5 * d * math.log(2.0 * sigma2)
-        + 0.5 / sigma2
     )
 
 

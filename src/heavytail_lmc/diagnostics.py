@@ -34,6 +34,7 @@ from .targets import (
     InputValidationError,
     MomentUndefinedError,
     PotentialSpec,
+    _tail_quantile,
     gaussian_renyi,
     log_normalizing_constant,
     radial_moment,
@@ -219,12 +220,7 @@ def hist_renyi_1d(
         raise InputValidationError("samples must be non-empty")
 
     if range_ is None:
-        from scipy.optimize import brentq
-
-        lo_r, hi_r = 1e-3, 10.0
-        while tail_mass(spec, hi_r) > 1e-4:
-            hi_r *= 2.0
-        R = brentq(lambda r: tail_mass(spec, r) - 1e-4, lo_r, hi_r, xtol=1e-10)
+        R = _tail_quantile(spec, 1e-4)
         range_ = (-R, R)
     lo, hi = float(range_[0]), float(range_[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < 0.0 < hi):

@@ -33,8 +33,10 @@ from .targets import (
     PotentialSpec,
     Sublinear,
     _c_d_alpha,
+    _tail_quantile,
+    _ts_integrals,
+    _ts_nodes,
     log_normalizing_constant,
-    tail_mass,
 )
 
 __all__ = [
@@ -174,28 +176,6 @@ def make_grid(
             f"grid window captured only {total} of the target mass"
         )
     return DensityGrid(nodes=centers, widths=widths, values=values / total)
-
-
-def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
-    """Radius beyond which the target's two-sided mass is at most ``mass``.
-
-    Shallow quantiles (mass >= 1e-5) are exact, by root-finding on the
-    quadrature tail mass.  Deeper ones invert an analytic tail estimate
-    instead (quadrature degrades in the far tail), which errs on the wide
-    side -- harmless for window selection.
-    """
-    if mass >= 1e-5:
-        from scipy.optimize import brentq
-
-        hi = 8.0
-        while tail_mass(spec, hi) > mass:
-            hi *= 2.0
-            if hi > 1e14:
-                raise NumericsError("tail quantile search exceeded 1e14")
-        return float(
-            brentq(lambda r: tail_mass(spec, r) - mass, 1e-6, hi, xtol=1e-9)
-        )
-    return spec.deep_tail_quantile(mass)
 
 
 def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
@@ -531,23 +511,6 @@ class FIReport:
 
 _KINKS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
 
-# The tanh-sinh rule (Takahasi & Mori 1974) on each piece: abscissae t in
-# [-_TS_T, _TS_T] with step _TS_STEP / 2^level.  Beyond |t| = 3.5 the
-# weights fall below 1e-20 of the piece's width, so a bounded integrand
-# loses nothing there.
-_TS_T = 3.5
-_TS_STEP = 0.25
-_TS_LEVELS = 8
-_TS_RTOL = 1e-12
-
-
-def _ts_abscissae(level: int) -> np.ndarray:
-    """The abscissae that ``level`` adds: every multiple of the coarsest
-    step at level 0, the odd multiples of the halved step after it."""
-    h = _TS_STEP / 2 ** level
-    n = int(round(_TS_T / h))
-    return h * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
-
 
 def _pieces(window: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[-window, window] split at the kinks strictly inside it, as arrays
@@ -576,52 +539,29 @@ def _pi_integrals(
     and the error estimate of each.
 
     ``integrands`` maps nodes of shape (n,) to an (m, n) array.  Each piece
-    of :func:`_pieces` gets tanh-sinh nodes in its own variable.  The nodes
-    a level adds to every piece still refining form one array, so pi (log
-    Z computed once) and the integrands are evaluated once per level.  A
-    piece halves its step until each of its m integrals agrees with the
-    previous level to 1e-12 max(1, |value|); a piece that does not agree by
-    the finest level raises :class:`NumericsError`.  An integral's error
-    estimate is the sum over pieces of its last-level differences.
+    of :func:`_pieces` gets tanh-sinh nodes in its own variable, refined to
+    agreement within 1e-12 max(1, |value|) (see :func:`_ts_integrals`).
+    The nodes a level adds to the pieces still refining form one array, so
+    pi (log Z computed once) and the integrands are evaluated once per level.
     """
     log_z = log_normalizing_constant(spec)
     lo, hi, sign = _pieces(window)
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    active = np.arange(lo.size)
-    values = errors = sums = prev = None
-    for level in range(_TS_LEVELS + 1):
-        t = _ts_abscissae(level)
-        u = 0.5 * math.pi * np.sinh(t)
-        y = centre[active, None] + half[active, None] * np.tanh(u)
-        dy = half[active, None] * (0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
+
+    def level_sums(t: np.ndarray, active: np.ndarray) -> np.ndarray:
+        y, dy = _ts_nodes(lo[active, None], hi[active, None], t)
         finite = sign[active, None] == 0.0
         far = 8.0 * np.exp(y)
         x = np.where(finite, y, sign[active, None] * far)
         pi_dx = (np.exp(-np.asarray(spec.profile(x * x), dtype=float) - log_z)
                  * dy * np.where(finite, 1.0, far))
         rows = integrands(x.reshape(-1))
-        part = (rows.reshape(len(rows), *x.shape) * pi_dx).sum(axis=2)
-        if not np.all(np.isfinite(part)):
-            raise NumericsError("a pi-integrand is not finite on the window")
-        if values is None:
-            values, errors = np.zeros((2, len(rows), lo.size))
-        sums = part if sums is None else sums + part
-        cur = (_TS_STEP / 2 ** level) * sums
-        if prev is not None:
-            diff = np.abs(cur - prev)
-            done = np.all(diff <= _TS_RTOL * np.maximum(1.0, np.abs(cur)), axis=0)
-            values[:, active[done]] = cur[:, done]
-            errors[:, active[done]] = diff[:, done]
-            active, sums, cur = active[~done], sums[:, ~done], cur[:, ~done]
-            if active.size == 0:
-                return values.sum(axis=1), errors.sum(axis=1)
-        prev = cur
-    p = active[0]
-    var = "x" if sign[p] == 0.0 else f"s (x = {8.0 * sign[p]:g} e^s)"
-    raise NumericsError(
-        f"tanh-sinh quadrature over {var} in [{lo[p]:.6g}, {hi[p]:.6g}] did "
-        f"not agree to {_TS_RTOL:g} by step {_TS_STEP / 2 ** _TS_LEVELS:g}"
-    )
+        return (rows.reshape(len(rows), *x.shape) * pi_dx).sum(axis=2)
+
+    def describe(p: int) -> str:
+        var = "x" if sign[p] == 0.0 else f"s (x = {8.0 * sign[p]:g} e^s)"
+        return f"{var} in [{lo[p]:.6g}, {hi[p]:.6g}]"
+
+    return _ts_integrals(level_sums, lo.size, 1.0, describe)
 
 
 def _battery_stats(

@@ -1,4 +1,4 @@
-"""Unadjusted Langevin chains and the reference diffusion they discretize.
+"""Unadjusted Langevin chains: batched Euler steps of the Langevin diffusion.
 
 The update rule is
 
@@ -49,7 +49,6 @@ import csv
 import itertools
 import os
 import threading
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -72,7 +71,6 @@ __all__ = [
     "gaussian_init",
     "lmc_step",
     "run_chains",
-    "reference_diffusion",
     "write_trace_csv",
 ]
 
@@ -163,7 +161,6 @@ class MomentTrace:
     n_chains: int
     dm2_next: np.ndarray = field(default=None)  # type: ignore[assignment]
     dm2_next_se: np.ndarray = field(default=None)  # type: ignore[assignment]
-    times: Union[np.ndarray, None] = None
     final_positions: Union[np.ndarray, None] = None
     stopped_early: bool = False
 
@@ -365,89 +362,6 @@ def run_chains(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return trace(final_positions=batch.positions, stopped_early=stopped)
-
-
-def reference_diffusion(
-    spec: PotentialSpec,
-    init: ChainBatch,
-    T: float,
-    substeps_per_unit: int,
-    record_every: int = 1,
-) -> MomentTrace:
-    """Euler-Maruyama integration of dX = -grad V dt + sqrt(2) dB to time T.
-
-    ``dt = 1 / substeps_per_unit``; the number of steps is rounded up to an
-    even count so the built-in halving check can couple a coarse path
-    (dt' = 2 dt) to the fine one through the exact Brownian aggregation
-    eta_j = (xi_{2j+1} + xi_{2j+2}) / sqrt(2).  The coarse path runs in
-    lockstep with the fine one and consumes each pair of fine noise blocks
-    as they are drawn.  If the final second moments of the two resolutions
-    differ by more than 1% (relative to max(1, m2)), a discretization
-    warning is emitted.
-
-    The ``h`` carried by ``init`` is ignored; noise streams are drawn from
-    ``init.rng_root`` exactly as in :func:`run_chains`.
-    """
-    if T <= 0 or not np.isfinite(T):
-        raise InputValidationError(f"horizon T must be positive, got {T}")
-    if substeps_per_unit < 1:
-        raise InputValidationError(
-            f"substeps_per_unit must be >= 1, got {substeps_per_unit}"
-        )
-    dt = 1.0 / substeps_per_unit
-    n_steps = int(np.ceil(T * substeps_per_unit))
-    n_steps += n_steps % 2
-    n, d = init.n_chains, init.d
-
-    iters: list[int] = []
-    m2s: list[float] = []
-    ses: list[float] = []
-
-    # the updates write into fresh gradient arrays, never into init
-    x = y = init.positions
-    m2, se = _m2_stats(x)
-    iters.append(0)
-    m2s.append(m2)
-    ses.append(se)
-    root = init.rng_root
-    xi_odd: Union[np.ndarray, None] = None
-    for step in range(1, n_steps + 1):
-        xi = _noise_block(root, step, n, d)
-        if step % 2:
-            xi_odd = xi.copy()
-        else:
-            eta = (xi_odd + xi) / np.sqrt(2.0)
-            y = _euler_update(y, grad_potential(spec, y), 2.0 * dt, eta)
-            _check_divergence(y, step // 2)
-        x = _euler_update(x, grad_potential(spec, x), dt, xi)
-        _check_divergence(x, step)
-        if step % record_every == 0 or step == n_steps:
-            m2, se = _m2_stats(x)
-            iters.append(step)
-            m2s.append(m2)
-            ses.append(se)
-
-    m2_coarse, _ = _m2_stats(y)
-    if abs(m2_coarse - m2s[-1]) > 0.01 * max(1.0, abs(m2s[-1])):
-        warnings.warn(
-            f"reference_diffusion: halving check disagrees "
-            f"(fine m2={m2s[-1]:.6g}, coarse m2={m2_coarse:.6g}); "
-            f"increase substeps_per_unit",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    arr_iters = np.asarray(iters, dtype=int)
-    return MomentTrace(
-        iters=arr_iters,
-        m2=np.asarray(m2s),
-        se=np.asarray(ses),
-        n_chains=n,
-        dm2_next=np.full(len(iters), np.nan),
-        dm2_next_se=np.full(len(iters), np.nan),
-        times=arr_iters * dt,
-        final_positions=x,
-    )
 
 
 def write_trace_csv(trace: MomentTrace, path: str) -> None:

@@ -604,8 +604,10 @@ class RadialCustom(RadialFamily):
         if self.fprime is not None and not callable(self.fprime):
             raise InputValidationError("RadialCustom.fprime must be callable or None")
 
-    def profile(self, t: np.ndarray) -> np.ndarray:
-        return self.f(t)
+    @property
+    def profile(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``f`` itself, so the radial quadrature sees its ``_kinks``."""
+        return self.f
 
     def profile_prime(self, t: np.ndarray) -> np.ndarray:
         if self.fprime is not None:
@@ -774,56 +776,100 @@ def _log_sphere_area(d: int) -> float:
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - special.gammaln(0.5 * d)
 
 
-def _radial_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    p: float = 0.0,
-    lower: float = 0.0,
-) -> float:
+# The double-exponential rule (Takahasi & Mori 1974) on each piece of an
+# integral: abscissae t in [-_TS_T, _TS_T] with step _TS_STEP / 2^level.
+# Beyond |t| = 3.5 the tanh-sinh weights fall below 1e-20 of a piece's
+# width, so a bounded integrand loses nothing there.
+_TS_T = 3.5
+_TS_STEP = 0.25
+_TS_LEVELS = 8
+_TS_RTOL = 1e-12
+
+
+def _ts_nodes(lo, hi, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tanh-sinh nodes x of [lo, hi] at the abscissae t, and dx/dt."""
+    u = 0.5 * math.pi * np.sinh(t)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return centre + half * np.tanh(u), half * (0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
+
+
+def _ts_integrals(level_sums: Callable, n_pieces: int, floor: float,
+                  describe: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """m integrals, each summed over ``n_pieces`` pieces, by the
+    level-halving double-exponential rule, and their error estimates.
+
+    ``level_sums(t, active)`` gives the (m, len(active)) sums of each row
+    times dx/dt over the abscissae t a level adds (level 0: every multiple
+    of the coarsest step; later: the odd multiples of the halved step).  A
+    piece refines until its m integrals agree with the previous level to
+    1e-12 max(floor, |value|), and raises :class:`NumericsError`, named by
+    ``describe(piece)``, if the finest level does not.  An error estimate
+    is the sum over pieces of the last-level differences.
+    """
+    active = np.arange(n_pieces)
+    values = errors = sums = prev = None
+    for level in range(_TS_LEVELS + 1):
+        h = _TS_STEP / 2 ** level
+        n = int(round(_TS_T / h))
+        part = level_sums(h * (np.arange(-n, n + 1) if level == 0
+                               else np.arange(1 - n, n, 2)), active)
+        if not np.all(np.isfinite(part)):
+            raise NumericsError("an integrand is not finite on the quadrature nodes")
+        if values is None:
+            values, errors = np.zeros((2, len(part), n_pieces))
+        sums = part if sums is None else sums + part
+        cur = h * sums
+        if prev is not None:
+            diff = np.abs(cur - prev)
+            done = np.all(diff <= _TS_RTOL * np.maximum(floor, np.abs(cur)), axis=0)
+            values[:, active[done]] = cur[:, done]
+            errors[:, active[done]] = diff[:, done]
+            active, sums, cur = active[~done], sums[:, ~done], cur[:, ~done]
+            if active.size == 0:
+                return values.sum(axis=1), errors.sum(axis=1)
+        prev = cur
+    raise NumericsError(
+        f"double-exponential quadrature over {describe(int(active[0]))} did "
+        f"not agree to {_TS_RTOL:g} by step {_TS_STEP / 2 ** _TS_LEVELS:g}"
+    )
+
+
+def _radial_integral(f: Callable[[np.ndarray], np.ndarray], d: int,
+                     p: float = 0.0, lower: float = 0.0) -> float:
     """Integrate r^(d-1+p) * exp(-f(r^2)) over r in [lower, inf).
 
-    The integrand's peak is located on a coarse log grid and the integral is
-    split around it so adaptive quadrature sees well-scaled pieces.  Raises
-    :class:`NumericsError` if the combined error estimate exceeds 1e-8
-    relative to the value.
+    By :func:`_ts_integrals` in s = log r, to 1e-12 relative agreement, cut
+    at log(lower) (the whole line: at the integrand's peak on a grid) and
+    at the radii in the profile's ``_kinks``.  Pieces between cuts get
+    tanh-sinh nodes, half-lines exp-sinh nodes s = cut +- exp((pi/2)
+    sinh(t - 1/2)), whose first node lies 2e-19 from the cut.
     """
-    from scipy import integrate
+    def log_integrand(s: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore"):  # r^(d-1+p) dr = e^{(d+p) s} ds
+            return (d + p) * s - np.asarray(f(np.exp(2.0 * s)), dtype=float)
 
-    expo = d - 1.0 + p
+    kinks = {math.log(k) for k in getattr(f, "_kinks", ()) if k > lower}
+    if lower > 0.0:
+        edges = [math.log(lower), *sorted(kinks), math.inf]
+    else:
+        grid = np.linspace(-16.0, 24.0, 321)
+        peak = float(grid[np.argmax(log_integrand(grid))])
+        edges = [-math.inf, *sorted(kinks | {peak}), math.inf]
+    pieces = list(zip(edges[:-1], edges[1:]))
 
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        t = r * r
-        with np.errstate(divide="ignore", over="ignore"):
-            logs = np.where(r > 0, expo * np.log(np.maximum(r, 1e-300)), 0.0 if expo == 0 else -np.inf)
-            out = np.exp(logs - np.asarray(f(t), dtype=float))
-        return out
+    def piece_sum(a: float, b: float, t: np.ndarray) -> float:
+        if math.isinf(a) or math.isinf(b):
+            e = np.exp(0.5 * math.pi * np.sinh(t - 0.5))
+            s, ds = (a + e if math.isinf(b) else b - e), 0.5 * math.pi * np.cosh(t - 0.5) * e
+        else:
+            s, ds = _ts_nodes(a, b, t)
+        return (np.exp(log_integrand(s)) * ds).sum()
 
-    grid = np.geomspace(1e-6, 1e10, 257)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logvals = expo * np.log(grid) - np.asarray(f(grid * grid), dtype=float)
-    logvals = np.where(np.isfinite(logvals), logvals, -np.inf)
-    r_peak = float(grid[int(np.argmax(logvals))])
-    r_peak = max(r_peak, 1.0, 2.0 * lower)
+    def level_sums(t: np.ndarray, active: np.ndarray) -> np.ndarray:
+        return np.array([[piece_sum(*pieces[i], t) for i in active]])
 
-    cuts = [lower, r_peak, 8.0 * r_peak, 64.0 * r_peak]
-    cuts = sorted({c for c in cuts if c >= lower})
-    total, err_total = 0.0, 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, err = integrate.quad(integrand, a, b, limit=400, epsabs=0.0, epsrel=1e-12)
-        total += val
-        err_total += abs(err)
-    val, err = integrate.quad(integrand, cuts[-1], np.inf, limit=400, epsabs=0.0, epsrel=1e-12)
-    total += val
-    err_total += abs(err)
-    if not math.isfinite(total) or total < 0:
-        raise NumericsError(f"radial quadrature returned {total!r}")
-    if total > 0 and err_total > 1e-8 * total:
-        raise NumericsError(
-            f"radial quadrature error estimate {err_total:.3g} exceeds "
-            f"1e-08 relative tolerance (value {total:.6g})"
-        )
-    return total
+    return float(_ts_integrals(level_sums, len(pieces), 0.0,
+                               lambda i: "s in [%.6g, %.6g]" % pieces[i])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +880,9 @@ def _radial_integral(
 def log_normalizing_constant(spec: PotentialSpec) -> float:
     """log Z with pi(x) = exp(-V(x)) / Z.
 
-    Closed form for GenCauchy and Gaussian; validated adaptive radial
-    quadrature (relative tolerance 1e-8 or better) for the others.
+    Closed form for GenCauchy and Gaussian; for the others the radial
+    double-exponential rule of :func:`_radial_integral`, whose levels agree
+    to 1e-12 relative to the value.
     """
     return spec.log_z()
 
@@ -950,27 +997,31 @@ def tail_mass(spec: PotentialSpec, R: float) -> float:
     return num / spec._integral()
 
 
+def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
+    """Radius beyond which the target's two-sided mass is at most ``mass``.
+
+    Exact for mass >= 1e-5, by root-finding on :func:`tail_mass`.  Deeper,
+    the family's analytic :meth:`~RadialFamily.deep_tail_quantile`, which
+    errs wide: the quadrature is accurate there too, but the verify and
+    :func:`~heavytail_lmc.fi_verify.make_grid` windows are built on it.
+    """
+    if mass >= 1e-5:
+        from scipy.optimize import brentq
+
+        hi = 1.0
+        while tail_mass(spec, hi) > mass:
+            hi *= 2.0
+            if hi > 1e14:
+                raise NumericsError("tail quantile search exceeded 1e14")
+        return float(brentq(lambda r: tail_mass(spec, r) - mass, 1e-8, hi,
+                            xtol=1e-12, rtol=1e-10))
+    return spec.deep_tail_quantile(mass)
+
+
 def median_radius(spec: PotentialSpec) -> float:
-    """The radius R with pi(|x| >= R) = 1/2, found by bracketed root-finding
+    """The radius R with pi(|x| >= R) = 1/2 (:func:`_tail_quantile`), found
     once per family instance."""
-    return spec._memo("median_radius", lambda: _median_radius(spec))
-
-
-def _median_radius(spec: PotentialSpec) -> float:
-    from scipy import optimize
-
-    target = 0.5
-
-    def g(R: float) -> float:
-        return tail_mass(spec, R) - target
-
-    lo, hi = 1e-8, 1.0
-    while g(hi) > 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericsError("median_radius: bracket expansion failed")
-    r = optimize.brentq(g, lo, hi, xtol=1e-12, rtol=1e-10)
-    return float(r)
+    return spec._memo("median_radius", lambda: _tail_quantile(spec, 0.5))
 
 
 def modified_target_m(spec: PotentialSpec) -> float:
@@ -1011,6 +1062,7 @@ def modified_target_spec(spec: PotentialSpec, T: float, m: Union[float, None] = 
         excess = np.maximum(r - two_m, 0.0)
         return np.asarray(fp(t), dtype=float) + coef * excess / r
 
+    f_hat._kinks = (two_m,)  # f_hat'' jumps there; the quadrature splits at it
     return RadialCustom(d=spec.d, f=f_hat, fprime=fp_hat)
 
 

@@ -54,7 +54,6 @@ from heavytail_lmc import (
     run_chains,
     sigma2_eps,
     step_size_upper_bound,
-    sublinear_init_bound_simplified,
     warm_start_divergence_bound,
 )
 from heavytail_lmc import targets
@@ -648,12 +647,6 @@ def test_gen_cauchy_display_frozen():
     assert val == pytest.approx(0.38629436111989063, rel=1e-12)
     with pytest.raises(InputValidationError):
         gen_cauchy_init_bound_simplified(1, 2.0, 1.0)  # display needs d >= 2
-
-
-def test_sublinear_display_frozen():
-    assert sublinear_init_bound_simplified(2, 0.5, 4.0) == pytest.approx(
-        3.464362591574709, rel=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

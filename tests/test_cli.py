@@ -208,6 +208,14 @@ def test_bounds_thm_flags(capsys):
     assert out["value"] == pytest.approx(4.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bounds_delta0_threshold_warns_nothing(capsys):
+    rc = main(["bounds", "--thm", "delta0-threshold", "--family", "sublinear",
+               "--alpha", "0.3", "--d", "2"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bounds_json_query(capsys):
     query = {"thm": "lower", "alpha": 0.0, "d": 2, "delta0": 5.0,
              "h": 0.01, "nu": 1.0}
@@ -730,6 +738,18 @@ def test_fp_evolve_dt_violation(tmp_path, capsys):
                "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "dt <=" in capsys.readouterr().err
+
+
+def test_fp_evolve_on_the_cauchy_target(tmp_path):
+    """The default grid's core spans 1.5 times the Cauchy 1e-4 tail
+    quantile (6366), so its cells are 12.4 wide: a start of sigma2 = 100
+    is resolved on it."""
+    rc = main(["fp-evolve", "--family", "gen_cauchy", "--nu", "1", "--d", "1",
+               "--sigma2", "100", "--t-final", "0.01", "--dt", "1e-4",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    rows = list(csv.DictReader((tmp_path / "fp.csv").open()))
+    assert [float(row["mass"]) for row in rows] == [1.0] * len(rows)
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

@@ -273,6 +273,14 @@ def test_battery_integrals_match_independent_references(fset, spec, name,
     assert 0.0 <= rel_error <= error
 
 
+def test_grid_of_the_cauchy_target():
+    """The grid's 1e-4 core quantile comes from the Cauchy tail mass."""
+    grid = make_grid(GenCauchy(d=1, nu=1.0))
+    assert grid.mass == pytest.approx(1.0, abs=1e-12)
+    core = 1.5 * math.tan(0.5 * math.pi * (1.0 - 1e-4))
+    assert np.count_nonzero(np.abs(grid.nodes) < core) == 1536
+
+
 @pytest.mark.parametrize("spec, window", [
     (Gaussian(d=1), 7.44), (Sublinear(d=1, alpha=0.5, lam=50.0), 1.62)],
     ids=["gaussian", "sublinear_lam50"])

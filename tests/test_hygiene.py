@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in the package and scripts is used,
-the package keeps no process-wide memo, and importing it starts no thread
-and loads no scipy."""
+the package keeps no process-wide memo and never uses scipy.integrate, and
+importing it starts no thread and loads no scipy."""
 
 import ast
 import os
@@ -115,6 +115,47 @@ def test_module_level_scipy_check_finds_each_form(source):
     assert len(_module_level_scipy_imports(ast.parse(source))) == 1
     nested = "def f():\n    " + source + "\nclass C:\n    " + source
     assert len(_module_level_scipy_imports(ast.parse(nested))) == 1
+
+
+def _scipy_integrate_uses(tree: ast.Module) -> list[str]:
+    """Imports of scipy.integrate, and reads of it off scipy, anywhere in
+    the module: every integral goes through the package's own rule."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.split(".")[:2] == ["scipy", "integrate"]]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")
+            if module[:2] == ["scipy", "integrate"] or (
+                    module == ["scipy"]
+                    and any(alias.name == "integrate" for alias in node.names)):
+                found.append(f"{node.module} (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr == "integrate"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            found.append(f"scipy.integrate (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_scipy_integrate(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scipy_integrate_uses(tree) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.integrate",
+    "import scipy.integrate as si",
+    "from scipy import integrate",
+    "from scipy import special, integrate as si",
+    "from scipy.integrate import quad",
+    "import scipy\nscipy.integrate.quad(f, 0, 1)",
+])
+def test_scipy_integrate_check_finds_each_form(source):
+    assert len(_scipy_integrate_uses(ast.parse(source))) == 1
+    nested = "def f():\n    " + source.replace("\n", "\n    ")
+    assert len(_scipy_integrate_uses(ast.parse(nested))) == 1
+    assert _scipy_integrate_uses(ast.parse("from scipy import special")) == []
 
 
 def _run_fresh(args: list[str], **env_extra) -> subprocess.CompletedProcess:

@@ -23,7 +23,6 @@ from heavytail_lmc import (
     grad_potential,
     iterations_to_threshold,
     lmc_step,
-    reference_diffusion,
     run_chains,
     write_trace_csv,
 )
@@ -365,25 +364,6 @@ def test_run_chains_validation():
         run_chains(Gaussian(d=1), init, n_iters=10, record_every=0)
     with pytest.raises(InputValidationError):
         run_chains(Gaussian(d=2), init, n_iters=10)  # dimension mismatch
-
-
-def test_reference_diffusion_ou_moment():
-    """dX = -X dt + sqrt(2) dB from N(0, 4): E X^2(t) = 1 + 3 e^(-2t)."""
-    init = gaussian_init(sigma2=4.0, d=1, n_chains=100_000, h=1.0, seed=8)
-    trace = reference_diffusion(Gaussian(d=1), init, T=1.0, substeps_per_unit=2000)
-    expect = 1.0 + 3.0 * math.exp(-2.0)
-    assert trace.times is not None
-    assert trace.times[-1] == pytest.approx(1.0)
-    assert trace.m2[-1] == pytest.approx(expect, rel=0.02)
-
-
-def test_reference_diffusion_halving_check_warns_on_coarse_grid():
-    init = gaussian_init(sigma2=4.0, d=1, n_chains=2000, h=1.0, seed=8)
-    with pytest.warns(RuntimeWarning, match="halving check disagrees"):
-        reference_diffusion(Gaussian(d=1), init, T=4.0, substeps_per_unit=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        reference_diffusion(Gaussian(d=1), init, T=4.0, substeps_per_unit=2000)
 
 
 def test_write_trace_csv(tmp_path):

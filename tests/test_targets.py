@@ -383,6 +383,51 @@ def test_median_radius_halves_mass(spec):
     assert tail_mass(spec, med) == pytest.approx(0.5, abs=1e-7)
 
 
+# Tails against closed forms written independently of the quadrature, out
+# to where a Cauchy tail holds 6e-7 of the mass.
+@pytest.mark.parametrize("R", [1.0, 100.0, 8192.0, 1e6])
+def test_cauchy_tail_is_the_arctan(R):
+    want = (2.0 / math.pi) * math.atan(1.0 / R)
+    assert tail_mass(GenCauchy(d=1, nu=1), R) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+def test_far_polynomial_tails_match_closed_forms():
+    R = 2048.0
+    root = math.sqrt(1.0 + R * R)
+    # 1 - R / sqrt(1 + R^2), written without the cancellation
+    want = 1.0 / (root * (root + R))
+    assert tail_mass(GenCauchy(d=1, nu=2), R) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    R = 8192.0
+    want = (1.0 + R * R) ** -0.5
+    assert tail_mass(GenCauchy(d=2, nu=1), R) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+# At R = 35 the d = 1 tail is 2.2e-268: levels that agreed to 1e-12
+# absolutely would stop 5.6e-6 off; the radial rule agrees relatively.
+@pytest.mark.parametrize("R", [0.5, 3.0, 10.0, 30.0, 35.0])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_gaussian_tail_is_the_chi_tail(d, R):
+    want = special.gammaincc(0.5 * d, 0.5 * R * R)
+    assert tail_mass(Gaussian(d=d), R) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+def test_moment_near_the_tail_index_is_right_or_refused():
+    """At p = 0.99 the Cauchy moment's integrand falls like r^-1.01, and
+    3 % of it lies beyond r = 1e154, where r^2 overflows: the rule either
+    gets the value or raises, never returns a wrong one."""
+    spec = GenCauchy(d=1, nu=1)
+    try:
+        value = radial_moment(spec, 0.99)
+    except NumericsError:
+        return
+    assert value == pytest.approx(closed_form_moment(spec, 0.99),
+                                  rel=1e-10, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # modified target
 # ---------------------------------------------------------------------------
@@ -407,6 +452,21 @@ def test_modified_target_potential_shape():
     r = np.linalg.norm(xs[3:], axis=1)
     extra = (np.maximum(r - 2 * m, 0.0) ** 2) / (6144.0 * T)
     np.testing.assert_allclose(vhat[3:], v[3:] + extra, rtol=1e-10)
+
+
+def test_modified_target_integrals_cut_at_the_kink():
+    """f_hat'' jumps at r = 2m = 4, where the rule cuts, as this reference
+    does (uncut, neither the normalizer's levels nor the tail's agree)."""
+    spec = modified_target_spec(GC12, T=1.0, m=2.0)
+    density = lambda r: math.exp(-float(spec.profile(np.array(r * r))))
+    head, _ = integrate.quad(density, 0.0, 2.0, epsabs=0.0, epsrel=1e-13)
+    inner, _ = integrate.quad(density, 2.0, 4.0, epsabs=0.0, epsrel=1e-13)
+    outer, _ = integrate.quad(density, 4.0, np.inf, epsabs=0.0, epsrel=1e-13)
+    total = head + inner + outer
+    assert log_normalizing_constant(spec) == pytest.approx(
+        math.log(2.0 * total), rel=1e-12, abs=0.0)
+    assert tail_mass(spec, 2.0) == pytest.approx((inner + outer) / total,
+                                                  rel=1e-12, abs=0.0)
 
 
 def test_modified_target_t_scaling():
@@ -486,7 +546,6 @@ def test_tail_radius_scan_does_not_grow_the_memo(monkeypatch):
     assert modified_target_m(spec) == m and len(calls) == n
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_failed_quadrature_is_not_memoized(monkeypatch):
     calls = _count_quadratures(monkeypatch)
     # V is undefined past |x| = 2, so the normalizer's quadrature fails
