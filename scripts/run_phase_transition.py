@@ -107,10 +107,6 @@ def parse_args(argv=None):
 
 
 if __name__ == "__main__":
-    # At 400 chains a leg is bound by the interpreter lock, so legs run one
-    # after another: on 2 cores the sweep's default 3 threads took 114 s
-    # against 82 s in one thread, with the same output.
-    os.environ.setdefault("HEAVYTAIL_THREADS", "1")
     args = parse_args()
     os.makedirs(args.output_dir, exist_ok=True)
     sys.exit(run_demo_sublinear(args.output_dir, args.seed))

@@ -60,7 +60,6 @@ from .diagnostics import (
     comparison_process_z,
     diagnostic_report,
     gaussian_renyi,
-    hist_renyi_1d,
     iterations_to_threshold,
     pi_moment_for,
     renyi_lower_bound,

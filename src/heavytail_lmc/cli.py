@@ -11,10 +11,9 @@ verify            run a functional-inequality suite (wpi/converse/weighted/fp)
 fp-evolve         evolve a density under the 1D Fokker-Planck flow, write CSV
 
 Configuration comes from ``--config`` (JSON) with every field overridable by
-a flag.  ``HEAVYTAIL_THREADS`` caps worker threads for multi-leg runs.  Exit
-codes: 0 success, 1 violation or runtime failure, 2 usage/validation error.
-Reruns with the same seed and config emit byte-identical CSV (the SVG embeds
-no timestamps).
+a flag.  Exit codes: 0 success, 1 violation or runtime failure, 2
+usage/validation error.  Reruns with the same seed and config emit
+byte-identical CSV (the SVG embeds no timestamps).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,7 +63,7 @@ from .fi_verify import (
     wpi_check,
     write_fp_csv,
 )
-from .sampler import _usable_cores, gaussian_init, run_chains, write_trace_csv
+from .sampler import gaussian_init, run_chains, write_trace_csv
 from .targets import (
     FAMILY_TAGS,
     Gaussian,
@@ -195,19 +193,6 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             f"unknown config fields: {sorted(data)}"
         )
     return ExperimentConfig(spec=spec, **kwargs)
-
-
-def _threads(n_tasks: int) -> int:
-    """Worker threads for ``n_tasks`` legs: ``HEAVYTAIL_THREADS`` if set,
-    else the usable cores, capped by the leg count."""
-    raw = os.environ.get("HEAVYTAIL_THREADS", "")
-    try:
-        cap = int(raw) if raw else _usable_cores()
-    except ValueError:
-        raise InputValidationError(
-            f"HEAVYTAIL_THREADS must be an integer, got {raw!r}"
-        ) from None
-    return max(1, min(cap, n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +384,7 @@ def _phase_leg(
             "leg_seed": leg_seed,
             "stopped_early": trace.stopped_early,
             # run telemetry: meta only, so phase.csv and phase.svg stay
-            # byte-identical across reruns and thread counts
+            # byte-identical across reruns
             "steps_run": steps_run,
             "stop_reason": "threshold" if trace.stopped_early else "n_iters",
             "wall_s": wall_s,
@@ -444,8 +429,12 @@ def cmd_phase_transition(config: ExperimentConfig,
                          families: Optional[Sequence[str]] = None) -> int:
     """Sweep sigma2 per family; emit phase.csv, phase.svg, phase_meta.json.
 
-    Each finished leg prints one stderr line, in CSV row order, with its
-    telemetry from phase_meta.json.
+    Legs run one after another on the calling thread, in CSV row order, so
+    a leg on the main thread may draw its noise ahead (see
+    :func:`~heavytail_lmc.sampler.run_chains`).  Each finished leg prints one
+    stderr line with its telemetry from phase_meta.json.  A failing leg
+    stops the sweep: the rows before it stay in phase.csv and the exit code
+    is 1.
     """
     specs = _phase_families(config, families)
     # once per family: the threshold's quadrature costs as much as a short leg
@@ -458,32 +447,27 @@ def cmd_phase_transition(config: ExperimentConfig,
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "phase.csv")
     rows: list[dict] = []
-    failure: Optional[BaseException] = None
-    with ThreadPoolExecutor(max_workers=_threads(len(legs))) as pool:
-        futures = [
-            pool.submit(_phase_leg, spec, config, sigma2, leg_seed, gate)
-            for spec, sigma2, leg_seed, gate in legs
-        ]
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_PHASE_HEADER)
+    failure: Optional[HeavyTailError] = None
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_PHASE_HEADER)
+        fh.flush()
+        for spec, sigma2, leg_seed, gate in legs:  # partial CSV on error
+            try:
+                row = _phase_leg(spec, config, sigma2, leg_seed, gate)
+            except HeavyTailError as exc:
+                failure = exc
+                break
+            rows.append(row)
+            writer.writerow([_fmt_cell(row[k]) for k in _PHASE_HEADER])
             fh.flush()
-            for fut in futures:  # deterministic order; partial CSV on error
-                try:
-                    row = fut.result()
-                except HeavyTailError as exc:
-                    failure = exc
-                    break
-                rows.append(row)
-                writer.writerow([_fmt_cell(row[k]) for k in _PHASE_HEADER])
-                fh.flush()
-                meta = row["_meta"]
-                print(f"leg {len(rows)}/{len(legs)} {row['family']} "
-                      f"sigma2={row['sigma2']:g} "
-                      f"steps_run={meta['steps_run']} "
-                      f"stop_reason={meta['stop_reason']} "
-                      f"wall_s={meta['wall_s']:.2f}",
-                      file=sys.stderr, flush=True)
+            meta = row["_meta"]
+            print(f"leg {len(rows)}/{len(legs)} {row['family']} "
+                  f"sigma2={row['sigma2']:g} "
+                  f"steps_run={meta['steps_run']} "
+                  f"stop_reason={meta['stop_reason']} "
+                  f"wall_s={meta['wall_s']:.2f}",
+                  file=sys.stderr, flush=True)
     if failure is not None:
         print(f"phase-transition leg failed: {failure}", file=sys.stderr)
         print(f"partial results flushed to {csv_path}", file=sys.stderr)

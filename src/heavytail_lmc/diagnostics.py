@@ -13,8 +13,6 @@ The tools here convert second-moment traces into divergence statements:
   moment for radial targets (hypotheses checked numerically).
 * :func:`iterations_to_threshold` — conservative threshold crossing on a
   recorded trace (m2 + 2 se must fall below the line).
-* :func:`hist_renyi_1d` — a plug-in histogram estimator of R_q against an
-  exactly integrable 1D target, for cross-checking the surrogate.
 
 All functions are pure and thread-safe.
 """
@@ -22,7 +20,6 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,11 +31,8 @@ from .targets import (
     InputValidationError,
     MomentUndefinedError,
     PotentialSpec,
-    _tail_quantile,
     gaussian_renyi,
-    log_normalizing_constant,
     radial_moment,
-    tail_mass,
 )
 
 __all__ = [
@@ -49,7 +43,6 @@ __all__ = [
     "gaussian_renyi",
     "comparison_process_z",
     "iterations_to_threshold",
-    "hist_renyi_1d",
     "diagnostic_report",
 ]
 
@@ -178,83 +171,6 @@ def iterations_to_threshold(
     if hits.size == 0:
         return None
     return int(trace.iters[hits[0]])
-
-
-def _bin_masses(spec: PotentialSpec, edges: np.ndarray) -> np.ndarray:
-    """Exact (composite-Simpson) target mass of each histogram bin, d=1."""
-    n_sub = 8  # per-bin Simpson panels; error is O(width^5 f'''') per panel
-    fine = np.linspace(edges[0], edges[-1], (len(edges) - 1) * n_sub + 1)
-    log_z = log_normalizing_constant(spec)
-    dens = np.exp(-np.asarray(spec.profile(fine * fine), dtype=float) - log_z)
-    w = np.tile(np.array([2.0, 4.0]), n_sub // 2 + 1)[: n_sub + 1]
-    w[0] = w[-1] = 1.0
-    step = (edges[1] - edges[0]) / n_sub
-    panels = dens[: -1].reshape(len(edges) - 1, n_sub)
-    panels = np.concatenate([panels, dens[n_sub::n_sub][:, None]], axis=1)
-    return (panels * w).sum(axis=1) * step / 3.0
-
-
-def hist_renyi_1d(
-    samples: np.ndarray,
-    spec: PotentialSpec,
-    q: float,
-    n_bins: int = 512,
-    range_: Union[tuple[float, float], None] = None,
-) -> float:
-    """Plug-in histogram estimate of R_q(law of samples || pi) for d = 1.
-
-    The target bin masses are quadrature-exact, so the only estimation error
-    comes from the empirical histogram.  Coarsening the bins can only lower
-    the estimate (data processing), which the tests exploit.  Samples outside
-    the range are dropped from the sum (the estimate stays a lower-biased
-    plug-in).  Default range is the symmetric 1e-4 target tail quantile.
-    """
-    if spec.d != 1:
-        raise InputValidationError("hist_renyi_1d requires a 1-dimensional spec")
-    if not (q > 1):
-        raise InputValidationError(f"Renyi order q must exceed 1, got {q}")
-    if n_bins < 2:
-        raise InputValidationError(f"n_bins must be >= 2, got {n_bins}")
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise InputValidationError("samples must be non-empty")
-
-    if range_ is None:
-        R = _tail_quantile(spec, 1e-4)
-        range_ = (-R, R)
-    lo, hi = float(range_[0]), float(range_[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < 0.0 < hi):
-        raise InputValidationError(
-            f"range must be finite and straddle 0, got {range_!r}"
-        )
-    outside = 0.5 * (tail_mass(spec, abs(lo)) + tail_mass(spec, hi))
-    if outside > 2e-4:
-        raise InputValidationError(
-            f"range {range_!r} misses {outside:.2e} of target mass (> 2e-4)"
-        )
-
-    edges = np.linspace(lo, hi, n_bins + 1)
-    counts, _ = np.histogram(x, bins=edges)
-    masses = _bin_masses(spec, edges)
-
-    empty_heavy = (counts == 0) & (masses > 1e-6)
-    if np.any(empty_heavy):
-        warnings.warn(
-            f"hist_renyi_1d: {int(empty_heavy.sum())} bins with target mass "
-            f"> 1e-6 received no samples; the estimator is unstable here",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    from scipy.special import logsumexp
-
-    n = x.size
-    keep = counts > 0
-    # Sum over bins of (c_b/n)^q m_b^{1-q}; widths cancel exactly.
-    log_terms = q * (np.log(counts[keep]) - math.log(n)) + (1.0 - q) * np.log(
-        masses[keep]
-    )
-    return float(logsumexp(log_terms) / (q - 1.0))
 
 
 def diagnostic_report(

@@ -196,8 +196,10 @@ def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
 def gaussian_on_grid(grid: DensityGrid, sigma2: float) -> DensityGrid:
     """N(0, sigma2) discretized on an existing grid's cells.
 
-    The window must capture the gaussian: truncating more than 1e-6 of its
-    mass is rejected (it would silently bias every downstream functional).
+    The cells must capture the gaussian: losing more than 1e-6 of its mass
+    is rejected (it would silently bias every downstream functional).  The
+    message names the cause: a window that truncates the gaussian (its
+    exact mass outside), or cells too wide to resolve it.
     """
     if not (sigma2 > 0.0):
         raise InputValidationError(f"sigma2 must be positive, got {sigma2}")
@@ -210,9 +212,19 @@ def gaussian_on_grid(grid: DensityGrid, sigma2: float) -> DensityGrid:
     _, _, values = _cell_average_density(log_rho, edges)
     total = float(values @ grid.widths)
     if total < 1.0 - 1e-6:
+        scale = math.sqrt(2.0 * sigma2)
+        outside = 1.0 - 0.5 * (math.erf(edges[-1] / scale)
+                               - math.erf(edges[0] / scale))
+        if outside > 1e-6:
+            raise InputValidationError(
+                f"grid window truncates {outside:.3g} of N(0, {sigma2}); "
+                "widen the grid"
+            )
+        width = float(grid.widths[np.argmin(np.abs(grid.nodes))])
         raise InputValidationError(
-            f"grid window truncates {1.0 - total:.3g} of N(0, {sigma2}); "
-            "widen the grid"
+            f"grid cells {width:.3g} wide at 0 lose {1.0 - total:.3g} of "
+            f"N(0, {sigma2}) (sigma {math.sqrt(sigma2):.3g}); use more or "
+            "narrower core cells (--n-core, --core-halfwidth)"
         )
     return DensityGrid(nodes=grid.nodes, widths=grid.widths, values=values / total)
 

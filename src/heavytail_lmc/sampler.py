@@ -26,8 +26,9 @@ Because no block depends on the step before it, :func:`run_chains` may draw
 the blocks of the next ``DRAW_AHEAD_DEPTH`` streams on one helper thread
 while the current step runs; the blocks, and so every output byte, are the
 ones an inline draw gives.  The helper is used only when the run is on the
-main thread (the phase sweep's legs already fill the cores from pool
-threads), the process may use at least 2 cores, and a block holds at least
+main thread (a caller that runs chains on threads of its own already
+spreads them over the cores, and a helper per thread would compete for
+them), the process may use at least 2 cores, and a block holds at least
 ``DRAW_AHEAD_MIN_NORMALS`` normals (below that, handing a block over costs
 more than drawing it).  It is shut down before the call returns or raises.
 

@@ -9,6 +9,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from heavytail_lmc import (
     weighted_pi_check,
     wpi_check,
 )
-from heavytail_lmc import cli, fi_verify, targets
+from heavytail_lmc import cli, fi_verify, sampler, targets
 from heavytail_lmc.cli import (
     ExperimentConfig,
     assemble_upper_bound,
@@ -365,11 +367,12 @@ def test_verify_unknown_suite():
 
 
 def _counted(monkeypatch, module, name):
+    """The calls to ``module.name`` from now on, each as its thread's id."""
     calls = []
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(threading.get_ident())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -516,19 +519,15 @@ PHASE_FLAGS = ["--family", "gaussian", "--d", "1", "--sigma2", "2.5,4",
                "--record-every", "10", "--seed", "0"]
 
 
-def _run_phase(tmp_path, monkeypatch, sub, threads=None):
+def _run_phase(tmp_path, sub, flags=PHASE_FLAGS):
     out = tmp_path / sub
-    if threads is not None:
-        monkeypatch.setenv("HEAVYTAIL_THREADS", str(threads))
-    else:
-        monkeypatch.delenv("HEAVYTAIL_THREADS", raising=False)
-    rc = main(["phase-transition", *PHASE_FLAGS, "--output-dir", str(out)])
+    rc = main(["phase-transition", *flags, "--output-dir", str(out)])
     assert rc == 0
     return out
 
 
-def test_phase_transition_outputs(tmp_path, monkeypatch, capsys):
-    out = _run_phase(tmp_path, monkeypatch, "run")
+def test_phase_transition_outputs(tmp_path, capsys):
+    out = _run_phase(tmp_path, "run")
     stdout = capsys.readouterr().out
     assert str(out / "phase.csv") in stdout
     assert str(out / "phase.svg") in stdout
@@ -559,17 +558,38 @@ def test_phase_transition_outputs(tmp_path, monkeypatch, capsys):
         assert leg["chain_steps_per_s"] >= 0
 
 
+# 5000 chains in d = 2: each noise block holds DRAW_AHEAD_MIN_NORMALS normals
+DRAW_AHEAD_FLAGS = ["--family", "gaussian", "--d", "2", "--sigma2", "4,64",
+                    "--h", "0.01", "--n-chains", "5000", "--n-iters", "40",
+                    "--record-every", "10", "--seed", "2"]
+
+
 def test_phase_transition_deterministic_across_threads(tmp_path, monkeypatch):
-    a = _run_phase(tmp_path, monkeypatch, "a", threads=1)
-    b = _run_phase(tmp_path, monkeypatch, "b", threads=3)
-    c = _run_phase(tmp_path, monkeypatch, "c")
+    """On the main thread the sweep's legs draw their noise ahead on a
+    helper thread; on a worker thread they draw it inline.  Both write the
+    same bytes."""
+    assert threading.current_thread() is threading.main_thread()
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    legs = _counted(monkeypatch, cli, "run_chains")
+    draws = _counted(monkeypatch, sampler, "_noise_block")
+    ahead = _run_phase(tmp_path, "ahead", DRAW_AHEAD_FLAGS)
+    main_thread = threading.get_ident()
+    assert len(legs) == 6 and set(legs) == {main_thread}
+    assert set(draws) - {main_thread}  # a helper drew the step blocks
+    legs.clear()
+    draws.clear()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker, inline = pool.submit(lambda: (
+            threading.get_ident(),
+            _run_phase(tmp_path, "inline", DRAW_AHEAD_FLAGS))).result()
+    assert set(legs) == set(draws) == {worker}  # every block drawn inline
     for name in ("phase.csv", "phase.svg"):
-        ref = (a / name).read_bytes()
-        assert (b / name).read_bytes() == ref
-        assert (c / name).read_bytes() == ref
+        assert (inline / name).read_bytes() == (ahead / name).read_bytes()
 
 
-def test_phase_transition_partial_flush_on_failure(tmp_path, capsys):
+def test_phase_transition_partial_flush_on_failure(tmp_path, monkeypatch,
+                                                   capsys):
+    runs = _counted(monkeypatch, cli, "run_chains")
     out = tmp_path / "partial"
     rc = main(["phase-transition", "--family", "gaussian", "--d", "1",
                "--sigma2", "0.5", "--h", "0.01", "--n-chains", "50",
@@ -583,6 +603,7 @@ def test_phase_transition_partial_flush_on_failure(tmp_path, capsys):
     assert len(lines) == 2  # the square-case leg survived; the rest aborted
     assert lines[1].startswith("gaussian,")
     assert not (out / "phase.svg").exists()
+    assert len(runs) == 2  # no leg runs after the failing one
 
 
 def test_phase_transition_wide_start_has_no_upper_bound(tmp_path, capsys):
@@ -622,9 +643,8 @@ def test_phase_transition_family_subset(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
-def test_phase_transition_progress_lines(tmp_path, monkeypatch, capsys):
+def test_phase_transition_progress_lines(tmp_path, capsys):
     """Each finished leg prints one stderr line with its telemetry."""
-    monkeypatch.delenv("HEAVYTAIL_THREADS", raising=False)
     out = tmp_path / "progress"
     assert main(["phase-transition", *PHASE_FLAGS, "--families", "gaussian",
                  "--output-dir", str(out)]) == 0
@@ -677,7 +697,6 @@ def test_phase_transition_gates_lower_bound_by_threshold(tmp_path, capsys):
 def test_phase_sweep_quadratures_do_not_grow_with_legs(tmp_path, monkeypatch):
     """Each family instance computes its radial quadratures once, so three
     sigma2 legs cost the quadratures of one."""
-    monkeypatch.setenv("HEAVYTAIL_THREADS", "1")  # no two legs race on an entry
     calls = _counted(monkeypatch, targets, "_radial_integral")
     counts = []
     for sigma2 in ("4", "4,16,64"):
@@ -689,28 +708,6 @@ def test_phase_sweep_quadratures_do_not_grow_with_legs(tmp_path, monkeypatch):
         assert rc == 0
         counts.append(len(calls) - before)
     assert counts[0] == counts[1] > 0
-
-
-def test_thread_default_is_the_usable_cores(monkeypatch):
-    """Unset, the cap is the cores this process may use; the variable
-    overrides it, and the leg count caps both."""
-    monkeypatch.delenv("HEAVYTAIL_THREADS", raising=False)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert [cli._threads(n) for n in (1, 2, 15)] == [1, 2, 3]
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._threads(15) == 4
-    monkeypatch.setenv("HEAVYTAIL_THREADS", "5")
-    assert [cli._threads(n) for n in (2, 15)] == [2, 5]
-
-
-def test_phase_transition_bad_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HEAVYTAIL_THREADS", "many")
-    rc = main(["phase-transition", *PHASE_FLAGS,
-               "--output-dir", str(tmp_path / "x")])
-    assert rc == 2
-    assert "HEAVYTAIL_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +747,20 @@ def test_fp_evolve_on_the_cauchy_target(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader((tmp_path / "fp.csv").open()))
     assert [float(row["mass"]) for row in rows] == [1.0] * len(rows)
+
+
+def test_fp_evolve_names_unresolving_cells(tmp_path, capsys):
+    """On the same grid sigma2 = 4 falls inside the window but below the
+    cell width: the error names the cells, not the window."""
+    rc = main(["fp-evolve", "--family", "gen_cauchy", "--nu", "1", "--d", "1",
+               "--sigma2", "4", "--t-final", "0.01", "--dt", "1e-4",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "grid cells 12.4 wide at 0 lose 0.0859 of N(0, 4.0) (sigma 2)" in err
+    assert "--n-core" in err and "--core-halfwidth" in err
+    assert "widen" not in err
+    assert not (tmp_path / "fp.csv").exists()
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

@@ -1,5 +1,4 @@
-"""Divergence surrogates, Gaussian closed forms, comparison process,
-histogram estimator."""
+"""Divergence surrogates, Gaussian closed forms, comparison process."""
 
 from __future__ import annotations
 
@@ -21,22 +20,13 @@ from heavytail_lmc import (
     Sublinear,
     comparison_process_z,
     diagnostic_report,
-    direct_sampler,
     gaussian_init,
     gaussian_renyi,
-    hist_renyi_1d,
     iterations_to_threshold,
     pi_moment_for,
     renyi_lower_bound,
     run_chains,
     sigma2_eps,
-)
-
-
-# hist_renyi_1d legitimately warns when narrow samples leave target bins
-# empty; the warning contract itself is tested explicitly below.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:hist_renyi_1d.*no samples:RuntimeWarning"
 )
 
 
@@ -208,80 +198,6 @@ def test_iterations_to_threshold_uses_confidence_band():
     tr = _trace([0, 10], [10.0, 1.9], [0.0, 0.2])
     # 1.9 + 2*0.2 = 2.3 >= 2.0: not yet converged by the surrogate rule
     assert iterations_to_threshold(tr, 2.0) is None
-
-
-# ---------------------------------------------------------------------------
-# histogram estimator (d=1)
-# ---------------------------------------------------------------------------
-
-
-def test_hist_renyi_requires_d1():
-    x = direct_sampler(Gaussian(d=2), 1000, seed=0)
-    with pytest.raises(InputValidationError):
-        hist_renyi_1d(x, Gaussian(d=2), q=2.0)
-
-
-def test_hist_renyi_self_divergence_small():
-    spec = GenCauchy(d=1, nu=2)
-    x = direct_sampler(spec, 1_000_000, seed=1)
-    est = hist_renyi_1d(x, spec, q=2.0)
-    assert abs(est) < 0.05
-
-
-def test_hist_renyi_gaussian_vs_closed_form():
-    x = np.random.default_rng(2).normal(scale=1.0, size=(1_000_000, 1))
-    est = hist_renyi_1d(x, Gaussian(d=1), q=2.0)
-    assert abs(est) < 0.05
-    # rho = N(0, 0.25) against pi = N(0,1): closed form available
-    y = np.random.default_rng(3).normal(scale=0.5, size=(1_000_000, 1))
-    est2 = hist_renyi_1d(y, Gaussian(d=1), q=2.0)
-    want = gaussian_renyi(2.0, 0.25, 1.0, 1)
-    assert est2 == pytest.approx(want, abs=0.05)
-
-
-def test_hist_renyi_monotone_in_q():
-    spec = Gaussian(d=1)
-    y = np.random.default_rng(4).normal(scale=0.5, size=(200_000, 1))
-    e2 = hist_renyi_1d(y, spec, q=2.0)
-    e4 = hist_renyi_1d(y, spec, q=4.0)
-    assert e4 >= e2 - 1e-9
-
-
-def test_hist_renyi_coarsening_subadditivity():
-    """Halving the bin count merges bins and can only lower the estimate."""
-    spec = Gaussian(d=1)
-    y = np.random.default_rng(5).normal(scale=0.5, size=(200_000, 1))
-    lo, hi = -6.0, 6.0
-    fine = hist_renyi_1d(y, spec, q=2.0, n_bins=512, range_=(lo, hi))
-    coarse = hist_renyi_1d(y, spec, q=2.0, n_bins=256, range_=(lo, hi))
-    assert coarse <= fine + 1e-9
-
-
-def test_hist_renyi_range_validation():
-    spec = Gaussian(d=1)
-    y = np.random.default_rng(6).normal(size=(10_000, 1))
-    with pytest.raises(InputValidationError):
-        hist_renyi_1d(y, spec, q=2.0, range_=(1.0, 2.0))  # does not straddle 0
-    with pytest.raises(InputValidationError):
-        hist_renyi_1d(y, spec, q=2.0, range_=(-1.0, 1.0))  # outside mass too big
-
-
-def test_hist_renyi_warns_on_empty_target_bins():
-    """A concentrated sample leaves heavy target bins empty: warn, don't fail."""
-    spec = Gaussian(d=1)
-    y = np.random.default_rng(8).normal(scale=0.3, size=(50_000, 1))
-    with pytest.warns(RuntimeWarning, match="no samples"):
-        hist_renyi_1d(y, spec, q=2.0)
-
-
-def test_hist_renyi_dominates_surrogate():
-    """The histogram estimate sits above the moment surrogate (minus noise)."""
-    spec = Gaussian(d=1)
-    y = np.random.default_rng(7).normal(scale=2.0, size=(500_000, 1))
-    m2 = float(np.mean(y ** 2))
-    sur = renyi_lower_bound(m2, 2.0, pi_moment_for(spec, 2.0)).value
-    est = hist_renyi_1d(y, spec, q=2.0)
-    assert est >= sur - 0.1
 
 
 # ---------------------------------------------------------------------------

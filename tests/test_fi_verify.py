@@ -100,6 +100,29 @@ def test_gaussian_on_grid_rejects_truncation():
         gaussian_on_grid(narrow, 100.0)
 
 
+def test_gaussian_on_grid_names_the_cause():
+    """A window that cuts the gaussian off reports the exact mass outside
+    it; a window that holds it but whose cells are too wide names the cell
+    width and sigma instead."""
+    narrow = make_grid(Gaussian(d=1), core_halfwidth=6, n_core=1024, n_tail=128)
+    edge = narrow.nodes[-1] + 0.5 * narrow.widths[-1]
+    outside = math.erfc(edge / math.sqrt(200.0))
+    with pytest.raises(InputValidationError) as truncated:
+        gaussian_on_grid(narrow, 100.0)
+    assert str(truncated.value) == (
+        f"grid window truncates {outside:.3g} of N(0, 100.0); widen the grid")
+    # the Cauchy window spans +-1.4e10, but its core cells are 12.4 wide
+    coarse = make_grid(GenCauchy(d=1, nu=1))
+    assert math.erfc(coarse.nodes[-1] / math.sqrt(8.0)) == 0.0
+    with pytest.raises(InputValidationError) as unresolved:
+        gaussian_on_grid(coarse, 4.0)
+    message = str(unresolved.value)
+    assert message.startswith("grid cells 12.4 wide at 0 lose 0.0859 of "
+                              "N(0, 4.0) (sigma 2);")
+    assert "--n-core" in message and "--core-halfwidth" in message
+    assert "truncates" not in message and "widen" not in message
+
+
 # ---------------------------------------------------------------------------
 # grid divergences against closed-form oracles
 # ---------------------------------------------------------------------------

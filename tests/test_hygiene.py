@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the package and scripts is used,
-the package keeps no process-wide memo and never uses scipy.integrate, and
-importing it starts no thread and loads no scipy."""
+the package keeps no process-wide memo, never uses scipy.integrate and
+starts threads only in the sampler, and importing it starts no thread and
+loads no scipy."""
 
 import ast
 import os
@@ -158,6 +159,57 @@ def test_scipy_integrate_check_finds_each_form(source):
     assert _scipy_integrate_uses(ast.parse("from scipy import special")) == []
 
 
+def _thread_starters(tree: ast.Module) -> list[str]:
+    """Imports of concurrent.futures and uses of threading.Thread anywhere
+    in the module: only the sampler's draw-ahead helper starts threads."""
+    threading_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            threading_names |= {alias.asname or alias.name for alias in node.names
+                                if alias.name == "threading"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.split(".")[:2] == ["concurrent", "futures"]]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")
+            names = {alias.name for alias in node.names}
+            if (module[:2] == ["concurrent", "futures"]
+                    or (module == ["concurrent"] and "futures" in names)
+                    or (module == ["threading"] and "Thread" in names)):
+                found.append(f"{node.module} (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr == "Thread"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in threading_names):
+            found.append(f"threading.Thread (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "sampler.py"],
+                         ids=lambda p: p.name)
+def test_threads_start_only_in_the_sampler(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _thread_starters(tree) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import concurrent.futures",
+    "import concurrent.futures as cf",
+    "from concurrent.futures import ThreadPoolExecutor",
+    "from concurrent import futures",
+    "from threading import Thread",
+    "import threading\nthreading.Thread(target=print).start()",
+    "import threading as th\nth.Thread(target=print)",
+])
+def test_thread_starter_check_finds_each_form(source):
+    assert len(_thread_starters(ast.parse(source))) == 1
+    nested = "def f():\n    " + source.replace("\n", "\n    ")
+    assert len(_thread_starters(ast.parse(nested))) == 1
+    assert _thread_starters(ast.parse(
+        "import threading\nthreading.main_thread()")) == []
+
+
 def _run_fresh(args: list[str], **env_extra) -> subprocess.CompletedProcess:
     env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -244,12 +296,10 @@ SCIPY_UP_FRONT = ("import sys, scipy.special, scipy.integrate, scipy.optimize\n"
                   "sys.exit(main(sys.argv[1:]))")
 
 
-def test_sweep_on_pool_threads_matches_scipy_loaded_up_front(tmp_path):
+def test_sweep_matches_scipy_loaded_up_front(tmp_path):
     lazy, eager = tmp_path / "lazy", tmp_path / "eager"
-    _run_fresh(["-m", "heavytail_lmc", *SWEEP_FLAGS, "--output-dir", str(lazy)],
-               HEAVYTAIL_THREADS="2")
-    _run_fresh(["-c", SCIPY_UP_FRONT, *SWEEP_FLAGS, "--output-dir", str(eager)],
-               HEAVYTAIL_THREADS="2")
+    _run_fresh(["-m", "heavytail_lmc", *SWEEP_FLAGS, "--output-dir", str(lazy)])
+    _run_fresh(["-c", SCIPY_UP_FRONT, *SWEEP_FLAGS, "--output-dir", str(eager)])
     for name in ("phase.csv", "phase.svg"):
         assert (lazy / name).read_bytes() == (eager / name).read_bytes(), name
     assert len((lazy / "phase.csv").read_text().splitlines()) == 1 + 6
