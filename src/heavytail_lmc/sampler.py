@@ -22,15 +22,20 @@ i always reads row i: the noise consumed by chain i is a function of
   (advancing chain i never consumes randomness addressed to chain j), and
 * outputs do not depend on how many threads run independent batches.
 
-Because no block depends on the step before it, :func:`run_chains` may draw
-the blocks of the next ``DRAW_AHEAD_DEPTH`` streams on one helper thread
-while the current step runs; the blocks, and so every output byte, are the
-ones an inline draw gives.  The helper is used only when the run is on the
+Because no block depends on the step before it, :func:`run_chains` may
+draw blocks ahead of the step that uses them: one helper thread and the
+calling thread each claim the lowest stream not yet drawn, up to
+``DRAW_AHEAD_DEPTH`` past the one being consumed, and the caller draws a
+block itself whenever the one it needs is not ready.  Each stream is drawn
+once and the blocks are used in stream order, so every output byte is the
+one an inline draw gives.  The helper is used only when the run is on the
 main thread (a caller that runs chains on threads of its own already
 spreads them over the cores, and a helper per thread would compete for
 them), the process may use at least 2 cores, and a block holds at least
 ``DRAW_AHEAD_MIN_NORMALS`` normals (below that, handing a block over costs
-more than drawing it).  It is shut down before the call returns or raises.
+more than drawing it).  It starts with the first step, so a run that takes
+no step starts no thread, and it is joined before the call returns or
+raises.
 
 Version 1 of this contract drew each block from ``Philox(key=root_seed,
 counter=stream << 128)``; the addressing is unchanged, but outputs of v1
@@ -50,8 +55,6 @@ import csv
 import itertools
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -78,14 +81,15 @@ __all__ = [
 #: Magnitude at which a coordinate is declared divergent.
 DIVERGENCE_LIMIT = 1e150
 
-#: Noise blocks :func:`run_chains` keeps drawn ahead of the current step.
-DRAW_AHEAD_DEPTH = 2
+#: Streams past the one being consumed that :func:`run_chains` may draw.
+DRAW_AHEAD_DEPTH = 4
 
 #: Fewest normals per block (n_chains * d) for which :func:`run_chains`
-#: draws ahead.  On 2 cores the helper starts to win at 8e3 to 1e4 normals,
-#: depending on how much gradient work overlaps the draw; below that the
-#: handover between the threads costs more than the draw.
-DRAW_AHEAD_MIN_NORMALS = 10_000
+#: draws ahead; below it the handover between the threads costs more than
+#: the draw.  On 2 cores, with both threads drawing, the helper loses at
+#: 5e3 normals for d = 1, 2 and 4, breaks even at 6e3 to 8e3 and wins from
+#: 9e3 on.
+DRAW_AHEAD_MIN_NORMALS = 9_000
 
 
 class ChainDivergenceError(HeavyTailError, RuntimeError):
@@ -182,25 +186,85 @@ def _usable_cores() -> int:
 
 
 def _draws_ahead(n: int, d: int) -> bool:
-    """Whether :func:`run_chains` draws (n, d) blocks on a helper thread."""
+    """Whether :func:`run_chains` draws (n, d) blocks ahead, on a helper
+    thread and its own."""
     return (n * d >= DRAW_AHEAD_MIN_NORMALS
             and threading.current_thread() is threading.main_thread()
             and _usable_cores() >= 2)
 
 
-def _blocks_ahead(pool: ThreadPoolExecutor, batch: ChainBatch,
-                  n_iters: int) -> Iterator[np.ndarray]:
-    """The blocks of streams k+1 ... k+n_iters in order, each drawn on
-    ``pool`` up to ``DRAW_AHEAD_DEPTH`` streams before it is yielded."""
+def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
+    """The blocks of streams k+1 ... k+n_iters in order, drawn by a helper
+    thread and by the caller.
+
+    Both threads claim the lowest stream not yet claimed, up to
+    ``DRAW_AHEAD_DEPTH`` past the one the caller is waiting for, and each
+    stream is drawn once.  When the block the caller needs is not ready,
+    it draws the lowest unclaimed stream itself; it waits only when every
+    stream in reach is claimed.  The helper starts on the first ``next`` (a run that takes no
+    step starts no thread) and is joined when the generator ends or is
+    closed.  A draw that fails, on either thread, raises its error when its
+    stream is reached, where an inline draw would have raised it.
+    """
     root, n, d = batch.rng_root, batch.n_chains, batch.d
     last = batch.k + n_iters
-    ahead: deque = deque()
-    submitted = batch.k
-    for stream in range(batch.k + 1, last + 1):
-        while submitted < min(last, stream + DRAW_AHEAD_DEPTH):
-            submitted += 1
-            ahead.append(pool.submit(_noise_block, root, submitted, n, d))
-        yield ahead.popleft().result()
+    cond = threading.Condition()
+    drawn: dict = {}       # stream -> its block, or the error its draw raised
+    claimed = batch.k      # highest stream either thread has claimed
+    window = batch.k       # highest stream that may be claimed
+    closed = False
+
+    def claim() -> Union[int, None]:
+        nonlocal claimed
+        if claimed >= window:
+            return None
+        claimed += 1
+        return claimed
+
+    def draw(stream: int) -> None:
+        try:
+            block = _noise_block(root, stream, n, d)
+        except BaseException as err:
+            block = err
+        with cond:
+            drawn[stream] = block
+            cond.notify_all()
+        if not isinstance(block, (np.ndarray, Exception)):
+            raise block  # KeyboardInterrupt and the like do not wait
+
+    def helper() -> None:
+        while True:
+            with cond:
+                while not closed and (stream := claim()) is None:
+                    cond.wait()
+                if closed:
+                    return
+            draw(stream)
+
+    thread = threading.Thread(target=helper, name="heavytail-draw-ahead",
+                              daemon=True)
+    thread.start()
+    try:
+        for stream in range(batch.k + 1, last + 1):
+            with cond:
+                window = min(last, stream + DRAW_AHEAD_DEPTH)
+                cond.notify()
+            while True:
+                with cond:
+                    while stream not in drawn and (mine := claim()) is None:
+                        cond.wait()
+                    block = drawn.pop(stream, None)
+                if block is not None:
+                    break
+                draw(mine)
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+    finally:
+        with cond:
+            closed = True
+            cond.notify_all()
+        thread.join()
 
 
 def gaussian_init(
@@ -290,6 +354,12 @@ def run_chains(
     confidence value m2 + 2 se falls below it (that iteration is recorded and
     ``stopped_early`` is set).
 
+    The noise of stream k+1 reaches :func:`lmc_step` through ``noise=``.
+    When :func:`_draws_ahead` allows it, the blocks come from
+    :func:`_blocks_ahead`, drawn by one helper thread and by this one;
+    otherwise each is drawn inline.  The bytes are the same either way, and
+    no thread is left running when the call returns or raises.
+
     Returns
     -------
     MomentTrace
@@ -334,10 +404,10 @@ def run_chains(
             **final,
         )
 
-    # noise drawn ahead on a helper thread, or None to draw it in lmc_step
-    pool = ThreadPoolExecutor(max_workers=1) if _draws_ahead(
-        init.n_chains, init.d) else None
-    blocks = (_blocks_ahead(pool, init, n_iters) if pool is not None
+    # noise drawn by a helper thread and this one, or None to draw it in
+    # lmc_step; the helper starts with the first step
+    ahead = _draws_ahead(init.n_chains, init.d)
+    blocks = (_blocks_ahead(init, n_iters) if ahead
               else itertools.repeat(None))
     try:
         if record(0, sq_norms(batch.positions)):
@@ -360,8 +430,8 @@ def run_chains(
         err.partial_trace = trace()
         raise
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if ahead:
+            blocks.close()
     return trace(final_positions=batch.positions, stopped_early=stopped)
 
 

@@ -733,7 +733,11 @@ def grad_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     # only when it is not: a finite point whose square overflows passes.
     if not np.isfinite(t).all() and not np.isfinite(pts).all():
         raise InputValidationError("grad_potential: points must be finite")
-    g = 2.0 * np.asarray(spec.profile_prime(t), dtype=float)[:, None] * pts
+    c = 2.0 * np.asarray(spec.profile_prime(t), dtype=float)
+    # Multiplied by columns: d passes of length n over the transposed view,
+    # not n broadcast passes of length d; each element is the same product.
+    g = np.empty(pts.shape)
+    np.multiply(c, pts.T, out=g.T, order="C")
     return g[0] if single else g
 
 

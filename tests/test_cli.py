@@ -558,16 +558,17 @@ def test_phase_transition_outputs(tmp_path, capsys):
         assert leg["chain_steps_per_s"] >= 0
 
 
-# 5000 chains in d = 2: each noise block holds DRAW_AHEAD_MIN_NORMALS normals
+# 5000 chains in d = 2: each noise block holds at least DRAW_AHEAD_MIN_NORMALS
+# normals
 DRAW_AHEAD_FLAGS = ["--family", "gaussian", "--d", "2", "--sigma2", "4,64",
                     "--h", "0.01", "--n-chains", "5000", "--n-iters", "40",
                     "--record-every", "10", "--seed", "2"]
 
 
 def test_phase_transition_deterministic_across_threads(tmp_path, monkeypatch):
-    """On the main thread the sweep's legs draw their noise ahead on a
-    helper thread; on a worker thread they draw it inline.  Both write the
-    same bytes."""
+    """On the main thread the sweep's legs draw their noise ahead, on a
+    helper thread and the main one; on a worker thread they draw it inline.
+    Both write the same bytes."""
     assert threading.current_thread() is threading.main_thread()
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
     legs = _counted(monkeypatch, cli, "run_chains")
@@ -575,7 +576,7 @@ def test_phase_transition_deterministic_across_threads(tmp_path, monkeypatch):
     ahead = _run_phase(tmp_path, "ahead", DRAW_AHEAD_FLAGS)
     main_thread = threading.get_ident()
     assert len(legs) == 6 and set(legs) == {main_thread}
-    assert set(draws) - {main_thread}  # a helper drew the step blocks
+    assert set(draws) - {main_thread}  # a helper drew step blocks
     legs.clear()
     draws.clear()
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -267,18 +269,48 @@ def test_lmc_step_takes_the_stream_block_it_is_given():
 TRACE_ARRAYS = ("iters", "m2", "se", "dm2_next", "dm2_next_se", "final_positions")
 
 
+class _Draws(list):
+    """(stream, thread ident, lmc_step calls finished) for each noise draw."""
+
+    steps = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.steps = 0
+
+    def check(self, init: ChainBatch, n_iters: int, steps: int) -> None:
+        """Each stream is drawn at most once, none beyond the run or more
+        than DRAW_AHEAD_DEPTH past the one being consumed, and every stream
+        up to the last step taken is drawn."""
+        streams = [s for s, _, _ in self]
+        assert len(set(streams)) == len(streams)
+        assert set(range(init.k + 1, init.k + 1 + steps)) <= set(streams)
+        assert all(init.k < s <= init.k + n_iters for s in streams)
+        assert all(s <= init.k + done + 1 + sampler.DRAW_AHEAD_DEPTH
+                   for s, _, done in self)
+
+    def threads(self) -> set:
+        return {ident for _, ident, _ in self}
+
+
 @pytest.fixture
 def draws(monkeypatch):
-    """The helper's core check passes on any machine, and each noise draw
-    records (stream, thread ident)."""
+    """The helper's core check passes on any machine, each noise draw is
+    recorded, and so is each lmc_step call that returns."""
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
-    seen, draw = [], sampler._noise_block
+    seen, draw, step = _Draws(), sampler._noise_block, sampler.lmc_step
 
     def recorded(root, stream, n, d):
-        seen.append((stream, threading.get_ident()))
+        seen.append((stream, threading.get_ident(), seen.steps))
         return draw(root, stream, n, d)
 
+    def stepped(*args, **kwargs):
+        out = step(*args, **kwargs)
+        seen.steps += 1
+        return out
+
     monkeypatch.setattr(sampler, "_noise_block", recorded)
+    monkeypatch.setattr(sampler, "lmc_step", stepped)
     return seen
 
 
@@ -287,14 +319,34 @@ def _on_worker_thread(fn, *args, **kwargs):
         return pool.submit(fn, *args, **kwargs).result()
 
 
+def _slow_draws_on(monkeypatch, on_main: bool, seconds: float = 0.005):
+    """Make the noise draws of the main thread (or of any other) sleep."""
+    draw = sampler._noise_block
+
+    def slowed(root, stream, n, d):
+        if (threading.current_thread() is threading.main_thread()) == on_main:
+            time.sleep(seconds)
+        return draw(root, stream, n, d)
+
+    monkeypatch.setattr(sampler, "_noise_block", slowed)
+
+
+def _assert_same_trace(ahead, inline, label=None):
+    for name in TRACE_ARRAYS:
+        assert (getattr(ahead, name).tobytes()
+                == getattr(inline, name).tobytes()), (label, name)
+    assert ahead.stopped_early == inline.stopped_early
+
+
 @pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
 @pytest.mark.parametrize("d", [1, 4])
 def test_drawn_ahead_and_inline_noise_give_the_same_bytes(draws, d, above):
-    """run_chains on the main thread (blocks drawn ahead on the helper when
-    they hold DRAW_AHEAD_MIN_NORMALS normals) gives the bytes of the same
-    call on a worker thread (always drawn inline): for 0, 1 and 2 steps,
-    more steps than the depth, a batch k > 0 steps in, and an early stop."""
-    n = sampler.DRAW_AHEAD_MIN_NORMALS // d - (0 if above else 1)
+    """run_chains on the main thread (blocks drawn ahead by the helper and
+    the main thread when they hold DRAW_AHEAD_MIN_NORMALS normals, else
+    inline on the main thread) gives the bytes of the same call on a worker
+    thread (always drawn inline): for 0, 1 and 2 steps, more steps than the
+    depth, a batch k > 0 steps in, and an early stop."""
+    n = -(-sampler.DRAW_AHEAD_MIN_NORMALS // d) - (0 if above else 1)
     spec = Gaussian(d=d)
     start = gaussian_init(sigma2=16.0, d=d, n_chains=n, h=0.05, seed=13)
     main = threading.get_ident()
@@ -306,42 +358,93 @@ def test_drawn_ahead_and_inline_noise_give_the_same_bytes(draws, d, above):
             draws.clear()
             ahead = run_chains(spec, init, n_iters, record_every=3,
                                stop_below=stop)
-            steps = ahead.iters[-1]
-            # every stream up to the last step taken, each drawn once
-            assert sorted(s for s, _ in draws)[:steps] == list(
-                range(init.k + 1, init.k + 1 + steps))
-            assert all((ident != main) == above for _, ident in draws)
+            draws.check(init, n_iters, ahead.iters[-1])
+            if above:
+                assert len(draws.threads() - {main}) <= 1
+            else:
+                assert draws.threads() <= {main}
             inline = _on_worker_thread(run_chains, spec, init, n_iters,
                                        record_every=3, stop_below=stop)
-            for name in TRACE_ARRAYS:
-                assert (getattr(ahead, name).tobytes()
-                        == getattr(inline, name).tobytes()), (n_iters, name)
-            assert ahead.stopped_early == inline.stopped_early == (stop is not None)
+            _assert_same_trace(ahead, inline, n_iters)
+            assert ahead.stopped_early == (stop is not None)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_main_thread_draws_while_the_helper_is_slow(draws, monkeypatch, d):
+    """With the helper's draws slowed, the main thread draws most blocks
+    itself instead of waiting, and the bytes are still the inline ones."""
+    n = -(-sampler.DRAW_AHEAD_MIN_NORMALS // d)
+    spec = GenCauchy(d=d, nu=3)
+    init = gaussian_init(sigma2=4.0, d=d, n_chains=n, h=0.01, seed=21)
+    inline = _on_worker_thread(run_chains, spec, init, 30, record_every=4)
+    _slow_draws_on(monkeypatch, on_main=False)
+    draws.clear()
+    ahead = run_chains(spec, init, 30, record_every=4)
+    draws.check(init, 30, 30)
+    by_main = [s for s, ident, _ in draws if ident == threading.get_ident()]
+    assert len(by_main) > 15
+    _assert_same_trace(ahead, inline)
+
+
+def test_shared_draws_under_thread_switching_stress(draws, monkeypatch):
+    """With the interpreter switching threads every few microseconds and
+    draws on both threads delayed by random amounts, each stream is still
+    drawn once, within the depth, and the bytes are the inline ones."""
+    d, n = 2, -(-sampler.DRAW_AHEAD_MIN_NORMALS // 2)
+    spec = GenCauchy(d=d, nu=1.5)
+    init = gaussian_init(sigma2=9.0, d=d, n_chains=n, h=0.02, seed=8)
+    inline = _on_worker_thread(run_chains, spec, init, 120, record_every=7)
+    draw, jitter = sampler._noise_block, np.random.default_rng(0)
+
+    def jittered(root, stream, n, d):
+        time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
+        return draw(root, stream, n, d)
+
+    monkeypatch.setattr(sampler, "_noise_block", jittered)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            draws.clear()
+            ahead = run_chains(spec, init, 120, record_every=7)
+            draws.check(init, 120, 120)
+            assert len(draws) == 120 and len(draws.threads()) <= 2
+            _assert_same_trace(ahead, inline)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("end", ["return", "stop", "divergence", "draw_error"])
+@pytest.mark.parametrize("end", ["return", "stop", "divergence",
+                                 "draw_error", "main_draw_error"])
 def test_helper_thread_ends_with_the_call(draws, monkeypatch, end):
-    """No thread outlives run_chains, however it ends; an error raised by
-    a draw on the helper is the error run_chains raises."""
+    """No thread outlives run_chains, however it ends, and each call starts
+    at most one; an error raised by a draw on either thread is the error
+    run_chains raises."""
     n = sampler.DRAW_AHEAD_MIN_NORMALS
     h = 3.0 if end == "divergence" else 0.05  # |1 - h| = 2: the chains blow up
     init = gaussian_init(sigma2=16.0, d=1, n_chains=n, h=h, seed=17)
-    boom, draw = RuntimeError("no noise for stream 5"), sampler._noise_block
+    boom = RuntimeError("no noise for stream 5 or later")
+    if end.endswith("draw_error"):
+        # draws fail on the helper (or on the main thread) from stream 5 on;
+        # the other thread's draws are slowed, so the failing one draws
+        on_main = end == "main_draw_error"
+        _slow_draws_on(monkeypatch, on_main=not on_main)
+        draw = sampler._noise_block
 
-    def failing(root, stream, n, d):
-        if stream == 5:
-            raise boom
-        return draw(root, stream, n, d)
+        def failing(root, stream, n, d):
+            is_main = threading.current_thread() is threading.main_thread()
+            if stream >= 5 and is_main == on_main:
+                raise boom
+            return draw(root, stream, n, d)
 
-    if end == "draw_error":
         monkeypatch.setattr(sampler, "_noise_block", failing)
     draws.clear()
     before = threading.active_count()
     if end == "divergence":
         with pytest.raises(ChainDivergenceError):
             run_chains(Gaussian(d=1), init, n_iters=2000)
-    elif end == "draw_error":
+    elif end.endswith("draw_error"):
         with pytest.raises(RuntimeError) as exc_info:
             run_chains(Gaussian(d=1), init, n_iters=50)
         assert exc_info.value is boom
@@ -349,8 +452,31 @@ def test_helper_thread_ends_with_the_call(draws, monkeypatch, end):
         stop = 2.0 if end == "stop" else None
         trace = run_chains(Gaussian(d=1), init, n_iters=200, stop_below=stop)
         assert trace.stopped_early == (end == "stop")
+        draws.check(init, 200, trace.iters[-1])
     assert threading.active_count() == before
-    assert draws and all(ident != threading.get_ident() for _, ident in draws)
+    assert len(draws.threads() - {threading.get_ident()}) <= 1
+
+
+def test_a_run_without_steps_starts_no_thread(draws, monkeypatch):
+    """n_iters=0 and a stop at record 0 start no helper; a run with steps
+    starts exactly one."""
+    started, start = [], threading.Thread.start
+
+    def counted(self, *args, **kwargs):
+        started.append(self.name)
+        return start(self, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    init = gaussian_init(sigma2=16.0, d=2, n_chains=sampler.DRAW_AHEAD_MIN_NORMALS,
+                         h=0.05, seed=5)
+    assert sampler._draws_ahead(init.n_chains, init.d)
+    draws.clear()
+    assert list(run_chains(GAUSS, init, n_iters=0).iters) == [0]
+    stopped = run_chains(GAUSS, init, n_iters=50, stop_below=1e9)
+    assert list(stopped.iters) == [0] and stopped.stopped_early
+    assert started == [] and not draws
+    run_chains(GAUSS, init, n_iters=3)
+    assert len(started) == 1
 
 
 def test_run_chains_validation():

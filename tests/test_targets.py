@@ -144,6 +144,25 @@ def test_potential_and_gradient_ignore_memory_layout(d):
     assert grad_potential(spec, f).tobytes() == grad_potential(spec, x).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_grad_potential_is_the_broadcast_product_bit_for_bit(d):
+    """The column-wise product gives the bytes of 2 f'(t)[:, None] * x,
+    in a C-ordered array, whatever the input's layout."""
+    rng = np.random.default_rng(d)
+    wide = rng.standard_normal((513, 2 * d)) * np.exp(3.0 * rng.standard_normal((513, 2 * d)))
+    rows = np.ascontiguousarray(wide[:, :d])
+    for spec in (Gaussian(d=d), GenCauchy(d=d, nu=1.5), Sublinear(d=d, alpha=0.5)):
+        for x in (rows, rows[:1], np.asfortranarray(rows), wide[:, ::2], rows[::3]):
+            c = np.ascontiguousarray(x)
+            fp = np.asarray(spec.profile_prime(targets.sq_norms(c)), dtype=float)
+            g = grad_potential(spec, x)
+            assert g.flags.c_contiguous and g.shape == x.shape
+            assert g.tobytes() == (2.0 * fp[:, None] * c).tobytes()
+        point = grad_potential(spec, rows[7])
+        assert point.shape == (d,) and point.flags.c_contiguous
+        assert point.tobytes() == grad_potential(spec, rows[7:8])[0].tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_grad_potential_finiteness_check_reads_the_coordinates():
     spec = GenCauchy(d=2, nu=1.0)
