@@ -25,22 +25,18 @@ from .targets import (
     Sublinear,
     SublinearMomentBound,
     UnsupportedFamilyError,
-    closed_form_moment,
+    beta_wpi_cauchy,
     direct_sampler,
+    gaussian_renyi,
     grad_potential,
-    growth_params,
-    holder_smoothness,
     log_normalizing_constant,
     median_radius,
     modified_target_m,
     modified_target_spec,
-    normalizing_constant,
     potential,
     radial_moment,
-    radial_profile,
     spec_from_json,
     spec_to_json,
-    tail_bound,
     tail_mass,
     tilde_log_normalizing_constant,
     tilde_moment,
@@ -59,7 +55,6 @@ from .diagnostics import (
     RenyiSurrogate,
     comparison_process_z,
     diagnostic_report,
-    gaussian_renyi,
     iterations_to_threshold,
     pi_moment_for,
     renyi_lower_bound,
@@ -70,9 +65,7 @@ from .bounds import (
     BoundReport,
     beta_for_spec,
     beta_prime,
-    beta_wpi_cauchy,
     beta_wpi_cauchy_report,
-    beta_wpi_sublinear,
     beta_wpi_sublinear_report,
     delta0_threshold,
     diffusion_time_bound,
@@ -108,7 +101,6 @@ from .cli import (
     ExperimentConfig,
     assemble_upper_bound,
     config_from_json,
-    coupling_delta0,
     main,
     phase_threshold,
 )

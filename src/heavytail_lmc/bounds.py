@@ -37,17 +37,13 @@ from .targets import (
     _beta_sublinear,
     _safe_exp,
     beta_wpi_cauchy,
-    beta_wpi_sublinear,
-    holder_smoothness,
     modified_target_m,
 )
 
 __all__ = [
     "BoundQuery",
     "BoundReport",
-    "beta_wpi_cauchy",
     "beta_wpi_cauchy_report",
-    "beta_wpi_sublinear",
     "beta_wpi_sublinear_report",
     "beta_prime",
     "beta_for_spec",
@@ -61,7 +57,6 @@ __all__ = [
     "init_divergence_bound",
     "gen_cauchy_init_bound_simplified",
     "warm_start_divergence_bound",
-    "modified_target_m",
 ]
 
 _R_INIT_KEYS = frozenset({"q", "2q-1", "qprime", "kl", "r2_hat"})
@@ -165,8 +160,8 @@ class BoundQuery:
 # ---------------------------------------------------------------------------
 # Weak-Poincare weightings
 # ---------------------------------------------------------------------------
-# The value forms beta_wpi_cauchy and beta_wpi_sublinear live in targets,
-# whose family classes hand them out; this module re-exports them.
+# The value forms (targets.beta_wpi_cauchy, targets._beta_sublinear) live
+# in targets, whose family classes hand them out.
 
 
 def beta_wpi_cauchy_report(nu: float, d: int, r: float) -> BoundReport:
@@ -847,8 +842,7 @@ def warm_start_divergence_bound(
     if not (T > 0.0):
         raise InputValidationError(f"T must be positive, got {T}")
     d = spec.d
-    hs = holder_smoothness(spec)
-    L = hs.L
+    L = spec.holder().L
     m = modified_target_m(spec)
     v0 = float(spec.profile(0.0))
     grid = np.concatenate([[0.0], np.geomspace(1e-8, max(64.0 * m, 1.0) ** 2, 4097)])

@@ -49,6 +49,7 @@ from .bounds import (
 from .diagnostics import (
     diagnostic_report,
     iterations_to_threshold,
+    pi_moment_for,
     sigma2_eps,
 )
 from .fi_verify import (
@@ -77,10 +78,8 @@ from .targets import (
     UnsupportedFamilyError,
     _json_float,
     _json_int,
-    growth_params,
+    log_normalizing_constant,
     modified_target_m,
-    normalizing_constant,
-    radial_moment,
     spec_from_json,
     spec_to_json,
 )
@@ -88,7 +87,6 @@ from .targets import (
 __all__ = [
     "ExperimentConfig",
     "config_from_json",
-    "coupling_delta0",
     "lower_bound_threshold",
     "lower_bound_gate",
     "phase_threshold",
@@ -222,16 +220,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def coupling_delta0(spec: PotentialSpec, sigma2: float) -> float:
-    """The initial-divergence scale the lower-bound theorems couple to sigma2.
-
-    * log tails:        nu * ln(sigma2)
-    * subexponential:   (b sigma2)^{alpha/(2-alpha)} / alpha
-    * square (PI) case: b d sigma2 / 2
-    """
-    return spec.coupling_delta0(sigma2)
-
-
 def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
                           ) -> BoundReport:
     """:func:`delta0_threshold` for a target at divergence order q.
@@ -242,10 +230,10 @@ def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
     :class:`MomentUndefinedError` when that moment diverges (log tails with
     nu <= 2q/(q-1)).
     """
-    z = normalizing_constant(spec)
-    pm = radial_moment(spec, 2.0 * q / (q - 1.0))
+    z = math.exp(log_normalizing_constant(spec))
+    pm = pi_moment_for(spec, q)
     v0 = float(spec.profile(0.0))
-    return delta0_threshold(growth_params(spec), spec.d, q, z, pm, v0=v0, c=c)
+    return delta0_threshold(spec.growth(), spec.d, q, z, pm, v0=v0, c=c)
 
 
 def lower_bound_gate(spec: PotentialSpec, q: float) -> dict:
@@ -329,7 +317,7 @@ def _phase_leg(
     infeasible upper report (e.g. eps > 1/q) gets ``nan``, as an infeasible
     lower one does, with its reason in the meta.
     """
-    g = growth_params(spec)
+    g = spec.growth()
     threshold, thr_kind = phase_threshold(spec, config.q, config.eps, sigma2)
     init = gaussian_init(sigma2, spec.d, config.n_chains, config.h, seed=leg_seed)
     t0 = time.perf_counter()
@@ -340,7 +328,7 @@ def _phase_leg(
     wall_s = time.perf_counter() - t0
     steps_run = int(trace.iters[-1])
     measured = iterations_to_threshold(trace, threshold)
-    delta0 = coupling_delta0(spec, sigma2)
+    delta0 = spec.coupling_delta0(sigma2)
     lower = lower_bound_complexity(
         g, spec.d, delta0, h=config.h, nu=spec.tail_index,
         threshold=gate["delta0_threshold"],

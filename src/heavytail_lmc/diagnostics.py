@@ -31,7 +31,6 @@ from .targets import (
     InputValidationError,
     MomentUndefinedError,
     PotentialSpec,
-    gaussian_renyi,
     radial_moment,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "renyi_lower_bound",
     "pi_moment_for",
     "sigma2_eps",
-    "gaussian_renyi",
     "comparison_process_z",
     "iterations_to_threshold",
     "diagnostic_report",

@@ -646,8 +646,9 @@ def wpi_check(
     if spec.d != 1:
         raise InputValidationError("inequality checks are 1-dimensional")
     r_grid = [float(r) for r in r_grid]
-    if not r_grid or any(r <= 0.0 for r in r_grid):
-        raise InputValidationError("r_grid must be non-empty with positive entries")
+    if not r_grid or not all(0.0 < r < math.inf for r in r_grid):
+        raise InputValidationError(
+            "r_grid must be non-empty with finite positive entries")
     betas = [beta(r) for r in r_grid]
     window, stats, error, rel_error = _battery_stats(spec, fset)
     rows, grids = [], {}

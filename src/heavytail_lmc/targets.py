@@ -31,9 +31,10 @@ integer field ``d`` and the methods ``profile(t)`` and ``profile_prime(t)``
 (f and f' at t = |x|^2, elementwise).  Potentials, gradients, chains, and
 log Z, moments, tails and samples by quadrature then work.  Closed forms
 and bounds are opt-in, one method each (see :class:`RadialFamily`); the
-rest raise :class:`UnsupportedFamilyError`.  For JSON and the command line,
-set ``tag``, ``json_fields`` and ``sweep_params`` and list the class in
-:data:`FAMILY_TAGS`.
+rest raise :class:`UnsupportedFamilyError`.  These methods are also how
+callers ask a family for them, so each one that takes an argument checks
+it.  For JSON and the command line, set ``tag``, ``json_fields`` and
+``sweep_params`` and list the class in :data:`FAMILY_TAGS`.
 
 Conventions
 -----------
@@ -84,16 +85,10 @@ __all__ = [
     "potential",
     "grad_potential",
     "sq_norms",
-    "radial_profile",
-    "growth_params",
-    "holder_smoothness",
     "log_normalizing_constant",
-    "normalizing_constant",
     "radial_moment",
-    "closed_form_moment",
     "tilde_moment",
     "tilde_log_normalizing_constant",
-    "tail_bound",
     "tail_mass",
     "direct_sampler",
     "median_radius",
@@ -101,6 +96,8 @@ __all__ = [
     "modified_target_spec",
     "spec_to_json",
     "spec_from_json",
+    "gaussian_renyi",
+    "beta_wpi_cauchy",
 ]
 
 
@@ -147,6 +144,17 @@ def _validate_dimension(d: int) -> None:
         raise InputValidationError(f"dimension d must be a positive integer, got {d!r}")
 
 
+def _require_radius(R: float) -> None:
+    if not (R > 0.0):
+        raise InputValidationError(f"tail radius R must be positive, got {R}")
+
+
+def _require_variance(sigma2: float) -> None:
+    if not (0.0 < sigma2 < math.inf):
+        raise InputValidationError(
+            f"start variance sigma2 must be a finite positive real, got {sigma2}")
+
+
 class RadialFamily(abc.ABC):
     """A radially symmetric target, V(x) = f(|x|^2) on R^d.
 
@@ -183,11 +191,23 @@ class RadialFamily(abc.ABC):
         return None
 
     def growth(self) -> GrowthParams:
-        """The envelope of :func:`growth_params`."""
+        """Envelope (b, alpha) with |grad V(x)| <= b |x| / (1+|x|^2)^(1-alpha/2).
+
+        Exact (attained) for each closed-form family:
+
+        * GenCauchy: (b, alpha) = (d + nu, 0)
+        * Sublinear: (b, alpha) = (alpha * max(lam^(2/alpha), lam), alpha)
+        * Gaussian:  (b, alpha) = (1, 2)
+        """
         raise self._unsupported("growth envelope (closed-form families only)")
 
     def holder(self) -> HolderSmoothness:
-        """The constants of :func:`holder_smoothness`."""
+        """Gradient Holder constants (L, s); all closed-form families have s = 1.
+
+        The discretization assumptions downstream require L >= 1, so the
+        constant is clamped from below at 1 (only the sublinear family at
+        small scale is affected).
+        """
         raise self._unsupported("Holder constants (closed-form families only)")
 
     def _memo(self, key, compute: Callable[[], float]) -> float:
@@ -214,12 +234,38 @@ class RadialFamily(abc.ABC):
         """log Z by validated radial quadrature."""
         return _log_sphere_area(self.d) + math.log(self._integral())
 
+    def _require_moment(self, p: float) -> None:
+        """Reject an order that is not a finite real >= 0, or one at or
+        beyond the family's tail index."""
+        if not (0.0 <= p < math.inf):
+            raise InputValidationError(
+                f"moment order p must be a finite real >= 0, got {p}")
+        nu = self.tail_index
+        if nu is not None and p >= nu:
+            raise MomentUndefinedError(
+                f"{type(self).__name__} moment of order p={p} diverges "
+                f"(requires p < nu={nu})"
+            )
+
     def closed_moment(self, p: float):
-        """Closed-form E_pi |x|^p, for an order p the moment exists at."""
+        """Closed-form E_pi |x|^p, for a finite order p >= 0 the moment
+        exists at.
+
+        A float for GenCauchy (p < nu) and Gaussian.  For Sublinear a
+        :class:`SublinearMomentBound` pair (exact surrogate moment, e-factor
+        upper bound).  RadialCustom has no closed form; use
+        :func:`radial_moment`.
+        """
         raise self._unsupported("closed-form moment; use radial_moment")
 
     def tail_bound(self, R: float) -> float:
-        """Explicit upper bound on pi(|x| >= R) for R > 0."""
+        """Explicit upper bound on pi(|x| >= R) for R > 0; not clamped at 1.
+
+        * GenCauchy: (nu + d)^(nu/2) * R^(-nu)
+        * Sublinear (lam = 1): e^(1/2) * 2^(d/alpha) * exp(-(1+R^2)^(alpha/2)/2)
+
+        The Gaussian and custom families have no registered bound.
+        """
         raise self._unsupported("tail bound")
 
     def deep_tail_quantile(self, mass: float) -> float:
@@ -255,7 +301,13 @@ class RadialFamily(abc.ABC):
         return out
 
     def coupling_delta0(self, sigma2: float) -> float:
-        """The divergence scale the lower-bound theorems couple to sigma2."""
+        """The initial-divergence scale the lower-bound theorems couple to
+        the start variance sigma2, a finite real:
+
+        * log tails (GenCauchy, sigma2 > 1):  nu * ln(sigma2)
+        * subexponential (sigma2 > 0):        (b sigma2)^{alpha/(2-alpha)} / alpha
+        * square (PI) case (sigma2 > 0):      b d sigma2 / 2
+        """
         raise self._unsupported("divergence coupling")
 
     def wpi_beta(self) -> Callable[[float], float]:
@@ -335,6 +387,7 @@ class GenCauchy(RadialFamily):
     def closed_moment(self, p: float) -> float:
         from scipy import special
 
+        self._require_moment(p)
         d, nu = self.d, self.nu
         lg = (
             math.log(d / (d + p))
@@ -346,6 +399,7 @@ class GenCauchy(RadialFamily):
         return math.exp(lg)
 
     def tail_bound(self, R: float) -> float:
+        _require_radius(R)
         return (self.nu + self.d) ** (0.5 * self.nu) * R ** (-self.nu)
 
     def deep_tail_quantile(self, mass: float) -> float:
@@ -360,9 +414,9 @@ class GenCauchy(RadialFamily):
         return z / np.sqrt(w)[:, None]
 
     def coupling_delta0(self, sigma2: float) -> float:
-        if sigma2 <= 1.0:
+        if not (1.0 < sigma2 < math.inf):
             raise InputValidationError(
-                f"the log-tail coupling needs sigma2 > 1, got {sigma2}"
+                f"the log-tail coupling needs a finite sigma2 > 1, got {sigma2}"
             )
         return self.nu * math.log(sigma2)
 
@@ -372,7 +426,7 @@ class GenCauchy(RadialFamily):
     def rinf_bound(self, sigma2: float) -> tuple[float, dict]:
         d, nu = self.d, self.nu
         log_z = log_normalizing_constant(self)
-        if sigma2 < 1.0 / (d + nu):
+        if not (sigma2 >= 1.0 / (d + nu)):
             raise InputValidationError(
                 f"log-tail bound needs sigma2 >= 1/(d+nu) = {1.0 / (d + nu)}, "
                 f"got {sigma2}"
@@ -430,10 +484,12 @@ class Sublinear(RadialFamily):
         return HolderSmoothness(L=max(1.0, self.alpha * c), s=1.0)
 
     def closed_moment(self, p: float) -> SublinearMomentBound:
+        self._require_moment(p)
         tilde = tilde_moment(self.d, self.alpha, self.lam, p)
         return SublinearMomentBound(tilde_exact=tilde, upper=math.e * tilde)
 
     def tail_bound(self, R: float) -> float:
+        _require_radius(R)
         if self.lam != 1.0:
             raise UnsupportedFamilyError(
                 "tail_bound for Sublinear is registered only at lam = 1"
@@ -466,6 +522,7 @@ class Sublinear(RadialFamily):
         return math.sqrt(max(t, 1.0))
 
     def coupling_delta0(self, sigma2: float) -> float:
+        _require_variance(sigma2)
         expo = self.alpha / (2.0 - self.alpha)
         return (self.growth().b * sigma2) ** expo / self.alpha
 
@@ -479,7 +536,7 @@ class Sublinear(RadialFamily):
         log_z = log_normalizing_constant(self)
         g = self.growth()
         b, alpha = g.b, g.alpha
-        if sigma2 < 1.0 / b:
+        if not (sigma2 >= 1.0 / b):
             raise InputValidationError(
                 f"subexponential bound needs sigma2 >= 1/b = {1.0 / b}, got {sigma2}"
             )
@@ -526,6 +583,7 @@ class Gaussian(RadialFamily):
     def closed_moment(self, p: float) -> float:
         from scipy import special
 
+        self._require_moment(p)
         lg = 0.5 * p * math.log(2.0) + special.gammaln(0.5 * (self.d + p)) - special.gammaln(
             0.5 * self.d
         )
@@ -540,6 +598,7 @@ class Gaussian(RadialFamily):
         return rng.standard_normal((n, self.d))
 
     def coupling_delta0(self, sigma2: float) -> float:
+        _require_variance(sigma2)
         return 0.5 * self.growth().b * self.d * sigma2
 
     def wpi_beta(self) -> Callable[[float], float]:
@@ -553,6 +612,7 @@ class Gaussian(RadialFamily):
         )
 
     def kl_bound(self, sigma2: float) -> tuple[float, dict]:
+        _require_variance(sigma2)
         d = self.d
         b = self.growth().b
         log_z = log_normalizing_constant(self)
@@ -681,17 +741,6 @@ def _as_points(spec: PotentialSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise InputValidationError(f"x must have shape (d,) or (n, d), got {arr.shape}")
 
 
-def radial_profile(
-    spec: PotentialSpec,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Return (f, fprime) acting on the squared radius t, with V(x) = f(|x|^2).
-
-    Both callables are vectorized over numpy arrays: the family's
-    ``profile`` and ``profile_prime``.
-    """
-    return spec.profile, spec.profile_prime
-
-
 def sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared row norms of an (n, d) array, bit-identical to
     ``np.einsum("ij,ij->i", c, c)`` on its C-ordered copy c.
@@ -739,33 +788,6 @@ def grad_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     g = np.empty(pts.shape)
     np.multiply(c, pts.T, out=g.T, order="C")
     return g[0] if single else g
-
-
-# ---------------------------------------------------------------------------
-# Growth and smoothness parameters
-# ---------------------------------------------------------------------------
-
-
-def growth_params(spec: PotentialSpec) -> GrowthParams:
-    """Envelope (b, alpha) with |grad V(x)| <= b |x| / (1+|x|^2)^(1-alpha/2).
-
-    Exact (attained) for each closed-form family:
-
-    * GenCauchy: (b, alpha) = (d + nu, 0)
-    * Sublinear: (b, alpha) = (alpha * max(lam^(2/alpha), lam), alpha)
-    * Gaussian:  (b, alpha) = (1, 2)
-    """
-    return spec.growth()
-
-
-def holder_smoothness(spec: PotentialSpec) -> HolderSmoothness:
-    """Gradient Holder constants (L, s); all closed-form families have s = 1.
-
-    The discretization assumptions downstream require L >= 1, so the returned
-    constant is clamped from below at 1 (only the sublinear family at small
-    scale is affected).
-    """
-    return spec.holder()
 
 
 # ---------------------------------------------------------------------------
@@ -891,44 +913,17 @@ def log_normalizing_constant(spec: PotentialSpec) -> float:
     return spec.log_z()
 
 
-def normalizing_constant(spec: PotentialSpec) -> float:
-    """Z = integral of exp(-V)."""
-    return math.exp(log_normalizing_constant(spec))
-
-
-def _require_moment(spec: PotentialSpec, p: float) -> None:
-    """Reject a negative order, or one at or beyond the family's tail index."""
-    if p < 0:
-        raise InputValidationError(f"moment order p must be >= 0, got {p}")
-    nu = spec.tail_index
-    if nu is not None and p >= nu:
-        raise MomentUndefinedError(
-            f"{type(spec).__name__} moment of order p={p} diverges "
-            f"(requires p < nu={nu})"
-        )
-
-
 def radial_moment(spec: PotentialSpec, p: float) -> float:
     """E_pi |x|^p by validated quadrature (exact families included).
 
     Raises :class:`MomentUndefinedError` when the integral diverges
-    (GenCauchy with p >= nu).
+    (GenCauchy with p >= nu), and :class:`InputValidationError` unless p
+    is a finite real >= 0.
     """
-    _require_moment(spec, p)
+    spec._require_moment(p)
     if p == 0:
         return 1.0
     return spec._integral(p) / spec._integral()
-
-
-def closed_form_moment(spec: PotentialSpec, p: float):
-    """Closed-form E_pi |x|^p where available.
-
-    Returns a float for GenCauchy and Gaussian.  For Sublinear returns a
-    :class:`SublinearMomentBound` pair (exact surrogate moment, e-factor
-    upper bound).  RadialCustom has no closed form.
-    """
-    _require_moment(spec, p)
-    return spec.closed_moment(p)
 
 
 def tilde_moment(d: int, alpha: float, lam: float, p: float) -> float:
@@ -978,23 +973,11 @@ def tilde_log_normalizing_constant(d: int, alpha: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def tail_bound(spec: PotentialSpec, R: float) -> float:
-    """Explicit upper bound on pi(|x| >= R); not clamped at 1.
-
-    * GenCauchy: (nu + d)^(nu/2) * R^(-nu)
-    * Sublinear (lam = 1): e^(1/2) * 2^(d/alpha) * exp(-(1+R^2)^(alpha/2)/2)
-
-    The Gaussian and custom families have no registered bound.
-    """
-    if R <= 0:
-        raise InputValidationError(f"tail radius R must be positive, got {R}")
-    return spec.tail_bound(R)
-
-
 def tail_mass(spec: PotentialSpec, R: float) -> float:
-    """pi(|x| >= R) by quadrature (the oracle the bounds are tested against)."""
-    if R < 0:
-        raise InputValidationError(f"tail radius R must be >= 0, got {R}")
+    """pi(|x| >= R) by quadrature (the oracle the bounds are tested
+    against), for a finite R >= 0."""
+    if not (0.0 <= R < math.inf):
+        raise InputValidationError(f"tail radius R must be a finite real >= 0, got {R}")
     if R == 0:
         return 1.0
     num = _radial_integral(spec.profile, spec.d, p=0.0, lower=R)
@@ -1210,7 +1193,7 @@ def gaussian_renyi(q: float, s2_rho: float, s2_pi: float, d: int) -> float:
 
     Supports q = inf (the sup-log-ratio), which is finite iff s2_rho <= s2_pi.
     """
-    if s2_rho <= 0 or s2_pi <= 0:
+    if not (s2_rho > 0 and s2_pi > 0):
         raise InputValidationError("variances must be positive")
     if math.isinf(q):
         if s2_rho > s2_pi:
@@ -1270,24 +1253,6 @@ def _gamma_terms(alpha: float, d: int, gamma: float) -> tuple[dict, Optional[tup
     return inter, (-2.0 * math.log1p(-t), expo, log_a, math.log(b))
 
 
-def _chain_value(alpha: float, terms: tuple[dict, Optional[tuple]], w: float
-                 ) -> float:
-    """The chain's value from its r-free ``terms`` (see :func:`_gamma_terms`)
-    and the resolution weight w; inf when t >= 1 or the value overflows."""
-    parts = terms[1]
-    if parts is None:
-        return math.inf
-    prefactor, expo, log_a, log_b = parts
-    # float() of the numpy scalar leaves its value and every later
-    # operation's rounding as they were, at Python-float cost.
-    log_val = prefactor + expo * float(np.logaddexp(
-        log_a, log_b + (2.0 / alpha) * math.log(w)
-    ))
-    if log_val >= _EXP_MAX:
-        return math.inf
-    return math.exp(log_val)
-
-
 def _chain_intermediates(terms: tuple[dict, Optional[tuple]], w: float) -> dict:
     """A fresh copy of the terms' intermediates, with w when t < 1."""
     inter, parts = terms
@@ -1300,12 +1265,11 @@ def _gamma_grid(alpha: float) -> np.ndarray:
     return np.geomspace(2.0 * alpha * 1e-3, 2.0 * alpha, 64)
 
 
-def _gamma_table(alpha: float, d: int) -> list:
-    """The r-free part of the gamma scan: the terms (see
-    :func:`_gamma_terms`) of the grid points whose chain has t < 1, in grid
-    order, and their (prefactor, exponent, ln a, ln b) as a (4, k) array."""
-    terms = [t for g in _gamma_grid(alpha)
-             if (t := _gamma_terms(alpha, d, float(g)))[1] is not None]
+def _gamma_table(terms: list) -> list:
+    """The r-free input of the array pass: those of the ``terms`` (see
+    :func:`_gamma_terms`) whose chain has t < 1, in order, and their
+    (prefactor, exponent, ln a, ln b) as a (4, k) array."""
+    terms = [t for t in terms if t[1] is not None]
     return [terms, np.array([t[1] for t in terms], dtype=float).reshape(-1, 4).T]
 
 
@@ -1316,12 +1280,13 @@ def _beta_sublinear(
     """Value and intermediates of the subexponential WPI weighting at
     ``gamma``, or minimized over a 64-point log grid on (0, 2 alpha].
 
-    The grid's r-free terms (:func:`_gamma_table`) are computed per call,
-    or, when a ``table`` list is passed, into it on its first use and read
-    from it after: a table serves one (alpha, d).  One array pass gives
-    every grid point's log value, with the IEEE operations of
-    :func:`_chain_value` in its order; each value is taken with
-    ``math.exp`` and, of equal values, the first gamma's wins.
+    A fixed gamma is a one-point table.  The grid's r-free terms
+    (:func:`_gamma_table`) are computed per call, or, when a ``table`` list
+    is passed, into it on its first use and read from it after: a table
+    serves one (alpha, d).  One array pass gives every point's log value;
+    each value is taken with ``math.exp`` and, of equal values, the first
+    gamma's wins.  A value that overflows at every point is inf, with the
+    fixed gamma's own intermediates, or the scan's {"gamma": 2 alpha}.
     """
     if not (0.0 < alpha < 1.0):
         raise InputValidationError(
@@ -1334,16 +1299,20 @@ def _beta_sublinear(
     # w aggregates the dimension and resolution contributions; -ln r is used
     # directly so that subnormal r (down to ~5e-324) stays representable.
     w = 1.0 + (2.0 * d / alpha) * math.log(2.0) + 2.0 * max(-math.log(r), 0.0)
-    if gamma is not None:
+    if gamma is None:
+        table = [] if table is None else table
+        if not table:
+            table[:] = _gamma_table([_gamma_terms(alpha, d, g)
+                                     for g in _gamma_grid(alpha).tolist()])
+        overflow = {"gamma": 2.0 * alpha}
+    else:
         if not (0.0 < gamma <= 2.0 * alpha):
             raise InputValidationError(
                 f"gamma must lie in (0, 2*alpha] = (0, {2 * alpha}], got {gamma}"
             )
-        terms = _gamma_terms(alpha, d, gamma)
-        return _chain_value(alpha, terms, w), _chain_intermediates(terms, w)
-    table = [] if table is None else table
-    if not table:
-        table[:] = _gamma_table(alpha, d)
+        fixed = _gamma_terms(alpha, d, gamma)
+        table = _gamma_table([fixed])
+        overflow = _chain_intermediates(fixed, w)
     terms, (prefactor, expo, log_a, log_b) = table
     log_vals = prefactor + expo * np.logaddexp(
         log_a, log_b + (2.0 / alpha) * math.log(w))
@@ -1351,12 +1320,5 @@ def _beta_sublinear(
               for v in log_vals.tolist()]
     value = min(values, default=math.inf)
     if value == math.inf:
-        return value, {"gamma": 2.0 * alpha}
+        return value, overflow
     return value, _chain_intermediates(terms[values.index(value)], w)
-
-
-def beta_wpi_sublinear(
-    alpha: float, d: int, r: float, gamma: Optional[float] = None
-) -> float:
-    """Value-only form of :func:`~heavytail_lmc.bounds.beta_wpi_sublinear_report`."""
-    return _beta_sublinear(alpha, d, r, gamma)[0]

@@ -106,5 +106,6 @@ def _beta_sublinear_min(alpha, d, r, gamma=None):
 @pytest.fixture(scope="session")
 def beta_sublinear_reference():
     """The subexponential WPI weighting as a per-point scan: an independent
-    reference for ``beta_wpi_sublinear`` and its report, bit for bit."""
+    reference for ``beta_wpi_sublinear_report`` and ``Sublinear.wpi_beta``,
+    bit for bit."""
     return _beta_sublinear_min

@@ -21,7 +21,6 @@ from heavytail_lmc import (
     GenCauchy,
     Sublinear,
     beta_for_spec,
-    closed_form_moment,
     comparison_process_z,
     default_test_functions,
     diffusion_time_bound,
@@ -32,7 +31,6 @@ from heavytail_lmc import (
     gaussian_on_grid,
     gen_cauchy_init_bound_simplified,
     grid_r_inf,
-    growth_params,
     init_divergence_bound,
     log_normalizing_constant,
     make_grid,
@@ -66,7 +64,7 @@ def _drift_margins(spec, h, seed):
     """
     init = gaussian_init(4.0, spec.d, 10_000, h, seed=seed)
     trace = run_chains(spec, init, 10_000, record_every=100)
-    g = growth_params(spec)
+    g = spec.growth()
     m2, se = trace.m2[:-1], trace.se[:-1]
     inc, inc_se = trace.dm2_next[:-1], trace.dm2_next_se[:-1]
     growth_term = 2.0 * g.b * h * m2 ** (g.alpha / 2.0)
@@ -233,7 +231,7 @@ def test_criterion3_moment_oracles():
     t0 = time.monotonic()
     assert len(C3_PAIRS) == 12
     for i, (spec, p) in enumerate(C3_PAIRS):
-        closed = closed_form_moment(spec, p)
+        closed = spec.closed_moment(p)
         quad = radial_moment(spec, p)
         assert closed == pytest.approx(quad, rel=1e-8), (spec, p)
         x = direct_sampler(spec, 10**6, seed=20240817 + i)
@@ -243,7 +241,7 @@ def test_criterion3_moment_oracles():
         assert abs(est - closed) <= 4.0 * se, (
             f"{spec} p={p}: sampler {est:.6g} vs closed {closed:.6g}, se {se:.3g}"
         )
-    assert closed_form_moment(GenCauchy(d=1, nu=3), 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert GenCauchy(d=1, nu=3).closed_moment(2.0) == pytest.approx(1.0, abs=1e-12)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"criterion 3 runtime {elapsed:.0f}s exceeds 2 min"
 

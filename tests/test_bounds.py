@@ -31,15 +31,12 @@ from heavytail_lmc import (
     beta_prime,
     beta_wpi_cauchy,
     beta_wpi_cauchy_report,
-    beta_wpi_sublinear,
     beta_wpi_sublinear_report,
-    coupling_delta0,
     delta0_threshold,
     diffusion_time_bound,
     disc_step_size,
     gaussian_init,
     gen_cauchy_init_bound_simplified,
-    growth_params,
     init_divergence_bound,
     iterations_to_threshold,
     lmc_iteration_bound,
@@ -47,7 +44,6 @@ from heavytail_lmc import (
     log_normalizing_constant,
     lower_bound_complexity,
     modified_target_m,
-    normalizing_constant,
     pi_moment_for,
     potential,
     radial_moment,
@@ -105,35 +101,35 @@ def test_beta_cauchy_nonincreasing_in_r(nu, d, r):
 
 
 def test_beta_sublinear_frozen_fixed_gamma():
-    assert beta_wpi_sublinear(0.5, 1, 1.0, gamma=1.0) == pytest.approx(
+    assert beta_wpi_sublinear_report(0.5, 1, 1.0, gamma=1.0).value == pytest.approx(
         621339.2974109156, rel=1e-12
     )
 
 
 def test_beta_sublinear_frozen_minimized():
-    assert beta_wpi_sublinear(0.5, 1, 1.0) == pytest.approx(
+    assert beta_wpi_sublinear_report(0.5, 1, 1.0).value == pytest.approx(
         412512.77567349136, rel=1e-12
     )
     rep = beta_wpi_sublinear_report(0.5, 1, 1.0)
     assert rep.intermediates["gamma"] == pytest.approx(0.8961505019466041, rel=1e-12)
     # the minimized value never exceeds any fixed-gamma value
-    assert rep.value <= beta_wpi_sublinear(0.5, 1, 1.0, gamma=1.0)
+    assert rep.value <= beta_wpi_sublinear_report(0.5, 1, 1.0, gamma=1.0).value
 
 
 def test_beta_sublinear_gamma_domain():
     with pytest.raises(InputValidationError):
-        beta_wpi_sublinear(0.5, 1, 1.0, gamma=0.0)
+        beta_wpi_sublinear_report(0.5, 1, 1.0, gamma=0.0)
     with pytest.raises(InputValidationError):
-        beta_wpi_sublinear(0.5, 1, 1.0, gamma=1.1)  # gamma must be <= 2 alpha
+        beta_wpi_sublinear_report(0.5, 1, 1.0, gamma=1.1)  # gamma must be <= 2 alpha
     with pytest.raises(InputValidationError):
-        beta_wpi_sublinear(1.5, 1, 1.0)  # alpha outside (0, 1)
+        beta_wpi_sublinear_report(1.5, 1, 1.0)  # alpha outside (0, 1)
 
 
 def test_beta_sublinear_r_shape_quartic_log():
     """At fixed gamma = 2 alpha the bound grows like ln(1/r)^4 deep in the
     tail (alpha = 1/2): the log-log slope against ln(1/r) approaches 4."""
     ls = [200.0, 400.0, 700.0]
-    vals = [math.log(beta_wpi_sublinear(0.5, 1, math.exp(-l), gamma=1.0)) for l in ls]
+    vals = [math.log(beta_wpi_sublinear_report(0.5, 1, math.exp(-l), gamma=1.0).value) for l in ls]
     slope = float(np.polyfit(np.log(ls), vals, 1)[0])
     assert 3.9 <= slope <= 4.1
 
@@ -144,10 +140,10 @@ def test_beta_sublinear_d_shape_quartic():
     slope over d in {128..1024} sits in [3.5, 4.1] (over small d the
     constant terms flatten it to ~2.3)."""
     ds = [128, 256, 512, 1024]
-    vals = [math.log(beta_wpi_sublinear(0.5, d, 1.0, gamma=1.0)) for d in ds]
+    vals = [math.log(beta_wpi_sublinear_report(0.5, d, 1.0, gamma=1.0).value) for d in ds]
     slope = float(np.polyfit(np.log(ds), vals, 1)[0])
     assert 3.5 <= slope <= 4.1
-    small = [math.log(beta_wpi_sublinear(0.5, d, 1.0, gamma=1.0)) for d in (2, 4, 8, 16, 32, 64)]
+    small = [math.log(beta_wpi_sublinear_report(0.5, d, 1.0, gamma=1.0).value) for d in (2, 4, 8, 16, 32, 64)]
     small_slope = float(np.polyfit(np.log([2, 4, 8, 16, 32, 64]), small, 1)[0])
     assert small_slope < 3.0  # regression-pin the pre-asymptotic regime
 
@@ -155,7 +151,7 @@ def test_beta_sublinear_d_shape_quartic():
 def test_beta_sublinear_minimized_r_shape():
     """Minimizing over gamma improves the deep-tail exponent to ~2/alpha - 2."""
     ls = [200.0, 400.0, 700.0]
-    vals = [math.log(beta_wpi_sublinear(0.5, 1, math.exp(-l))) for l in ls]
+    vals = [math.log(beta_wpi_sublinear_report(0.5, 1, math.exp(-l)).value) for l in ls]
     slope = float(np.polyfit(np.log(ls), vals, 1)[0])
     assert 1.8 <= slope <= 2.2
 
@@ -172,7 +168,7 @@ def test_beta_sublinear_matches_per_point_scan(alpha, d,
     family_beta = Sublinear(d=d, alpha=alpha).wpi_beta()
     for r in (*C4_R_GRID, 5e-324, 1e3):
         want, inter = beta_sublinear_reference(alpha, d, r)
-        assert beta_wpi_sublinear(alpha, d, r) == want, r
+        assert beta_wpi_sublinear_report(alpha, d, r).value == want, r
         assert family_beta(r) == want, r
         rep = beta_wpi_sublinear_report(alpha, d, r)
         assert rep.value == want
@@ -181,7 +177,7 @@ def test_beta_sublinear_matches_per_point_scan(alpha, d,
             assert rep.intermediates[key].hex() == inter[key].hex(), (r, key)
         for gamma in (2e-3 * alpha, 0.3 * alpha, alpha, 2.0 * alpha):
             fixed, fixed_inter = beta_sublinear_reference(alpha, d, r, gamma)
-            assert beta_wpi_sublinear(alpha, d, r, gamma=gamma) == fixed
+            assert beta_wpi_sublinear_report(alpha, d, r, gamma=gamma).value == fixed
             assert (beta_wpi_sublinear_report(alpha, d, r, gamma=gamma)
                     .intermediates == fixed_inter)
 
@@ -208,9 +204,9 @@ def test_beta_sublinear_first_of_tied_gammas_wins(alpha, d, r, monkeypatch,
 def test_beta_sublinear_table_is_per_weighting():
     """Each wpi_beta() callable fills its own table on its first call."""
     a, b = Sublinear(d=1, alpha=0.3).wpi_beta(), Sublinear(d=2, alpha=0.7).wpi_beta()
-    assert a(0.1) == beta_wpi_sublinear(0.3, 1, 0.1)
-    assert b(0.1) == beta_wpi_sublinear(0.7, 2, 0.1)
-    assert a(1e-4) == beta_wpi_sublinear(0.3, 1, 1e-4)
+    assert a(0.1) == beta_wpi_sublinear_report(0.3, 1, 0.1).value
+    assert b(0.1) == beta_wpi_sublinear_report(0.7, 2, 0.1).value
+    assert a(1e-4) == beta_wpi_sublinear_report(0.3, 1, 1e-4).value
     with pytest.raises(InputValidationError):
         Sublinear(d=1, alpha=1.0).wpi_beta()(0.1)
 
@@ -222,7 +218,8 @@ def test_beta_sublinear_table_is_per_weighting():
     r=st.floats(min_value=1e-4, max_value=1.0),
 )
 def test_beta_sublinear_nonincreasing_in_r(alpha, d, r):
-    assert beta_wpi_sublinear(alpha, d, r) >= beta_wpi_sublinear(alpha, d, min(2 * r, 1.0)) - 1e-9
+    assert (beta_wpi_sublinear_report(alpha, d, r).value
+            >= beta_wpi_sublinear_report(alpha, d, min(2 * r, 1.0)).value - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def test_beta_for_spec_dispatch():
     b1 = beta_for_spec(GenCauchy(d=1, nu=2))
     assert b1(1.0) == pytest.approx(beta_wpi_cauchy(2.0, 1, 1.0))
     b2 = beta_for_spec(Sublinear(d=1, alpha=0.5))
-    assert b2(1.0) == pytest.approx(beta_wpi_sublinear(0.5, 1, 1.0))
+    assert b2(1.0) == pytest.approx(beta_wpi_sublinear_report(0.5, 1, 1.0).value)
     b3 = beta_for_spec(Gaussian(d=3))
     assert b3(0.123) == 1.0
     with pytest.raises(UnsupportedFamilyError):
@@ -443,7 +440,7 @@ def test_step_size_upper_bound_moment_diverges():
 
 def test_lower_bound_log_tail_frozen():
     rep = lower_bound_complexity(
-        growth_params(GenCauchy(d=2, nu=1)), d=2, delta0=5.0, h=0.01, nu=1.0
+        GenCauchy(d=2, nu=1).growth(), d=2, delta0=5.0, h=0.01, nu=1.0
     )
     assert rep.value == pytest.approx(7420.65795512883, rel=1e-12)
     assert rep.kind == "iters_N"
@@ -451,7 +448,7 @@ def test_lower_bound_log_tail_frozen():
 
 
 def test_lower_bound_log_tail_exact_exponential():
-    g = growth_params(GenCauchy(d=2, nu=1.5))
+    g = GenCauchy(d=2, nu=1.5).growth()
     a = lower_bound_complexity(g, d=2, delta0=4.0, h=0.01, nu=1.5).value
     b = lower_bound_complexity(g, d=2, delta0=4.0 + 1.5, h=0.01, nu=1.5).value
     assert b / a == pytest.approx(math.e, rel=1e-12)
@@ -459,7 +456,7 @@ def test_lower_bound_log_tail_exact_exponential():
 
 def test_lower_bound_mid_regime_delta0_exponent():
     """T ~ delta0^((2-alpha)^2/(2 alpha)): exponent 1/2 at alpha = 1."""
-    g = growth_params(Sublinear(d=1, alpha=1.0))
+    g = Sublinear(d=1, alpha=1.0).growth()
     t1 = lower_bound_complexity(g, d=1, delta0=100.0).value
     t2 = lower_bound_complexity(g, d=1, delta0=400.0).value
     assert t2 / t1 == pytest.approx(2.0, rel=1e-9)
@@ -468,7 +465,7 @@ def test_lower_bound_mid_regime_delta0_exponent():
 
 
 def test_lower_bound_gaussian_regime_frozen():
-    g = growth_params(Gaussian(d=1))
+    g = Gaussian(d=1).growth()
     rep = lower_bound_complexity(g, d=1, delta0=10.0, h=0.5)
     # c ln(delta0 / b) / (2 (1+c) b) with c = 1, b = 1
     assert rep.value == pytest.approx(math.log(10.0) / 4.0, rel=1e-12)
@@ -479,20 +476,20 @@ def test_lower_bound_gaussian_regime_frozen():
 
 
 def test_lower_bound_gaussian_regime_h_domain():
-    g = growth_params(Gaussian(d=1))
+    g = Gaussian(d=1).growth()
     with pytest.raises(InputValidationError):
         lower_bound_complexity(g, d=1, delta0=10.0, h=1.0)  # needs h < 1/b
 
 
 def test_lower_bound_gaussian_vacuous_below_b():
-    g = growth_params(Gaussian(d=1))
+    g = Gaussian(d=1).growth()
     rep = lower_bound_complexity(g, d=1, delta0=0.5, h=0.5)
     assert rep.value == 0.0
     assert not rep.feasible
 
 
 def test_lower_bound_threshold_gate():
-    g = growth_params(GenCauchy(d=1, nu=2))
+    g = GenCauchy(d=1, nu=2).growth()
     rep = lower_bound_complexity(g, d=1, delta0=1.0, h=0.01, nu=2.0, threshold=5.0)
     assert not rep.feasible
     assert "threshold" in (rep.infeasibility or "")
@@ -506,8 +503,8 @@ def test_lower_bound_threshold_gate():
 def test_delta0_threshold_frozen_log_tail():
     spec = GenCauchy(d=1, nu=6)
     rep = delta0_threshold(
-        growth_params(spec), d=1, q=2.0,
-        Z=normalizing_constant(spec), pi_moment=radial_moment(spec, 4.0),
+        spec.growth(), d=1, q=2.0,
+        Z=math.exp(log_normalizing_constant(spec)), pi_moment=radial_moment(spec, 4.0),
     )
     assert rep.value == pytest.approx(7.216395324324494, rel=1e-9)
     assert rep.kind == "delta0_min"
@@ -516,8 +513,8 @@ def test_delta0_threshold_frozen_log_tail():
 def test_delta0_threshold_frozen_gaussian():
     spec = Gaussian(d=2)
     rep = delta0_threshold(
-        growth_params(spec), d=2, q=2.0,
-        Z=normalizing_constant(spec), pi_moment=radial_moment(spec, 4.0),
+        spec.growth(), d=2, q=2.0,
+        Z=math.exp(log_normalizing_constant(spec)), pi_moment=radial_moment(spec, 4.0),
     )
     assert rep.value == pytest.approx(8 * math.e, rel=1e-9)
     assert rep.value == pytest.approx(21.746254627672368, rel=1e-9)
@@ -534,8 +531,8 @@ def test_delta0_threshold_regime_consistency():
 def test_delta0_threshold_mid_regime_positive():
     spec = Sublinear(d=2, alpha=0.5)
     rep = delta0_threshold(
-        growth_params(spec), d=2, q=2.0,
-        Z=normalizing_constant(spec), pi_moment=radial_moment(spec, 4.0),
+        spec.growth(), d=2, q=2.0,
+        Z=math.exp(log_normalizing_constant(spec)), pi_moment=radial_moment(spec, 4.0),
     )
     assert rep.value > 0
     assert rep.value >= 1.0 / 0.5  # the 1/alpha term is always present
@@ -690,7 +687,7 @@ def test_bound_query_validation():
 
 
 def test_bound_report_to_dict_nonfinite():
-    rep = lower_bound_complexity(growth_params(Gaussian(d=1)), d=1, delta0=0.5, h=0.5)
+    rep = lower_bound_complexity(Gaussian(d=1).growth(), d=1, delta0=0.5, h=0.5)
     d = rep.to_dict()
     json.dumps(d)
     rep2 = init_divergence_bound(GenCauchy(d=1, nu=2), 1.0, "Rinf")
@@ -718,17 +715,17 @@ def test_complexity_sandwich_gen_cauchy():
     thr_cross = sigma2_eps(spec, q, eps)
     assert thr_cross == pytest.approx(11.340205426473098, rel=1e-9)
 
-    delta0 = coupling_delta0(spec, s2)
+    delta0 = spec.coupling_delta0(s2)
     assert delta0 == pytest.approx(6.0 * math.log(9.0), rel=1e-12)
     gate = delta0_threshold(
-        growth_params(spec), d=24, q=q,
-        Z=normalizing_constant(spec), pi_moment=pi_moment_for(spec, q),
+        spec.growth(), d=24, q=q,
+        Z=math.exp(log_normalizing_constant(spec)), pi_moment=pi_moment_for(spec, q),
     )
     assert gate.value == pytest.approx(7.404241112068497, rel=1e-9)
     assert delta0 >= gate.value
 
     lower = lower_bound_complexity(
-        growth_params(spec), d=24, delta0=delta0, h=h, nu=6.0, threshold=gate.value
+        spec.growth(), d=24, delta0=delta0, h=h, nu=6.0, threshold=gate.value
     )
     assert lower.feasible
     assert lower.value == pytest.approx(900.0, rel=1e-9)

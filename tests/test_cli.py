@@ -33,7 +33,6 @@ from heavytail_lmc.cli import (
     ExperimentConfig,
     assemble_upper_bound,
     config_from_json,
-    coupling_delta0,
     main,
     phase_threshold,
 )
@@ -171,15 +170,15 @@ def test_lam_the_family_cannot_take_is_a_usage_error(capsys, flags):
 
 
 def test_coupling_delta0_values():
-    assert coupling_delta0(GenCauchy(d=1, nu=2), 4.0) == pytest.approx(
+    assert GenCauchy(d=1, nu=2).coupling_delta0(4.0) == pytest.approx(
         2.0 * math.log(4.0)
     )
-    assert coupling_delta0(Sublinear(d=1, alpha=0.5), 4.0) == pytest.approx(
+    assert Sublinear(d=1, alpha=0.5).coupling_delta0(4.0) == pytest.approx(
         2.0 ** (1.0 / 3.0) / 0.5
     )
-    assert coupling_delta0(Gaussian(d=2), 4.0) == pytest.approx(4.0)
+    assert Gaussian(d=2).coupling_delta0(4.0) == pytest.approx(4.0)
     with pytest.raises(InputValidationError):
-        coupling_delta0(GenCauchy(d=1, nu=2), 1.0)
+        GenCauchy(d=1, nu=2).coupling_delta0(1.0)
 
 
 def test_phase_threshold_fallback():
@@ -344,6 +343,13 @@ def test_verify_wpi_clean(tmp_path, capsys):
     assert payload["main"]["passed"] is True
     assert payload["main"]["n_violations"] == 0
     assert payload["falsify"]["n_violations"] >= 1
+
+
+def test_verify_wpi_infinite_r_is_a_usage_error(tmp_path):
+    rc = main(["verify", "wpi", "--family", "gen_cauchy", "--nu", "2",
+               "--d", "1", "--r-grid", "inf", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "verify_wpi.json").exists()
 
 
 def test_verify_falsify_mode_exits_one(tmp_path):

@@ -324,6 +324,12 @@ def test_window_inside_the_outer_kinks(fset, spec, window):
     assert rep.n_violations == 0
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_wpi_check_rejects_a_non_finite_r(fset, r):
+    with pytest.raises(InputValidationError, match="finite positive"):
+        wpi_check(GC12, beta_for_spec(GC12), fset, [0.1, r])
+
+
 def test_discontinuous_test_function_raises():
     """A jump never reaches level agreement: a typed error, not a number."""
     jump = fi_verify.TestFunction(

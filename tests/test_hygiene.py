@@ -1,7 +1,7 @@
 """Source hygiene: every imported name in the package and scripts is used,
-the package keeps no process-wide memo, never uses scipy.integrate and
-starts threads only in the sampler, and importing it starts no thread and
-loads no scipy."""
+each public name has one home module, the package keeps no process-wide
+memo, never uses scipy.integrate and starts threads only in the sampler,
+and importing it starts no thread and loads no scipy."""
 
 import ast
 import os
@@ -22,6 +22,15 @@ SOURCES = sorted(
 GLOBAL_MEMOS = {"lru_cache", "cache"}
 
 
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
@@ -33,11 +42,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(_exported(tree))
     return [f"{name} (line {line})" for name, line in sorted(imported.items())
             if name not in used]
 
@@ -46,6 +51,35 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level other than by importing."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_each_public_name_has_one_home():
+    """No name is in two modules' __all__, and the package __init__ imports
+    each name from the module that defines it."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    homes: dict[str, list[str]] = {}
+    for module, tree in trees.items():
+        for name in _exported(tree):
+            homes.setdefault(name, []).append(module)
+    assert {n: m for n, m in homes.items() if len(m) > 1} == {}
+    misplaced = [f"{alias.name} from .{node.module}"
+                 for node in trees["__init__"].body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names
+                 if alias.name not in _defined(trees[node.module])]
+    assert misplaced == []
 
 
 def _global_memos(tree: ast.Module) -> list[str]:

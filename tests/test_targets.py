@@ -27,24 +27,18 @@ from heavytail_lmc import (
     RadialFamily,
     Sublinear,
     SublinearMomentBound,
-    closed_form_moment,
     gaussian_init,
     direct_sampler,
     grad_potential,
-    growth_params,
-    holder_smoothness,
     log_normalizing_constant,
     median_radius,
     modified_target_m,
     modified_target_spec,
-    normalizing_constant,
     potential,
     radial_moment,
-    radial_profile,
     run_chains,
     spec_from_json,
     spec_to_json,
-    tail_bound,
     tail_mass,
     tilde_log_normalizing_constant,
     tilde_moment,
@@ -111,7 +105,7 @@ def test_gradient_matches_finite_differences(spec):
 
 def test_radial_profile_consistent_with_potential():
     for spec in FAMILIES:
-        f, fprime = radial_profile(spec)
+        f, fprime = spec.profile, spec.profile_prime
         r2 = np.array([0.0, 0.5, 4.0, 100.0])
         x = np.zeros((r2.size, spec.d))
         x[:, 0] = np.sqrt(r2)
@@ -223,27 +217,27 @@ def test_family_defined_in_one_class_runs_end_to_end():
 
 
 def test_growth_params_values():
-    g = growth_params(GenCauchy(d=3, nu=2))
+    g = GenCauchy(d=3, nu=2).growth()
     assert (g.b, g.alpha) == pytest.approx((5.0, 0.0))
-    g = growth_params(Sublinear(d=1, alpha=0.5, lam=2.0))
+    g = Sublinear(d=1, alpha=0.5, lam=2.0).growth()
     assert g.b == pytest.approx(0.5 * max(2.0 ** 4, 2.0))
     assert g.alpha == 0.5
-    g = growth_params(Gaussian(d=7))
+    g = Gaussian(d=7).growth()
     assert (g.b, g.alpha) == pytest.approx((1.0, 2.0))
 
 
 def test_holder_values():
-    hs = holder_smoothness(GenCauchy(d=2, nu=3))
+    hs = GenCauchy(d=2, nu=3).holder()
     assert (hs.L, hs.s) == pytest.approx((5.0, 1.0))
-    hs = holder_smoothness(Sublinear(d=1, alpha=0.5, lam=2.0))
+    hs = Sublinear(d=1, alpha=0.5, lam=2.0).holder()
     assert hs.L == pytest.approx(max(1.0, 0.5 * 2.0 ** 4))
-    assert holder_smoothness(Gaussian(d=3)).L == pytest.approx(1.0)
+    assert Gaussian(d=3).holder().L == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: repr(s))
 def test_growth_inequality_on_grid(spec):
     """<x, grad V(x)> <= b * ||x||^alpha for every radius."""
-    g = growth_params(spec)
+    g = spec.growth()
     r = np.geomspace(1e-3, 1e3, 61)
     x = np.zeros((r.size, spec.d))
     x[:, 0] = r
@@ -253,7 +247,7 @@ def test_growth_inequality_on_grid(spec):
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: repr(s))
 def test_holder_inequality_on_pairs(spec):
-    hs = holder_smoothness(spec)
+    hs = spec.holder()
     rng = np.random.default_rng(7)
     x = rng.normal(scale=3.0, size=(64, spec.d))
     y = rng.normal(scale=3.0, size=(64, spec.d))
@@ -269,9 +263,9 @@ def test_holder_inequality_on_pairs(spec):
 
 def test_normalizing_constant_closed_forms():
     # pi^(d/2) Gamma(nu/2) / Gamma((d+nu)/2)
-    assert normalizing_constant(GenCauchy(d=1, nu=2)) == pytest.approx(2.0, rel=1e-12)
-    assert normalizing_constant(GenCauchy(d=2, nu=2)) == pytest.approx(math.pi, rel=1e-12)
-    assert normalizing_constant(Gaussian(d=3)) == pytest.approx((2 * math.pi) ** 1.5, rel=1e-12)
+    assert math.exp(log_normalizing_constant(GenCauchy(d=1, nu=2))) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(log_normalizing_constant(GenCauchy(d=2, nu=2))) == pytest.approx(math.pi, rel=1e-12)
+    assert math.exp(log_normalizing_constant(Gaussian(d=3))) == pytest.approx((2 * math.pi) ** 1.5, rel=1e-12)
 
 
 def test_normalizing_constant_matches_independent_quadrature():
@@ -280,7 +274,7 @@ def test_normalizing_constant_matches_independent_quadrature():
         lambda x: math.exp(-((1 + x * x) ** 0.25)), -np.inf, np.inf, limit=200
     )
     assert err < 1e-6 * val
-    assert normalizing_constant(spec) == pytest.approx(val, rel=1e-9)
+    assert math.exp(log_normalizing_constant(spec)) == pytest.approx(val, rel=1e-9)
     assert log_normalizing_constant(spec) == pytest.approx(math.log(val), rel=1e-9)
 
 
@@ -299,7 +293,7 @@ def test_tilde_normalizer_sandwich():
 
 
 def test_gen_cauchy_second_moment_exact():
-    assert closed_form_moment(GenCauchy(d=1, nu=3), 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert GenCauchy(d=1, nu=3).closed_moment(2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -319,30 +313,90 @@ def test_gen_cauchy_second_moment_exact():
     ids=str,
 )
 def test_closed_form_matches_quadrature(spec, p):
-    assert closed_form_moment(spec, p) == pytest.approx(radial_moment(spec, p), rel=1e-8)
+    assert spec.closed_moment(p) == pytest.approx(radial_moment(spec, p), rel=1e-8)
 
 
 def test_gaussian_moment_formula():
     # E ||x||^p = 2^(p/2) Gamma((d+p)/2) / Gamma(d/2)
     for d, p in [(1, 2.0), (3, 4.0), (5, 3.0)]:
         expect = 2 ** (p / 2) * special.gamma((d + p) / 2) / special.gamma(d / 2)
-        assert closed_form_moment(Gaussian(d=d), p) == pytest.approx(expect, rel=1e-12)
+        assert Gaussian(d=d).closed_moment(p) == pytest.approx(expect, rel=1e-12)
 
 
 def test_moment_undefined_for_heavy_tail():
     with pytest.raises(MomentUndefinedError):
-        closed_form_moment(GenCauchy(d=1, nu=2), 2.0)
+        GenCauchy(d=1, nu=2).closed_moment(2.0)
     with pytest.raises(MomentUndefinedError):
-        closed_form_moment(GenCauchy(d=1, nu=2), 2.5)
+        GenCauchy(d=1, nu=2).closed_moment(2.5)
     with pytest.raises(MomentUndefinedError):
         radial_moment(GenCauchy(d=1, nu=2), 2.0)
     # boundary p == nu is also undefined
     with pytest.raises(MomentUndefinedError):
-        closed_form_moment(GenCauchy(d=2, nu=4), 4.0)
+        GenCauchy(d=2, nu=4).closed_moment(4.0)
+
+
+# Each family method checks its own argument; NaN fails every check.
+@pytest.mark.parametrize("spec, p, error", [
+    (GenCauchy(d=1, nu=2), 3.0, MomentUndefinedError),
+    (GenCauchy(d=1, nu=2), math.nan, InputValidationError),
+    (Gaussian(d=2), -3.0, InputValidationError),
+    (Gaussian(d=2), math.nan, InputValidationError),
+    (Gaussian(d=2), math.inf, InputValidationError),
+    (Sublinear(d=1, alpha=0.5), math.nan, InputValidationError),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_closed_moment_checks_its_order(spec, p, error):
+    with pytest.raises(error):
+        spec.closed_moment(p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_radial_moment_rejects_a_bad_order(p):
+    with pytest.raises(InputValidationError):
+        radial_moment(Gaussian(d=1), p)
+
+
+@pytest.mark.parametrize("spec", [GenCauchy(d=1, nu=1.5), Sublinear(d=1, alpha=0.5)],
+                         ids=repr)
+@pytest.mark.parametrize("R", [-2.0, 0.0, math.nan])
+def test_tail_bound_checks_its_radius(spec, R):
+    with pytest.raises(InputValidationError):
+        spec.tail_bound(R)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_tail_mass_rejects_a_bad_radius(R):
+    with pytest.raises(InputValidationError):
+        tail_mass(GC12, R)
+
+
+@pytest.mark.parametrize("spec, sigma2", [
+    (GenCauchy(d=1, nu=2), math.nan),
+    (GenCauchy(d=1, nu=2), math.inf),
+    (Sublinear(d=1, alpha=0.5), -1.0),
+    (Sublinear(d=1, alpha=0.5), math.nan),
+    (Gaussian(d=1), -1.0),
+    (Gaussian(d=1), 0.0),
+    (Gaussian(d=1), math.inf),
+], ids=str)
+def test_coupling_delta0_checks_its_variance(spec, sigma2):
+    with pytest.raises(InputValidationError):
+        spec.coupling_delta0(sigma2)
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (GenCauchy(d=1, nu=2), "rinf_bound"),
+    (Sublinear(d=1, alpha=0.5), "rinf_bound"),
+    (Gaussian(d=1), "kl_bound"),
+], ids=str)
+def test_start_bounds_reject_a_nan_variance(spec, kind):
+    with pytest.raises(InputValidationError):
+        getattr(spec, kind)(math.nan)
+    with pytest.raises(InputValidationError):
+        spec.start_renyi(2.0, math.nan)
 
 
 def test_sublinear_moment_bound_object():
-    res = closed_form_moment(Sublinear(d=1, alpha=0.5), 2.0)
+    res = Sublinear(d=1, alpha=0.5).closed_moment(2.0)
     assert isinstance(res, SublinearMomentBound)
     assert res.upper == pytest.approx(math.e * res.tilde_exact, rel=1e-12)
     true = radial_moment(Sublinear(d=1, alpha=0.5), 2.0)
@@ -385,7 +439,7 @@ def test_tail_mass_basic_properties():
 @pytest.mark.parametrize("spec", [GenCauchy(d=1, nu=2), GenCauchy(d=2, nu=1), Sublinear(d=1, alpha=0.5), Sublinear(d=2, alpha=0.3)], ids=repr)
 def test_tail_bound_dominates_tail_mass(spec):
     for R in [0.5, 1.0, 2.0, 5.0, 10.0, 40.0]:
-        tb = tail_bound(spec, R)
+        tb = spec.tail_bound(R)
         assert tb >= tail_mass(spec, R) * (1 - 1e-10)
 
 
@@ -443,7 +497,7 @@ def test_moment_near_the_tail_index_is_right_or_refused():
         value = radial_moment(spec, 0.99)
     except NumericsError:
         return
-    assert value == pytest.approx(closed_form_moment(spec, 0.99),
+    assert value == pytest.approx(spec.closed_moment(0.99),
                                   rel=1e-10, abs=0.0)
 
 
@@ -595,7 +649,7 @@ def test_direct_sampler_matches_moment():
     assert x.shape == (n, 1)
     r2 = np.sum(x * x, axis=1)
     se = float(np.std(r2, ddof=1)) / math.sqrt(n)
-    assert abs(float(np.mean(r2)) - closed_form_moment(spec, 2.0)) <= 4 * se
+    assert abs(float(np.mean(r2)) - spec.closed_moment(2.0)) <= 4 * se
 
 
 def test_direct_sampler_gaussian_moment():
@@ -665,7 +719,7 @@ def test_gen_cauchy_potential_monotone_radial(nu, d, r):
     d=st.integers(min_value=1, max_value=4),
 )
 def test_sublinear_growth_alpha_matches(alpha, lam, d):
-    g = growth_params(Sublinear(d=d, alpha=alpha, lam=lam))
+    g = Sublinear(d=d, alpha=alpha, lam=lam).growth()
     assert g.alpha == pytest.approx(alpha)
     assert g.b > 0
 
@@ -678,4 +732,4 @@ def test_sublinear_growth_alpha_matches(alpha, lam, d):
 )
 def test_tail_bound_nonincreasing_gen_cauchy(d, nu, R):
     spec = GenCauchy(d=d, nu=nu)
-    assert tail_bound(spec, R * 2) <= tail_bound(spec, R) * (1 + 1e-12)
+    assert spec.tail_bound(R * 2) <= spec.tail_bound(R) * (1 + 1e-12)
