@@ -33,6 +33,7 @@ from .targets import (
     PotentialSpec,
     Sublinear,
     _c_d_alpha,
+    _json_int,
     _tail_quantile,
     _ts_integrals,
     _ts_nodes,
@@ -744,11 +745,11 @@ def fokker_planck_evolve_1d(
     the target itself is exactly stationary.  Every recorded frame carries
     the grid target, computed once here.
     """
-    if not (t_final > 0.0):
-        raise InputValidationError(f"t_final must be positive, got {t_final}")
+    if not (0.0 < t_final < math.inf):
+        raise InputValidationError(f"t_final must be finite positive, got {t_final}")
     if not (dt > 0.0):
         raise InputValidationError(f"dt must be positive, got {dt}")
-    if record_every is not None and record_every < 1:
+    if record_every is not None and _json_int(record_every, "record_every") < 1:
         raise InputValidationError(
             f"record_every must be >= 1, got {record_every}"
         )
@@ -781,26 +782,29 @@ def fokker_planck_evolve_1d(
         return DensityGrid(nodes=nodes, widths=widths, values=values,
                            _pi=carried)
 
-    # Each step updates rho in place through preallocated buffers, with the
-    # IEEE operations, and their order, of rho + dt * div / widths on
-    # div = scatter(cond * diff(rho / pi)); folding dt / widths or
-    # cond / widths into one factor would change the rounding.
+    # Each step is seven ufunc calls into preallocated buffers: rho +
+    # dt * div / widths, with div = diff(padded) and the face fluxes
+    # cond * diff(rho / pi) in the interior of one zero-ended buffer;
+    # folding dt / widths or cond / widths into one factor would change the
+    # rounding.  A scatter into zeros gives div_i = (0.0 + f_i) - f_{i-1},
+    # this f_i - f_{i-1}: the two differ only in the sign of a zero, and
+    # rho + (+-0) / w is the same rho, because rho never holds -0.0 (it
+    # starts from exp, and x + (-x) rounds to +0.0).
     rho = rho0.values.copy()
     u, div = np.empty_like(rho), np.empty_like(rho)
-    flux = np.empty_like(cond)
-    u_lo, u_hi, div_lo, div_hi = u[:-1], u[1:], div[:-1], div[1:]
+    padded = np.zeros(rho.size + 1)
+    flux, u_lo, u_hi = padded[1:-1], u[:-1], u[1:]
+    pad_lo, pad_hi = padded[:-1], padded[1:]
     times = [0.0]
     frames = [frame(rho.copy())]
     for k in range(1, n_steps + 1):
-        np.divide(rho, pi_vals, out=u)
-        np.subtract(u_hi, u_lo, out=flux)
-        np.multiply(cond, flux, out=flux)
-        div.fill(0.0)
-        div_lo += flux
-        div_hi -= flux
-        np.multiply(dt, div, out=div)
-        np.divide(div, widths, out=div)
-        np.add(rho, div, out=rho)
+        np.divide(rho, pi_vals, u)
+        np.subtract(u_hi, u_lo, flux)
+        np.multiply(cond, flux, flux)
+        np.subtract(pad_hi, pad_lo, div)
+        np.multiply(dt, div, div)
+        np.divide(div, widths, div)
+        np.add(rho, div, rho)
         if k % record_every == 0 or k == n_steps:
             np.clip(rho, 0.0, None, out=rho)
             times.append(k * dt)
@@ -815,8 +819,8 @@ def fq_gq(rho: DensityGrid, spec: PotentialSpec, q: float) -> tuple[float, float
     the gradient taken between adjacent cells.  Returns (inf, inf) if rho
     puts mass where the grid target has underflowed to zero.
     """
-    if not (q > 1.0):
-        raise InputValidationError(f"q must exceed 1, got {q}")
+    if not (1.0 < q < math.inf):
+        raise InputValidationError(f"q must be finite and exceed 1, got {q}")
     pi_vals = pi_on_grid(spec, rho)
     bad = (pi_vals < 1e-300) & (rho.values > 0.0)
     if np.any(bad):
@@ -856,20 +860,17 @@ def grid_r_inf(rho: DensityGrid, spec: PotentialSpec) -> float:
 def write_fp_csv(
     path: str, traj: FPTrajectory, spec: PotentialSpec, q: float
 ) -> None:
-    """Export a trajectory as CSV rows t, R_q, F_q, G_q, mass, m2."""
+    """Export a trajectory as CSV rows t, R_q, F_q, G_q, mass, m2.
+
+    Every row is computed before the file is opened, so a rejected ``q``
+    writes nothing.
+    """
+    rows = []
+    for t, frame in zip(traj.times, traj.densities):
+        f_q, g_q = fq_gq(frame, spec, q)
+        rows.append([f"{v:.12g}" for v in (t, _renyi_from_fq(f_q, q), f_q,
+                                             g_q, frame.mass, frame.m2)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "R_q", "F_q", "G_q", "mass", "m2"])
-        for t, frame in zip(traj.times, traj.densities):
-            f_q, g_q = fq_gq(frame, spec, q)
-            r_q = _renyi_from_fq(f_q, q)
-            writer.writerow(
-                [
-                    f"{t:.12g}",
-                    f"{r_q:.12g}",
-                    f"{f_q:.12g}",
-                    f"{g_q:.12g}",
-                    f"{frame.mass:.12g}",
-                    f"{frame.m2:.12g}",
-                ]
-            )
+        writer.writerows(rows)

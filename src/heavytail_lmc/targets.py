@@ -149,6 +149,11 @@ def _require_radius(R: float) -> None:
         raise InputValidationError(f"tail radius R must be positive, got {R}")
 
 
+def _require_mass(mass: float) -> None:
+    if not (0.0 < mass < 1.0):
+        raise InputValidationError(f"tail mass must lie in (0, 1), got {mass}")
+
+
 def _require_variance(sigma2: float) -> None:
     if not (0.0 < sigma2 < math.inf):
         raise InputValidationError(
@@ -403,6 +408,7 @@ class GenCauchy(RadialFamily):
         return (self.nu + self.d) ** (0.5 * self.nu) * R ** (-self.nu)
 
     def deep_tail_quantile(self, mass: float) -> float:
+        _require_mass(mass)
         # (nu+d)^{nu/2} R^{-nu} = mass
         return math.exp(
             (0.5 * self.nu * math.log(self.nu + self.d) - math.log(mass)) / self.nu
@@ -502,6 +508,7 @@ class Sublinear(RadialFamily):
         return math.exp(log_val)
 
     def deep_tail_quantile(self, mass: float) -> float:
+        _require_mass(mass)
         # e^{1/2} 2^{d/alpha} exp(-(1+R^2)^{alpha/2}/2) = mass, then rescale
         # by lam^{-1/alpha} (the family is a dilation of the lam = 1 case).
         a = 2.0 * (0.5 + (self.d / self.alpha) * math.log(2.0) - math.log(mass))
@@ -590,6 +597,7 @@ class Gaussian(RadialFamily):
         return math.exp(lg)
 
     def deep_tail_quantile(self, mass: float) -> float:
+        _require_mass(mass)
         from scipy import special
 
         return math.sqrt(2.0) * float(special.erfcinv(mass))
@@ -936,10 +944,10 @@ def tilde_moment(d: int, alpha: float, lam: float, p: float) -> float:
     _validate_dimension(d)
     if not (0 < alpha <= 1):
         raise InputValidationError(f"alpha must lie in (0, 1], got {alpha}")
-    if lam <= 0:
-        raise InputValidationError(f"lam must be positive, got {lam}")
-    if p < 0:
-        raise InputValidationError(f"moment order p must be >= 0, got {p}")
+    if not (0 < lam < math.inf):
+        raise InputValidationError(f"lam must be finite positive, got {lam}")
+    if not (0 <= p < math.inf):
+        raise InputValidationError(f"moment order p must be finite >= 0, got {p}")
     from scipy import special
 
     lg = (
@@ -955,8 +963,8 @@ def tilde_log_normalizing_constant(d: int, alpha: float, lam: float) -> float:
     _validate_dimension(d)
     if not (0 < alpha <= 1):
         raise InputValidationError(f"alpha must lie in (0, 1], got {alpha}")
-    if lam <= 0:
-        raise InputValidationError(f"lam must be positive, got {lam}")
+    if not (0 < lam < math.inf):
+        raise InputValidationError(f"lam must be finite positive, got {lam}")
     from scipy import special
 
     log_omega = 0.5 * d * math.log(math.pi) - special.gammaln(0.5 * d + 1.0)

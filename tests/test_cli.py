@@ -781,6 +781,19 @@ def test_fp_evolve_rejects_nonpositive_record_every(tmp_path, capsys, every):
     assert not (tmp_path / "fp.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--t-final", "inf"], ["--q", "inf"]],
+                         ids=" ".join)
+def test_fp_evolve_rejects_an_infinite_time_or_order(tmp_path, capsys, flags):
+    """argparse keeps the last --t-final, so the first case asks for t = inf."""
+    rc = main(["fp-evolve", "--family", "gaussian", "--d", "1",
+               "--sigma2", "1.5", "--t-final", "0.01", "--dt", "2e-5",
+               "--n-core", "256", "--n-tail", "32", "--core-halfwidth", "6",
+               "--output-dir", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "fp.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------

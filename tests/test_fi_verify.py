@@ -154,6 +154,19 @@ def test_grid_renyi_gaussian_cross_check():
     assert renyi_quadrature(rho, Gaussian(d=1), 2.0) == pytest.approx(want, abs=2e-3)
 
 
+def test_grid_functionals_reject_an_infinite_order(tmp_path):
+    g = make_grid(Gaussian(d=1), n_core=256, n_tail=32, core_halfwidth=6.0)
+    rho = gaussian_on_grid(g, 2.0)
+    with pytest.raises(InputValidationError, match="q must be finite"):
+        fq_gq(rho, Gaussian(d=1), math.inf)
+    with pytest.raises(InputValidationError, match="q must be finite"):
+        renyi_quadrature(rho, Gaussian(d=1), math.inf)
+    traj = fokker_planck_evolve_1d(Gaussian(d=1), rho, t_final=1e-3, dt=1e-4)
+    with pytest.raises(InputValidationError, match="q must be finite"):
+        write_fp_csv(str(tmp_path / "fp.csv"), traj, Gaussian(d=1), math.inf)
+    assert not (tmp_path / "fp.csv").exists()
+
+
 def test_fq_gq_support_violation():
     nodes = np.linspace(-60, 60, 1200)
     widths = np.full(1200, 0.1)
@@ -741,6 +754,19 @@ def test_fp_record_every_must_be_positive(every):
                                 record_every=every)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t_final": math.inf}, "t_final must be finite"),
+    ({"record_every": 2.5}, "record_every must be an integer"),
+    ({"record_every": True}, "record_every must be an integer"),
+], ids=str)
+def test_fp_evolve_checks_its_time_and_record_interval(kwargs, message):
+    g = make_grid(Gaussian(d=1), n_core=256, n_tail=32, core_halfwidth=6.0)
+    rho0 = gaussian_on_grid(g, 2.0)
+    with pytest.raises(InputValidationError, match=message):
+        fokker_planck_evolve_1d(Gaussian(d=1), rho0,
+                                **{"t_final": 0.01, "dt": 1e-4, **kwargs})
+
+
 def _reference_evolve(spec, rho0, t_final, dt, record_every):
     """The allocating finite-volume loop: record times and frame values."""
     pi_vals = pi_on_grid(spec, rho0)
@@ -778,6 +804,21 @@ def test_fp_evolve_matches_reference_loop(spec, half, dt):
                                    record_every=37)
     times, frames = _reference_evolve(spec, rho0, 200 * dt, dt, 37)
     assert len(traj) == len(frames) == 7  # 0, 37, ..., 185, and step 200
+    assert traj.times.tobytes() == times.tobytes()
+    for dens, want in zip(traj.densities, frames):
+        assert dens.values.tobytes() == want.tobytes()
+
+
+def test_fp_evolve_matches_reference_loop_on_the_default_cauchy_grid():
+    """The same pin on make_grid's default window for GenCauchy(nu = 1):
+    cells from 12.4 to 7.6e8 wide, 1986 cells exactly zero at the start,
+    subnormal cells at the front and fluxes of -0.0 as it moves."""
+    spec = GenCauchy(d=1, nu=1)
+    rho0 = gaussian_on_grid(make_grid(spec), 100.0)
+    traj = fokker_planck_evolve_1d(spec, rho0, t_final=400.0, dt=2.0,
+                                   record_every=37)
+    times, frames = _reference_evolve(spec, rho0, 400.0, 2.0, 37)
+    assert len(traj) == len(frames) == 7
     assert traj.times.tobytes() == times.tobytes()
     for dens, want in zip(traj.densities, frames):
         assert dens.values.tobytes() == want.tobytes()

@@ -395,6 +395,31 @@ def test_start_bounds_reject_a_nan_variance(spec, kind):
         spec.start_renyi(2.0, math.nan)
 
 
+@pytest.mark.parametrize("lam, p", [(1.0, math.nan), (math.nan, 2.0),
+                                    (1.0, math.inf), (math.inf, 2.0)], ids=str)
+def test_tilde_moment_rejects_a_non_finite_argument(lam, p):
+    with pytest.raises(InputValidationError):
+        tilde_moment(1, 0.5, lam, p)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf], ids=str)
+def test_tilde_normalizer_rejects_a_non_finite_lam(lam):
+    with pytest.raises(InputValidationError):
+        tilde_log_normalizing_constant(1, 0.5, lam)
+
+
+@pytest.mark.parametrize("spec, mass", [
+    (GenCauchy(d=1, nu=2), 0.0),
+    (GenCauchy(d=1, nu=2), -1.0),
+    (Gaussian(d=1), 2.0),
+    (Gaussian(d=1), 1.0),
+    (Sublinear(d=1, alpha=0.5), math.nan),
+], ids=str)
+def test_deep_tail_quantile_checks_its_mass(spec, mass):
+    with pytest.raises(InputValidationError, match="tail mass"):
+        spec.deep_tail_quantile(mass)
+
+
 def test_sublinear_moment_bound_object():
     res = Sublinear(d=1, alpha=0.5).closed_moment(2.0)
     assert isinstance(res, SublinearMomentBound)
