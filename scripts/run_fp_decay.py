@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Evolve N(0, 4) toward the 1D log-tailed target and tabulate the decay.
 
-Runs the conservative finite-volume scheme for the generalized-Cauchy
-target (d = 1, nu = 2) from a gaussian start, writes the full trajectory
-CSV (t, R_q, F_q, G_q, mass, m2), and prints
+Runs ``heavytail-lmc fp-evolve`` for the generalized-Cauchy target (d = 1,
+nu = 2) from a gaussian start (its stdout goes to stderr), which writes the
+trajectory CSV ``fp.csv`` (t, R_q, F_q, G_q, mass, m2) at q = 2.  From that
+table the script prints
 
 * the worst relative error of the decay identity dR_q/dt = -q G_q / F_q
   across all resolvable records, and
@@ -15,6 +16,7 @@ CSV (t, R_q, F_q, G_q, mass, m2), and prints
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -26,44 +28,46 @@ from heavytail_lmc import (
     GenCauchy,
     beta_for_spec,
     diffusion_time_bound,
-    fokker_planck_evolve_1d,
-    fq_gq,
     gaussian_on_grid,
     grid_r_inf,
     make_grid,
-    renyi_quadrature,
-    write_fp_csv,
 )
+from heavytail_lmc.cli import main
+
+SPEC = GenCauchy(d=1, nu=2.0)
+SIGMA2 = 4.0
+GRID = {"n_core": 2048, "n_tail": 256, "core_halfwidth": 24.0}
 
 
 def run(out_dir: str, t_final: float, dt: float, record_every: int) -> int:
-    spec = GenCauchy(d=1, nu=2.0)
-    grid = make_grid(spec, n_core=2048, n_tail=256, core_halfwidth=24.0)
-    rho0 = gaussian_on_grid(grid, 4.0)
-    traj = fokker_planck_evolve_1d(spec, rho0, t_final=t_final, dt=dt,
-                                   record_every=record_every)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "fp_decay.csv")
-    write_fp_csv(csv_path, traj, spec, 2.0)
-
-    times = np.array(traj.times)
-    rs = np.array([renyi_quadrature(dens, spec, 2.0) for dens in traj.densities])
-    fg = [fq_gq(dens, spec, 2.0) for dens in traj.densities]
+    argv = ["fp-evolve", "--family", "gen_cauchy", "--nu", "2", "--d", "1",
+            "--q", "2", f"--sigma2={SIGMA2!r}", f"--t-final={t_final!r}",
+            f"--dt={dt!r}", f"--record-every={record_every}",
+            f"--output-dir={out_dir}"]
+    argv += [f"--{name.replace('_', '-')}={v}" for name, v in GRID.items()]
+    with contextlib.redirect_stdout(sys.stderr):
+        code = main(argv)
+    if code != 0:
+        return code
+    csv_path = os.path.join(out_dir, "fp.csv")
+    times, rs, fs, gs = np.loadtxt(csv_path, delimiter=",", skiprows=1,
+                                   usecols=range(4), unpack=True)
     deriv = (rs[2:] - rs[:-2]) / (times[2:] - times[:-2])
-    pred = np.array([-2.0 * g / f for f, g in fg[1:-1]])
+    pred = -2.0 * gs[1:-1] / fs[1:-1]
     mask = np.abs(deriv) > 1e-4
     worst = float(np.max(np.abs(deriv[mask] - pred[mask]) / np.abs(deriv[mask])))
     print(f"records: {len(times)}, R_2 from {rs[0]:.4f} to {rs[-1]:.6f}")
     print(f"worst decay-identity relative error (|dR/dt| > 1e-4): {worst:.3%}")
 
     r2_0 = float(rs[0])
-    rinf_0 = grid_r_inf(rho0, spec)
-    beta = beta_for_spec(spec)
+    # the t = 0 frame of the run above, rebuilt from the flags' grid
+    rinf_0 = grid_r_inf(gaussian_on_grid(make_grid(SPEC, **GRID), SIGMA2), SPEC)
+    beta = beta_for_spec(SPEC)
     print(f"{'eps':>8} {'t_measured':>12} {'time_bound':>14}")
     for eps in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01):
         crossed = times[rs <= eps]
-        query = BoundQuery(q=2.0, q_prime=math.inf, eps=eps, spec=spec,
-                           sigma2=4.0, r_init={"q": r2_0, "qprime": rinf_0})
+        query = BoundQuery(q=2.0, q_prime=math.inf, eps=eps, spec=SPEC,
+                           sigma2=SIGMA2, r_init={"q": r2_0, "qprime": rinf_0})
         bound = diffusion_time_bound(query, beta).value
         if crossed.size:
             t_star = float(crossed[0])

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,11 +53,13 @@ from .diagnostics import (
     sigma2_eps,
 )
 from .fi_verify import (
+    FPTrajectory,
     _falsify_scale,
+    _fp_row,
+    _require_order,
     converse_pi_check,
     default_test_functions,
     fokker_planck_evolve_1d,
-    fq_gq,
     gaussian_on_grid,
     make_grid,
     weighted_pi_check,
@@ -102,7 +104,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a target, a query order, and a sweep of starts."""
+    """One experiment: a target, a query order, and a sweep of starts.
+    Construction is the one place each field is converted and checked."""
 
     spec: PotentialSpec
     q: float = 2.0
@@ -117,7 +120,17 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        sig = tuple(float(s) for s in self.sigma2_list)
+        # annotation -> converter; annotations are strings here (postponed)
+        convert = {"float": _json_float, "int": _json_int}
+        for f in fields(self):
+            if f.type in convert:
+                value = convert[f.type](getattr(self, f.name), f.name)
+                object.__setattr__(self, f.name, value)
+        object.__setattr__(self, "output_dir", str(self.output_dir))
+        if not isinstance(self.sigma2_list, (list, tuple)):
+            raise InputValidationError("sigma2_list must be a list of numbers, "
+                                       f"got {self.sigma2_list!r}")
+        sig = tuple(_json_float(s, "sigma2_list") for s in self.sigma2_list)
         object.__setattr__(self, "sigma2_list", sig)
         if not sig:
             raise InputValidationError("sigma2_list must be non-empty")
@@ -128,6 +141,8 @@ class ExperimentConfig:
         for name in ("n_chains", "n_iters", "record_every"):
             if getattr(self, name) < 1:
                 raise InputValidationError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise InputValidationError(f"seed must be >= 0, got {self.seed}")
         if not (self.q > 1.0):
             raise InputValidationError(f"q must exceed 1, got {self.q}")
         if not (self.q_prime > self.q):
@@ -140,19 +155,11 @@ class ExperimentConfig:
             raise InputValidationError(f"h must be a positive real, got {self.h}")
 
     def to_json(self) -> dict:
-        out = {
-            "spec": spec_to_json(self.spec),
-            "q": self.q,
-            "q_prime": "inf" if math.isinf(self.q_prime) else self.q_prime,
-            "eps": self.eps,
-            "sigma2_list": list(self.sigma2_list),
-            "h": self.h,
-            "n_chains": self.n_chains,
-            "n_iters": self.n_iters,
-            "record_every": self.record_every,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["spec"] = spec_to_json(self.spec)
+        if math.isinf(self.q_prime):
+            out["q_prime"] = "inf"
+        out["sigma2_list"] = list(self.sigma2_list)
         return out
 
 
@@ -162,35 +169,20 @@ def _json_q_prime(value, name: str) -> float:
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
-    """Build a config from a parsed JSON object (strict about field names)."""
+    """Build a config from a parsed JSON object (strict about field names;
+    :class:`ExperimentConfig` converts and checks the values)."""
     if not isinstance(obj, dict):
         raise InputValidationError("config JSON must be an object")
     data = dict(obj)
     if "spec" not in data:
         raise InputValidationError("config JSON missing required field 'spec'")
-    spec = spec_from_json(data.pop("spec"))
-    kwargs = {}
-    if "output_dir" in data:
-        kwargs["output_dir"] = str(data.pop("output_dir"))
-    for name in ("q", "eps", "h"):
-        if name in data:
-            kwargs[name] = _json_float(data.pop(name), name)
-    for name in ("n_chains", "n_iters", "record_every", "seed"):
-        if name in data:
-            kwargs[name] = _json_int(data.pop(name), name)
+    data["spec"] = spec_from_json(data["spec"])
+    unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise InputValidationError(f"unknown config fields: {unknown}")
     if "q_prime" in data:
-        kwargs["q_prime"] = _json_q_prime(data.pop("q_prime"), "q_prime")
-    if "sigma2_list" in data:
-        raw = data.pop("sigma2_list")
-        if not isinstance(raw, (list, tuple)):
-            raise InputValidationError(
-                f"sigma2_list must be a list of numbers, got {raw!r}")
-        kwargs["sigma2_list"] = tuple(_json_float(s, "sigma2_list") for s in raw)
-    if data:
-        raise InputValidationError(
-            f"unknown config fields: {sorted(data)}"
-        )
-    return ExperimentConfig(spec=spec, **kwargs)
+        data["q_prime"] = _json_q_prime(data["q_prime"], "q_prime")
+    return ExperimentConfig(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +620,23 @@ def cmd_sample(config: ExperimentConfig) -> int:
     return 0
 
 
+def _evolve_gaussian_start(spec: PotentialSpec, sigma2: float, t_final: float,
+                           dt: float, record_every: Optional[int], **grid
+                           ) -> FPTrajectory:
+    """N(0, sigma2) on ``make_grid(spec, **grid)``, evolved under the 1D flow."""
+    rho0 = gaussian_on_grid(make_grid(spec, **grid), sigma2)
+    return fokker_planck_evolve_1d(spec, rho0, t_final=t_final, dt=dt,
+                                   record_every=record_every)
+
+
 def cmd_fp_evolve(args: argparse.Namespace) -> int:
     """Evolve N(0, sigma2) under the 1D flow; write the trajectory CSV."""
     spec = _spec_from_args(args)
-    grid = make_grid(
-        spec,
-        n_core=args.n_core,
-        n_tail=args.n_tail,
-        core_halfwidth=args.core_halfwidth,
-    )
-    rho0 = gaussian_on_grid(grid, args.sigma2)
-    traj = fokker_planck_evolve_1d(
-        spec, rho0, t_final=args.t_final, dt=args.dt,
-        record_every=args.fp_record_every,
-    )
+    _require_order(args.q)  # before the first step, not after the last
+    traj = _evolve_gaussian_start(
+        spec, args.sigma2, args.t_final, args.dt, args.fp_record_every,
+        n_core=args.n_core, n_tail=args.n_tail,
+        core_halfwidth=args.core_halfwidth)
     os.makedirs(args.output_dir, exist_ok=True)
     out = os.path.join(args.output_dir, "fp.csv")
     write_fp_csv(out, traj, spec, args.q)
@@ -780,23 +775,17 @@ def _fp_suite() -> tuple[dict, dict]:
     which must break the match wherever the derivative is resolvable.
     """
     spec = GenCauchy(d=1, nu=2.0)
-    grid = make_grid(spec, core_halfwidth=24.0, n_core=2048, n_tail=256)
-    rho0 = gaussian_on_grid(grid, 4.0)
-    traj = fokker_planck_evolve_1d(spec, rho0, t_final=1.0, dt=2e-4,
-                                   record_every=250)
-    stats = []
-    for t, frame in zip(traj.times, traj.densities):
-        f_q, g_q = fq_gq(frame, spec, 2.0)
-        stats.append((float(t), math.log(f_q), f_q, g_q, frame.mass))
-    gspec = Gaussian(d=1)
-    ggrid = make_grid(gspec, core_halfwidth=6.0, n_core=1024, n_tail=128)
-    gtraj = fokker_planck_evolve_1d(gspec, gaussian_on_grid(ggrid, 4.0),
-                                    t_final=0.5, dt=2e-5, record_every=5000)
+    traj = _evolve_gaussian_start(spec, 4.0, 1.0, 2e-4, 250, core_halfwidth=24.0,
+                                  n_core=2048, n_tail=256)
+    stats = [_fp_row(t, frame, spec, 2.0)
+             for t, frame in zip(traj.times, traj.densities)]
+    gtraj = _evolve_gaussian_start(Gaussian(d=1), 4.0, 0.5, 2e-5, 5000,
+                                   core_halfwidth=6.0, n_core=1024, n_tail=128)
 
     def report(falsify: bool) -> dict:
         scale = _falsify_scale(falsify)
         entries = []
-        for i, (t, r, f, g, mass) in enumerate(stats):
+        for i, (t, r, f, g, mass, _) in enumerate(stats):
             entries.append({"kind": "mass", "t": t, "value": mass,
                             "violated": bool(abs(mass - 1.0) > 1e-8)})
             if i > 0:
@@ -889,7 +878,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q-prime", dest="q_prime", type=_parse_qprime,
                        default=None)
         p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--sigma2", type=_parse_floats, default=None,
+        p.add_argument("--sigma2", dest="sigma2_list", metavar="SIGMA2",
+                       type=_parse_floats, default=None,
                        help="comma-separated start variances")
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--n-chains", dest="n_chains", type=int, default=None)
@@ -989,19 +979,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise InputValidationError(
             "a target spec is required: pass --family or a config file"
         )
-    if args.q is not None:
-        base["q"] = args.q
-    if args.q_prime is not None:
-        base["q_prime"] = args.q_prime
-    if args.eps is not None:
-        base["eps"] = args.eps
-    if args.sigma2 is not None:
-        base["sigma2_list"] = args.sigma2
-    for name in ("h", "n_chains", "n_iters", "record_every", "seed",
-                 "output_dir"):
-        val = getattr(args, name)
+    for f in fields(ExperimentConfig):
+        val = getattr(args, f.name, None)  # every field but spec is a flag
         if val is not None:
-            base[name] = val
+            base[f.name] = val
     return config_from_json(base)
 
 

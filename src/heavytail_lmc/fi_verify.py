@@ -812,6 +812,11 @@ def fokker_planck_evolve_1d(
     return FPTrajectory(times=np.asarray(times), densities=tuple(frames), dt=dt)
 
 
+def _require_order(q: float) -> None:
+    if not (1.0 < q < math.inf):
+        raise InputValidationError(f"q must be finite and exceed 1, got {q}")
+
+
 def fq_gq(rho: DensityGrid, spec: PotentialSpec, q: float) -> tuple[float, float]:
     """Moment and dissipation functionals of the density ratio on the grid.
 
@@ -819,8 +824,7 @@ def fq_gq(rho: DensityGrid, spec: PotentialSpec, q: float) -> tuple[float, float
     the gradient taken between adjacent cells.  Returns (inf, inf) if rho
     puts mass where the grid target has underflowed to zero.
     """
-    if not (1.0 < q < math.inf):
-        raise InputValidationError(f"q must be finite and exceed 1, got {q}")
+    _require_order(q)
     pi_vals = pi_on_grid(spec, rho)
     bad = (pi_vals < 1e-300) & (rho.values > 0.0)
     if np.any(bad):
@@ -857,6 +861,13 @@ def grid_r_inf(rho: DensityGrid, spec: PotentialSpec) -> float:
     return float(ratios.max())
 
 
+def _fp_row(t: float, frame: DensityGrid, spec: PotentialSpec, q: float
+            ) -> tuple[float, ...]:
+    """One record of a trajectory: t, R_q, F_q, G_q, mass, m2."""
+    f_q, g_q = fq_gq(frame, spec, q)
+    return float(t), _renyi_from_fq(f_q, q), f_q, g_q, frame.mass, frame.m2
+
+
 def write_fp_csv(
     path: str, traj: FPTrajectory, spec: PotentialSpec, q: float
 ) -> None:
@@ -865,11 +876,8 @@ def write_fp_csv(
     Every row is computed before the file is opened, so a rejected ``q``
     writes nothing.
     """
-    rows = []
-    for t, frame in zip(traj.times, traj.densities):
-        f_q, g_q = fq_gq(frame, spec, q)
-        rows.append([f"{v:.12g}" for v in (t, _renyi_from_fq(f_q, q), f_q,
-                                             g_q, frame.mass, frame.m2)])
+    rows = [[f"{v:.12g}" for v in _fp_row(t, frame, spec, q)]
+            for t, frame in zip(traj.times, traj.densities)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "R_q", "F_q", "G_q", "mass", "m2"])

@@ -64,6 +64,7 @@ from .targets import (
     HeavyTailError,
     InputValidationError,
     PotentialSpec,
+    _json_int,
     grad_potential,
     sq_norms,
 )
@@ -275,6 +276,8 @@ def gaussian_init(
         raise InputValidationError(f"sigma2 must be positive, got {sigma2}")
     if n_chains < 1:
         raise InputValidationError(f"n_chains must be >= 1, got {n_chains}")
+    if seed < 0:
+        raise InputValidationError(f"seed must be >= 0, got {seed}")
     block = _noise_block(seed, 0, n_chains, d)
     return ChainBatch(positions=np.sqrt(sigma2) * block, h=h, k=0, rng_root=seed)
 
@@ -366,6 +369,8 @@ def run_chains(
         With per-recorded-iteration paired one-step increments and the final
         chain positions attached.
     """
+    n_iters = _json_int(n_iters, "n_iters")
+    record_every = _json_int(record_every, "record_every")
     if n_iters < 0:
         raise InputValidationError(f"n_iters must be >= 0, got {n_iters}")
     if record_every < 1:

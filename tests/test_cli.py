@@ -65,6 +65,25 @@ def test_experiment_config_validation():
         ExperimentConfig(spec=spec, h=0.0)
     with pytest.raises(InputValidationError):
         ExperimentConfig(spec=spec, n_chains=0)
+    # direct construction checks types as a JSON config does
+    for field, value, message in [
+            ("record_every", 2.5, "record_every must be an integer"),
+            ("n_iters", True, "n_iters must be an integer"),
+            ("seed", -1, "seed must be >= 0"),
+            ("q", "2", "q must be a number"),
+            ("sigma2_list", 4.0, "sigma2_list must be a list of numbers")]:
+        with pytest.raises(InputValidationError, match=message):
+            ExperimentConfig(spec=spec, **{field: value})
+
+
+@pytest.mark.parametrize("command", ["sample", "phase-transition"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main([command, "--family", "gaussian", "--d", "1", "--sigma2", "4",
+               *SAMPLE_FLAGS, "--seed", "-1", "--output-dir", str(out)])
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_json_roundtrip():
@@ -783,8 +802,11 @@ def test_fp_evolve_rejects_nonpositive_record_every(tmp_path, capsys, every):
 
 @pytest.mark.parametrize("flags", [["--t-final", "inf"], ["--q", "inf"]],
                          ids=" ".join)
-def test_fp_evolve_rejects_an_infinite_time_or_order(tmp_path, capsys, flags):
-    """argparse keeps the last --t-final, so the first case asks for t = inf."""
+def test_fp_evolve_rejects_an_infinite_time_or_order(tmp_path, capsys,
+                                                     monkeypatch, flags):
+    """argparse keeps the last --t-final, so the first case asks for t = inf.
+    The order is refused before the evolution starts, the time by it."""
+    evolutions = _counted(monkeypatch, cli, "fokker_planck_evolve_1d")
     rc = main(["fp-evolve", "--family", "gaussian", "--d", "1",
                "--sigma2", "1.5", "--t-final", "0.01", "--dt", "2e-5",
                "--n-core", "256", "--n-tail", "32", "--core-halfwidth", "6",
@@ -792,6 +814,32 @@ def test_fp_evolve_rejects_an_infinite_time_or_order(tmp_path, capsys, flags):
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "fp.csv").exists()
+    assert len(evolutions) == (0 if flags[0] == "--q" else 1)
+
+
+def test_run_fp_decay_writes_the_fp_evolve_table(tmp_path):
+    """The script runs fp-evolve: its fp.csv is the one the CLI writes for
+    the same flags."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    script_out = tmp_path / "script"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_fp_decay.py"),
+         "--t-final", "0.5", "--output-dir", str(script_out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("records: 11, R_2 from 0.6232")
+    assert lines[-1] == str(script_out / "fp.csv")
+    assert main(["fp-evolve", "--family", "gen_cauchy", "--nu", "2", "--d", "1",
+                 "--sigma2", "4", "--t-final", "0.5", "--dt", "2e-4",
+                 "--record-every", "250", "--n-core", "2048", "--n-tail", "256",
+                 "--core-halfwidth", "24", "--output-dir",
+                 str(tmp_path / "cli")]) == 0
+    assert ((script_out / "fp.csv").read_bytes()
+            == (tmp_path / "cli" / "fp.csv").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the package and scripts is used,
 each public name has one home module, the package keeps no process-wide
 memo, never uses scipy.integrate and starts threads only in the sampler,
-and importing it starts no thread and loads no scipy."""
+importing it starts no thread and loads no scipy, and the scripts run the
+CLI's pipelines instead of re-implementing them."""
 
 import ast
 import os
@@ -13,10 +14,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heavytail_lmc").glob("*.py"))
-SOURCES = sorted(
-    [p for p in PACKAGE if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
-)
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + SCRIPTS)
 # Decorators whose memo lives as long as the process and grows with every
 # distinct argument.  Memos stay on the instance that owns them.
 GLOBAL_MEMOS = {"lru_cache", "cache"}
@@ -242,6 +241,46 @@ def test_thread_starter_check_finds_each_form(source):
     assert len(_thread_starters(ast.parse(nested))) == 1
     assert _thread_starters(ast.parse(
         "import threading\nthreading.main_thread()")) == []
+
+
+# The steps of the CLI's sample and fp-evolve pipelines.
+CLI_PIPELINE_STEPS = {"fokker_planck_evolve_1d", "write_fp_csv", "run_chains",
+                      "gaussian_init", "write_trace_csv"}
+
+
+def _cli_pipeline_steps(tree: ast.Module) -> list[str]:
+    """Imports of a CLI pipeline step by name, and reads of one off a
+    module: a script runs the subcommand that owns the pipeline."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name in CLI_PIPELINE_STEPS]
+        elif isinstance(node, ast.Attribute) and node.attr in CLI_PIPELINE_STEPS:
+            found.append(f"{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_do_not_reimplement_the_cli(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _cli_pipeline_steps(tree) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from heavytail_lmc import run_chains",
+    "from heavytail_lmc.sampler import gaussian_init as draw",
+    "from heavytail_lmc.fi_verify import make_grid, write_fp_csv",
+    "import heavytail_lmc\nheavytail_lmc.fokker_planck_evolve_1d(s, r, 1.0, 0.1)",
+    "import heavytail_lmc.sampler as smp\nsmp.write_trace_csv(trace, path)",
+])
+def test_cli_pipeline_step_check_finds_each_form(source):
+    assert len(_cli_pipeline_steps(ast.parse(source))) == 1
+    nested = "def f():\n    " + source.replace("\n", "\n    ")
+    assert len(_cli_pipeline_steps(ast.parse(nested))) == 1
+    assert _cli_pipeline_steps(ast.parse(
+        "from heavytail_lmc import make_grid\n"
+        "from heavytail_lmc.cli import main, cmd_phase_transition")) == []
 
 
 def _run_fresh(args: list[str], **env_extra) -> subprocess.CompletedProcess:

@@ -49,6 +49,8 @@ def test_gaussian_init_validation():
         gaussian_init(sigma2=1.0, d=1, n_chains=0, h=0.01, seed=0)
     with pytest.raises(InputValidationError):
         gaussian_init(sigma2=1.0, d=1, n_chains=10, h=0.0, seed=0)
+    with pytest.raises(InputValidationError, match="seed must be >= 0"):
+        gaussian_init(sigma2=1.0, d=1, n_chains=10, h=0.01, seed=-1)
 
 
 def test_run_chains_deterministic():
@@ -490,6 +492,13 @@ def test_run_chains_validation():
         run_chains(Gaussian(d=1), init, n_iters=10, record_every=0)
     with pytest.raises(InputValidationError):
         run_chains(Gaussian(d=2), init, n_iters=10)  # dimension mismatch
+    for kwargs in ({"n_iters": 10, "record_every": 2.5},
+                   {"n_iters": 10, "record_every": True},
+                   {"n_iters": 10.5}, {"n_iters": True}):
+        name = "record_every" if "record_every" in kwargs else "n_iters"
+        with pytest.raises(InputValidationError,
+                           match=f"{name} must be an integer"):
+            run_chains(Gaussian(d=1), init, **kwargs)
 
 
 def test_write_trace_csv(tmp_path):
