@@ -149,8 +149,8 @@ class ExperimentConfig:
             raise InputValidationError(
                 f"q_prime must exceed q, got q_prime={self.q_prime} q={self.q}"
             )
-        if not (0.0 < self.eps):
-            raise InputValidationError(f"eps must be positive, got {self.eps}")
+        if not (0.0 < self.eps < math.inf):
+            raise InputValidationError(f"eps must be a positive real, got {self.eps}")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise InputValidationError(f"h must be a positive real, got {self.h}")
 
@@ -973,6 +973,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 base = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputValidationError(f"malformed config JSON: {exc}") from None
+        if not isinstance(base, dict):
+            raise InputValidationError("config JSON must be an object")
     if args.family is not None:
         base["spec"] = spec_to_json(_spec_from_args(args))
     if "spec" not in base:

@@ -1001,16 +1001,82 @@ def _tail_quantile(spec: PotentialSpec, mass: float) -> float:
     :func:`~heavytail_lmc.fi_verify.make_grid` windows are built on it.
     """
     if mass >= 1e-5:
-        from scipy.optimize import brentq
-
         hi = 1.0
         while tail_mass(spec, hi) > mass:
             hi *= 2.0
             if hi > 1e14:
                 raise NumericsError("tail quantile search exceeded 1e14")
-        return float(brentq(lambda r: tail_mass(spec, r) - mass, 1e-8, hi,
-                            xtol=1e-12, rtol=1e-10))
+        return _brentq(lambda r: tail_mass(spec, r) - mass, 1e-8, hi,
+                       xtol=1e-12, rtol=1e-10)
     return spec.deep_tail_quantile(mass)
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
+            rtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973,
+    ch. 4), transcribed step for step from scipy's ``brentq.c`` so that it
+    returns the same float as ``scipy.optimize.brentq``.
+
+    ``xpre``/``xcur`` are the last two iterates and ``xblk`` the bracket
+    end opposite ``xcur``; each step tries inverse interpolation (secant
+    when two of the three points coincide, else inverse quadratic) and
+    bisects when the trial step is not short enough.  Converged when half
+    the bracket is below ``delta = (xtol + rtol |xcur|) / 2``.  A NaN value,
+    a bracket whose ends have the same sign, or ``maxiter`` steps without
+    convergence raise :class:`NumericsError`.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericsError(f"root search: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericsError(f"root search: f({a!r}) and f({b!r}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:  # brentq.c's MIN(a, b): (a < b ? a : b)
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericsError(f"root search did not converge in {maxiter} steps")
 
 
 def median_radius(spec: PotentialSpec) -> float:

@@ -86,6 +86,27 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "phase-transition"])
+def test_an_infinite_eps_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main([command, "--family", "gaussian", "--d", "1", "--sigma2", "4",
+               *SAMPLE_FLAGS, "--eps", "inf", "--output-dir", str(out)])
+    assert rc == 2
+    assert "eps must be a positive real, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--family", "gaussian"]],
+                         ids=["config-only", "with-family"])
+def test_a_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, flags):
+    path, out = tmp_path / "list.json", tmp_path / "out"
+    path.write_text("[1, 2]")
+    rc = main(["sample", "--config", str(path), *flags, "--output-dir", str(out)])
+    assert rc == 2
+    assert "config JSON must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_json_roundtrip():
     cfg = ExperimentConfig(
         spec=GenCauchy(d=2, nu=3.0), q=2.5, q_prime=math.inf, eps=0.5,

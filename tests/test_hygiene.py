@@ -1,8 +1,8 @@
 """Source hygiene: every imported name in the package and scripts is used,
 each public name has one home module, the package keeps no process-wide
-memo, never uses scipy.integrate and starts threads only in the sampler,
-importing it starts no thread and loads no scipy, and the scripts run the
-CLI's pipelines instead of re-implementing them."""
+memo, never uses scipy.integrate or scipy.optimize and starts threads only
+in the sampler, importing it starts no thread and loads no scipy, and the
+scripts run the CLI's pipelines instead of re-implementing them."""
 
 import ast
 import os
@@ -151,30 +151,40 @@ def test_module_level_scipy_check_finds_each_form(source):
     assert len(_module_level_scipy_imports(ast.parse(nested))) == 1
 
 
-def _scipy_integrate_uses(tree: ast.Module) -> list[str]:
-    """Imports of scipy.integrate, and reads of it off scipy, anywhere in
-    the module: every integral goes through the package's own rule."""
+# scipy subpackages the package does not use: every integral goes through
+# its own quadrature rule and every root search through targets._brentq.
+BANNED_SCIPY = ("integrate", "optimize")
+
+
+def _in_banned_scipy(module: str) -> bool:
+    parts = module.split(".")
+    return parts[0] == "scipy" and len(parts) > 1 and parts[1] in BANNED_SCIPY
+
+
+def _banned_scipy_uses(tree: ast.Module) -> list[str]:
+    """Imports of a banned scipy subpackage, and reads of one off scipy,
+    anywhere in the module."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [f"{alias.name} (line {node.lineno})" for alias in node.names
-                      if alias.name.split(".")[:2] == ["scipy", "integrate"]]
+                      if _in_banned_scipy(alias.name)]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            module = node.module.split(".")
-            if module[:2] == ["scipy", "integrate"] or (
-                    module == ["scipy"]
-                    and any(alias.name == "integrate" for alias in node.names)):
+            if _in_banned_scipy(node.module) or (
+                    node.module == "scipy"
+                    and any(alias.name in BANNED_SCIPY for alias in node.names)):
                 found.append(f"{node.module} (line {node.lineno})")
-        elif (isinstance(node, ast.Attribute) and node.attr == "integrate"
+        elif (isinstance(node, ast.Attribute) and node.attr in BANNED_SCIPY
               and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
-            found.append(f"scipy.integrate (line {node.lineno})")
+            found.append(f"scipy.{node.attr} (line {node.lineno})")
     return found
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_scipy_integrate(path):
+    """Neither banned subpackage (the name predates the optimize ban)."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _scipy_integrate_uses(tree) == []
+    assert _banned_scipy_uses(tree) == []
 
 
 @pytest.mark.parametrize("source", [
@@ -184,12 +194,22 @@ def test_no_scipy_integrate(path):
     "from scipy import special, integrate as si",
     "from scipy.integrate import quad",
     "import scipy\nscipy.integrate.quad(f, 0, 1)",
+    "import scipy.optimize",
+    "import scipy.optimize as so",
+    "from scipy import optimize",
+    "from scipy import special, optimize as so",
+    "from scipy.optimize import brentq",
+    "from scipy.optimize._zeros_py import brentq",
+    "import scipy\nscipy.optimize.brentq(f, 0, 1)",
 ])
 def test_scipy_integrate_check_finds_each_form(source):
-    assert len(_scipy_integrate_uses(ast.parse(source))) == 1
+    assert len(_banned_scipy_uses(ast.parse(source))) == 1
     nested = "def f():\n    " + source.replace("\n", "\n    ")
-    assert len(_scipy_integrate_uses(ast.parse(nested))) == 1
-    assert _scipy_integrate_uses(ast.parse("from scipy import special")) == []
+    assert len(_banned_scipy_uses(ast.parse(nested))) == 1
+    for allowed in ("from scipy import special", "import scipy.special",
+                    "from scipy.interpolate import PchipInterpolator",
+                    "import scipy\nscipy.special.gammaln(2.0)"):
+        assert _banned_scipy_uses(ast.parse(allowed)) == []
 
 
 def _thread_starters(tree: ast.Module) -> list[str]:
@@ -376,3 +396,37 @@ def test_sweep_matches_scipy_loaded_up_front(tmp_path):
     for name in ("phase.csv", "phase.svg"):
         assert (lazy / name).read_bytes() == (eager / name).read_bytes(), name
     assert len((lazy / "phase.csv").read_text().splitlines()) == 1 + 6
+
+
+HEAVY_TAILED_ROOT_SEARCHES = """
+import sys, tempfile
+from heavytail_lmc import GenCauchy, make_grid, targets
+from heavytail_lmc.cli import main
+
+searches, brentq = [], targets._brentq
+
+def counted(*args, **kwargs):
+    searches.append(args[1:3])
+    return brentq(*args, **kwargs)
+
+targets._brentq = counted
+with tempfile.TemporaryDirectory() as tmp:
+    assert main(sys.argv[1:] + ["--output-dir", tmp]) == 0
+in_sweep = len(searches)
+make_grid(GenCauchy(d=1, nu=2.0))
+assert in_sweep >= 1 and len(searches) > in_sweep, searches
+assert "scipy.special" in sys.modules
+assert "scipy.optimize" not in sys.modules
+print("ok")
+"""
+
+
+def test_root_searches_leave_scipy_optimize_unloaded():
+    # a heavy-tailed sweep's median radius and make_grid's default core
+    # width are the package's root searches
+    flags = ["phase-transition", "--family", "gen_cauchy", "--nu", "2",
+             "--d", "2", "--families", "gen_cauchy,sublinear",
+             "--sigma2", "16,64", "--h", "0.05", "--n-chains", "500",
+             "--n-iters", "50", "--record-every", "5", "--seed", "3"]
+    proc = _run_fresh(["-c", HEAVY_TAILED_ROOT_SEARCHES, *flags])
+    assert proc.stdout.strip().splitlines()[-1] == "ok"

@@ -7,7 +7,9 @@ brute-force quadrature written from scratch) and then frozen.
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -479,6 +481,123 @@ def test_median_radius_values():
 def test_median_radius_halves_mass(spec):
     med = median_radius(spec)
     assert tail_mass(spec, med) == pytest.approx(0.5, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the root finder against scipy's brentq, bit for bit
+# ---------------------------------------------------------------------------
+
+
+# scipy.optimize.brentq's default tolerances
+SCIPY_TOL = {"xtol": 2e-12, "rtol": 4 * 2.0 ** -52}
+
+
+def _brentq_oracle(f, a, b, **tol):
+    """scipy.optimize.brentq's root, or the name of what it raised."""
+    from scipy.optimize import brentq
+
+    try:
+        return brentq(f, a, b, **tol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("spec", [pytest.param(s, id=repr(s)) for s in FAMILIES] + [
+    pytest.param(RadialCustom(d=2, f=lambda t: 1.5 * np.log1p(t)),
+                 id="RadialCustom(d=2, f=1.5 log1p(t))"),
+    pytest.param(RadialCustom(d=1, f=lambda t: np.sqrt(1.0 + t),
+                              fprime=lambda t: 0.5 / np.sqrt(1.0 + t)),
+                 id="RadialCustom(d=1, f=sqrt(1 + t))"),
+])
+@pytest.mark.parametrize("mass", [0.5, 1e-4], ids=str)
+def test_tail_quantile_root_is_brentqs(spec, mass, monkeypatch):
+    calls, brentq = [], targets._brentq
+
+    def recorded(f, a, b, **tol):
+        calls.append((f, a, b, tol, brentq(f, a, b, **tol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(targets, "_brentq", recorded)
+    quantile = targets._tail_quantile(spec, mass)
+    ((f, a, b, tol, root),) = calls
+    assert _bits(quantile) == _bits(root) == _bits(_brentq_oracle(f, a, b, **tol))
+
+
+def _bracket_battery():
+    """Smooth, steep, flat and kinked functions on brackets of several
+    widths and tolerances; together they take both inverse-interpolation
+    steps (secant and inverse quadratic) as well as bisection."""
+    funcs = [
+        lambda x: x ** 3 - 2.0 * x - 5.0,
+        lambda x: math.exp(x) - 3.0,
+        lambda x: math.cos(x) - x,
+        lambda x: math.atan(x - 0.3),
+        lambda x: math.log(x) - 1.0,
+        lambda x: math.tanh(50.0 * (x - 1.1)),
+        lambda x: (x - 1.3) ** 3,
+        lambda x: math.copysign(abs(x - 2.2) ** 0.5, x - 2.2),
+        lambda x: math.expm1(20.0 * (x - 0.5)),
+        lambda x: 1.0 / (1.0 + x * x) - 0.25,
+    ]
+    brackets = [(0.01, 2.5), (0.1, 3.0), (0.5, 4.0), (0.2, 10.0)]
+    tols = [SCIPY_TOL, {"xtol": 1e-12, "rtol": 1e-10}, {"xtol": 1e-4, "rtol": 1e-6}]
+    return [(f, a, b, tol) for f in funcs for a, b in brackets for tol in tols]
+
+
+def test_brentq_battery_is_bit_identical_and_takes_every_step():
+    code = targets._brentq.__code__
+    lines, first = inspect.getsourcelines(targets._brentq)
+    marked = {tag: first + i for i, line in enumerate(lines)
+              for tag in ("# interpolate", "# extrapolate", "# good short step")
+              if tag in line}
+    assert len(marked) == 3
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is code:
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return tracer
+        return None
+
+    mismatched = []
+    for f, a, b, tol in _bracket_battery():
+        want = _brentq_oracle(f, a, b, **tol)
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            got = _bits(targets._brentq(f, a, b, **tol))
+        except NumericsError:
+            got = "NumericsError"
+        finally:
+            sys.settrace(previous)
+        if got != (_bits(want) if isinstance(want, float) else "NumericsError"):
+            mismatched.append((a, b, tol, want, got))
+    assert mismatched == []
+    assert [tag for tag, line in marked.items() if line not in seen] == []
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x * x + 1.0, -1.0, 2.0),  # no sign change
+    (lambda x: x - 3.0, 0.0, 2.0),
+    (lambda x: math.nan if x > 1.0 else x - 2.0, 0.0, 4.0),  # NaN at an end
+    (lambda x: math.nan if 1.9 < x < 2.1 else x - 2.0, 0.0, 3.0),  # NaN inside
+], ids=["no-sign-change", "one-sided", "nan-end", "nan-inside"])
+def test_brentq_refuses_a_bad_bracket_or_nan(f, a, b):
+    assert _brentq_oracle(f, a, b, **SCIPY_TOL) == "ValueError"
+    with pytest.raises(NumericsError):
+        targets._brentq(f, a, b, **SCIPY_TOL)
+
+
+def test_brentq_reports_non_convergence():
+    f, a, b = (lambda x: x ** 3 - 2.0 * x - 5.0), 0.0, 4.0
+    assert _brentq_oracle(f, a, b, maxiter=3, **SCIPY_TOL) == "RuntimeError"
+    with pytest.raises(NumericsError, match="did not converge in 3 steps"):
+        targets._brentq(f, a, b, maxiter=3, **SCIPY_TOL)
 
 
 # Tails against closed forms written independently of the quadrature, out
