@@ -171,10 +171,12 @@ class MomentTrace:
     stopped_early: bool = False
 
 
-def _noise_block(root: int, stream: int, n: int, d: int) -> np.ndarray:
-    """The (n, d) standard-normal block addressed by (root, stream)."""
+def _noise_block(root: int, stream: int, n: int, d: int,
+                 out: Union[np.ndarray, None] = None) -> np.ndarray:
+    """The (n, d) standard-normal block addressed by (root, stream), written
+    into ``out`` (a C-contiguous float (n, d) array) when it is given."""
     seq = np.random.SeedSequence((root, stream))
-    return np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d))
+    return np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d), out=out)
 
 
 def _usable_cores() -> int:
@@ -206,9 +208,16 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
     step starts no thread) and is joined when the generator ends or is
     closed.  A draw that fails, on either thread, raises its error when its
     stream is reached, where an inline draw would have raised it.
+
+    Stream s is drawn into slot s mod (depth + 1) of a ring of buffers
+    allocated once, so a run does not allocate a block per step.  A slot
+    is drawn again only once the window has passed its stream, that is
+    after the caller asked for the next block and so is done with it.
     """
     root, n, d = batch.rng_root, batch.n_chains, batch.d
     last = batch.k + n_iters
+    depth = DRAW_AHEAD_DEPTH
+    ring = [np.empty((n, d)) for _ in range(depth + 1)]
     cond = threading.Condition()
     drawn: dict = {}       # stream -> its block, or the error its draw raised
     claimed = batch.k      # highest stream either thread has claimed
@@ -224,7 +233,8 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
 
     def draw(stream: int) -> None:
         try:
-            block = _noise_block(root, stream, n, d)
+            block = _noise_block(root, stream, n, d,
+                                 out=ring[stream % len(ring)])
         except BaseException as err:
             block = err
         with cond:
@@ -248,7 +258,7 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
     try:
         for stream in range(batch.k + 1, last + 1):
             with cond:
-                window = min(last, stream + DRAW_AHEAD_DEPTH)
+                window = min(last, stream + depth)
                 cond.notify()
             while True:
                 with cond:

@@ -52,8 +52,10 @@ structurally undefined for a family raise :class:`UnsupportedFamilyError`,
 divergent integrals raise :class:`MomentUndefinedError`, and bad arguments
 raise :class:`InputValidationError`.
 
-Each function that needs scipy imports it in its body, so importing the
-package loads numpy only and a sampler-only process never loads scipy.
+Log-gamma and the inverse complementary error function are transcribed
+from Cephes (:func:`_gammaln`, :func:`_erfcinv`), so the package computes
+on numpy alone.  Only :func:`direct_sampler`, which no command calls, loads
+scipy: it imports ``scipy.interpolate`` in its body.
 """
 
 from __future__ import annotations
@@ -381,25 +383,21 @@ class GenCauchy(RadialFamily):
         return HolderSmoothness(L=float(self.d + self.nu), s=1.0)
 
     def log_z(self) -> float:
-        from scipy import special
-
         return (
             0.5 * self.d * math.log(math.pi)
-            + special.gammaln(0.5 * self.nu)
-            - special.gammaln(0.5 * (self.d + self.nu))
+            + _gammaln(0.5 * self.nu)
+            - _gammaln(0.5 * (self.d + self.nu))
         )
 
     def closed_moment(self, p: float) -> float:
-        from scipy import special
-
         self._require_moment(p)
         d, nu = self.d, self.nu
         lg = (
             math.log(d / (d + p))
-            + special.gammaln(0.5 * (nu - p))
-            + special.gammaln(0.5 * (d + 2 + p))
-            - special.gammaln(0.5 * nu)
-            - special.gammaln(0.5 * (d + 2))
+            + _gammaln(0.5 * (nu - p))
+            + _gammaln(0.5 * (d + 2 + p))
+            - _gammaln(0.5 * nu)
+            - _gammaln(0.5 * (d + 2))
         )
         return math.exp(lg)
 
@@ -588,19 +586,15 @@ class Gaussian(RadialFamily):
         return 0.5 * self.d * math.log(2.0 * math.pi)
 
     def closed_moment(self, p: float) -> float:
-        from scipy import special
-
         self._require_moment(p)
-        lg = 0.5 * p * math.log(2.0) + special.gammaln(0.5 * (self.d + p)) - special.gammaln(
+        lg = 0.5 * p * math.log(2.0) + _gammaln(0.5 * (self.d + p)) - _gammaln(
             0.5 * self.d
         )
         return math.exp(lg)
 
     def deep_tail_quantile(self, mass: float) -> float:
         _require_mass(mass)
-        from scipy import special
-
-        return math.sqrt(2.0) * float(special.erfcinv(mass))
+        return math.sqrt(2.0) * _erfcinv(mass)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, self.d))
@@ -799,15 +793,183 @@ def grad_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Log-gamma and the inverse complementary error function
+# ---------------------------------------------------------------------------
+#
+# Transcribed step for step from Cephes (Moshier, "Methods and Programs for
+# Mathematical Functions", 1989), ``lgam.c`` and ``ndtri.c``, which is what
+# scipy.special evaluates, so each returns the same float as
+# ``scipy.special.gammaln`` / ``ndtri`` / ``erfcinv`` without loading scipy.
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """coef[0] x^N + ... + coef[N] by Horner's rule (Cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """:func:`_polevl` with an implied leading coefficient 1 (``p1evl``)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+# lgam.c: the Stirling series in 1/x^2 (A) and the rational function on
+# [2, 3) (B/C); log sqrt(2 pi), log pi, and the largest x with a finite result
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178
+_LOGPI = 1.14472988584940017414
+_MAXLGM = 2.556348e305
+
+
+def _gammaln(x: float) -> float:
+    """log |Gamma(x)|, as Cephes ``lgam`` computes it: +inf at the poles
+    0, -1, -2, ... and beyond ``_MAXLGM``; NaN and +-inf pass through."""
+    x = float(x)
+    if not math.isfinite(x):
+        return x
+    if x < -34.0:
+        q = -x  # reflection: Gamma(x) Gamma(-x) = -pi / (x sin(pi x))
+        w = _gammaln(q)
+        p = math.floor(q)
+        if p == q:
+            return math.inf  # integer pole
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = p - q
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return math.inf
+        return _LOGPI - math.log(z) - w
+    if x < 13.0:
+        # shift into [2, 3) by the recurrence, keeping the product in z
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u  # recurrence down
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf  # pole
+            z /= u  # recurrence up
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z)  # exact: log Gamma(2) = 0
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf  # overflow
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q  # Stirling, series below rounding
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p  # three terms
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x  # A series
+
+
+# ndtri.c: rational approximations of the normal quantile for
+# |y - 1/2| <= 3/8 (P0/Q0), and in z = sqrt(-2 log y) on [2, 8) (P1/Q1)
+# and [8, 64] (P2/Q2)
+_NDTRI_S2PI = 2.50662827463100050242
+_NDTRI_EXPM2 = 0.13533528323661269189  # exp(-2)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ndtri(y0: float) -> float:
+    """The x with Phi(x) = y0 for the standard normal CDF Phi, as Cephes
+    ``ndtri`` computes it: -+inf at 0 and 1, NaN outside [0, 1]."""
+    y0 = float(y0)
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _NDTRI_EXPM2:
+        y = 1.0 - y  # upper tail
+        negate = False
+    if y > _NDTRI_EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _NDTRI_S2PI  # P0/Q0
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)  # P1/Q1
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)  # P2/Q2
+    x = x0 - x1
+    return -x if negate else x
+
+
+def _erfcinv(y: float) -> float:
+    """The x with erfc(x) = y: +inf at 0, -inf at 2, NaN outside [0, 2]."""
+    y = float(y)
+    if 0.0 < y < 2.0:
+        return -_ndtri(0.5 * y) * 0.70710678118654752440
+    if y == 0.0:
+        return math.inf
+    if y == 2.0:
+        return -math.inf
+    return math.nan
+
+
+# ---------------------------------------------------------------------------
 # Radial quadrature engine
 # ---------------------------------------------------------------------------
 
 
 def _log_sphere_area(d: int) -> float:
     """log of the surface area of the unit sphere S^{d-1} in R^d."""
-    from scipy import special
-
-    return math.log(2.0) + 0.5 * d * math.log(math.pi) - special.gammaln(0.5 * d)
+    return math.log(2.0) + 0.5 * d * math.log(math.pi) - _gammaln(0.5 * d)
 
 
 # The double-exponential rule (Takahasi & Mori 1974) on each piece of an
@@ -948,12 +1110,10 @@ def tilde_moment(d: int, alpha: float, lam: float, p: float) -> float:
         raise InputValidationError(f"lam must be finite positive, got {lam}")
     if not (0 <= p < math.inf):
         raise InputValidationError(f"moment order p must be finite >= 0, got {p}")
-    from scipy import special
-
     lg = (
         -(p / alpha) * math.log(lam)
-        + special.gammaln((d + p) / alpha)
-        - special.gammaln(d / alpha)
+        + _gammaln((d + p) / alpha)
+        - _gammaln(d / alpha)
     )
     return math.exp(lg)
 
@@ -965,13 +1125,11 @@ def tilde_log_normalizing_constant(d: int, alpha: float, lam: float) -> float:
         raise InputValidationError(f"alpha must lie in (0, 1], got {alpha}")
     if not (0 < lam < math.inf):
         raise InputValidationError(f"lam must be finite positive, got {lam}")
-    from scipy import special
-
-    log_omega = 0.5 * d * math.log(math.pi) - special.gammaln(0.5 * d + 1.0)
+    log_omega = 0.5 * d * math.log(math.pi) - _gammaln(0.5 * d + 1.0)
     return (
         math.log(d / alpha)
         + log_omega
-        + special.gammaln(d / alpha)
+        + _gammaln(d / alpha)
         - (d / alpha) * math.log(lam)
     )
 

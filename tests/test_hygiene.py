@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in the package and scripts is used,
 each public name has one home module, the package keeps no process-wide
 memo, never uses scipy.integrate or scipy.optimize and starts threads only
-in the sampler, importing it starts no thread and loads no scipy, and the
-scripts run the CLI's pipelines instead of re-implementing them."""
+in the sampler, importing it starts no thread and loads no scipy, no command
+loads scipy, and the scripts run the CLI's pipelines instead of
+re-implementing them."""
 
 import ast
 import os
@@ -415,7 +416,7 @@ with tempfile.TemporaryDirectory() as tmp:
 in_sweep = len(searches)
 make_grid(GenCauchy(d=1, nu=2.0))
 assert in_sweep >= 1 and len(searches) > in_sweep, searches
-assert "scipy.special" in sys.modules
+assert "scipy.special" not in sys.modules
 assert "scipy.optimize" not in sys.modules
 print("ok")
 """
@@ -429,4 +430,46 @@ def test_root_searches_leave_scipy_optimize_unloaded():
              "--sigma2", "16,64", "--h", "0.05", "--n-chains", "500",
              "--n-iters", "50", "--record-every", "5", "--seed", "3"]
     proc = _run_fresh(["-c", HEAVY_TAILED_ROOT_SEARCHES, *flags])
+    assert proc.stdout.strip().splitlines()[-1] == "ok"
+
+
+# One command of each kind that needs log-gamma or the erfc quantile:
+# log Z and moments in closed form or by quadrature (the sphere area), and
+# the window of make_grid's default Gaussian grid.
+SCIPY_FREE_COMMANDS = [
+    ["verify", "wpi", "--r-grid", "0.1,0.5"],
+    ["verify", "fp"],
+    ["fp-evolve", "--family", "gaussian", "--d", "1", "--sigma2", "4",
+     "--t-final", "0.001", "--dt", "1e-5"],
+    ["fp-evolve", "--family", "gen_cauchy", "--nu", "2", "--d", "1",
+     "--sigma2", "4", "--t-final", "0.01", "--dt", "1e-3"],
+    ["phase-transition", "--family", "gen_cauchy", "--nu", "2", "--d", "2",
+     "--families", "gen_cauchy,sublinear,gaussian", "--sigma2", "16,64",
+     "--h", "0.05", "--n-chains", "500", "--n-iters", "50",
+     "--record-every", "5", "--seed", "3"],
+]
+
+COMMANDS_ON_NUMPY_ALONE = f"""
+import sys, tempfile
+from heavytail_lmc import targets
+from heavytail_lmc.cli import main
+
+used = set()
+for name in ("_gammaln", "_erfcinv"):
+    def counted(x, _name=name, _fn=getattr(targets, name)):
+        used.add(_name)
+        return _fn(x)
+    setattr(targets, name, counted)
+for argv in {SCIPY_FREE_COMMANDS!r}:
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(argv + ["--output-dir", tmp]) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert loaded == [], (argv[:2], loaded)
+assert used == {{"_gammaln", "_erfcinv"}}, used
+print("ok")
+"""
+
+
+def test_commands_leave_scipy_unloaded():
+    proc = _run_fresh(["-c", COMMANDS_ON_NUMPY_ALONE])
     assert proc.stdout.strip().splitlines()[-1] == "ok"

@@ -302,9 +302,9 @@ def draws(monkeypatch):
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
     seen, draw, step = _Draws(), sampler._noise_block, sampler.lmc_step
 
-    def recorded(root, stream, n, d):
+    def recorded(root, stream, n, d, out=None):
         seen.append((stream, threading.get_ident(), seen.steps))
-        return draw(root, stream, n, d)
+        return draw(root, stream, n, d, out=out)
 
     def stepped(*args, **kwargs):
         out = step(*args, **kwargs)
@@ -325,10 +325,10 @@ def _slow_draws_on(monkeypatch, on_main: bool, seconds: float = 0.005):
     """Make the noise draws of the main thread (or of any other) sleep."""
     draw = sampler._noise_block
 
-    def slowed(root, stream, n, d):
+    def slowed(root, stream, n, d, out=None):
         if (threading.current_thread() is threading.main_thread()) == on_main:
             time.sleep(seconds)
-        return draw(root, stream, n, d)
+        return draw(root, stream, n, d, out=out)
 
     monkeypatch.setattr(sampler, "_noise_block", slowed)
 
@@ -398,9 +398,9 @@ def test_shared_draws_under_thread_switching_stress(draws, monkeypatch):
     inline = _on_worker_thread(run_chains, spec, init, 120, record_every=7)
     draw, jitter = sampler._noise_block, np.random.default_rng(0)
 
-    def jittered(root, stream, n, d):
+    def jittered(root, stream, n, d, out=None):
         time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
-        return draw(root, stream, n, d)
+        return draw(root, stream, n, d, out=out)
 
     monkeypatch.setattr(sampler, "_noise_block", jittered)
     switch = sys.getswitchinterval()
@@ -412,6 +412,57 @@ def test_shared_draws_under_thread_switching_stress(draws, monkeypatch):
             draws.check(init, 120, 120)
             assert len(draws) == 120 and len(draws.threads()) <= 2
             _assert_same_trace(ahead, inline)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_ring_slots_are_not_drawn_over_while_in_use(draws, monkeypatch, depth):
+    """Blocks drawn ahead go into a ring of depth + 1 reused buffers.  With
+    DRAW_AHEAD_DEPTH patched, draws and steps delayed by random amounts and
+    the interpreter switching threads every few microseconds, no slot is
+    drawn over while a step still reads it: the bytes are the inline ones.
+    A draw that fails still raises its own error."""
+    monkeypatch.setattr(sampler, "DRAW_AHEAD_DEPTH", depth)
+    d, n = 2, -(-sampler.DRAW_AHEAD_MIN_NORMALS // 2)
+    spec = GenCauchy(d=d, nu=1.5)
+    init = gaussian_init(sigma2=9.0, d=d, n_chains=n, h=0.02, seed=8)
+    inline = _on_worker_thread(run_chains, spec, init, 60, record_every=7)
+    draw, step = sampler._noise_block, sampler.lmc_step
+    jitter = np.random.default_rng(depth)
+    boom = RuntimeError("no noise for stream 40")
+    failing = False
+
+    def pause() -> None:
+        time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
+
+    def jittered(root, stream, n, d, out=None):
+        pause()
+        if failing and stream == 40:
+            raise boom
+        return draw(root, stream, n, d, out=out)
+
+    def held(*args, **kwargs):
+        pause()  # the step holds its block while the other thread draws
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "_noise_block", jittered)
+    monkeypatch.setattr(sampler, "lmc_step", held)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            draws.clear()
+            ahead = run_chains(spec, init, 60, record_every=7)
+            draws.check(init, 60, 60)
+            assert len(draws.threads()) == 2
+            _assert_same_trace(ahead, inline, depth)
+        failing = True
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc_info:
+            run_chains(spec, init, 60, record_every=7)
+        assert exc_info.value is boom
+        assert threading.active_count() == before
     finally:
         sys.setswitchinterval(switch)
 
@@ -434,11 +485,11 @@ def test_helper_thread_ends_with_the_call(draws, monkeypatch, end):
         _slow_draws_on(monkeypatch, on_main=not on_main)
         draw = sampler._noise_block
 
-        def failing(root, stream, n, d):
+        def failing(root, stream, n, d, out=None):
             is_main = threading.current_thread() is threading.main_thread()
             if stream >= 5 and is_main == on_main:
                 raise boom
-            return draw(root, stream, n, d)
+            return draw(root, stream, n, d, out=out)
 
         monkeypatch.setattr(sampler, "_noise_block", failing)
     draws.clear()

@@ -548,13 +548,14 @@ def _bracket_battery():
     return [(f, a, b, tol) for f in funcs for a, b in brackets for tol in tols]
 
 
-def test_brentq_battery_is_bit_identical_and_takes_every_step():
-    code = targets._brentq.__code__
-    lines, first = inspect.getsourcelines(targets._brentq)
+def _untaken_marks(fn, tags, run) -> list:
+    """The tags (each a comment on one line of ``fn``) whose line was not
+    executed while ``run()`` ran."""
+    code = fn.__code__
+    lines, first = inspect.getsourcelines(fn)
     marked = {tag: first + i for i, line in enumerate(lines)
-              for tag in ("# interpolate", "# extrapolate", "# good short step")
-              if tag in line}
-    assert len(marked) == 3
+              for tag in tags if tag in line}
+    assert sorted(marked) == sorted(tags)
     seen = set()
 
     def tracer(frame, event, arg):
@@ -564,21 +565,31 @@ def test_brentq_battery_is_bit_identical_and_takes_every_step():
             return tracer
         return None
 
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return [tag for tag, line in marked.items() if line not in seen]
+
+
+def test_brentq_battery_is_bit_identical_and_takes_every_step():
     mismatched = []
-    for f, a, b, tol in _bracket_battery():
-        want = _brentq_oracle(f, a, b, **tol)
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            got = _bits(targets._brentq(f, a, b, **tol))
-        except NumericsError:
-            got = "NumericsError"
-        finally:
-            sys.settrace(previous)
-        if got != (_bits(want) if isinstance(want, float) else "NumericsError"):
-            mismatched.append((a, b, tol, want, got))
+
+    def run():
+        for f, a, b, tol in _bracket_battery():
+            want = _brentq_oracle(f, a, b, **tol)
+            try:
+                got = _bits(targets._brentq(f, a, b, **tol))
+            except NumericsError:
+                got = "NumericsError"
+            if got != (_bits(want) if isinstance(want, float) else "NumericsError"):
+                mismatched.append((a, b, tol, want, got))
+
+    tags = ("# interpolate", "# extrapolate", "# good short step")
+    assert _untaken_marks(targets._brentq, tags, run) == []
     assert mismatched == []
-    assert [tag for tag, line in marked.items() if line not in seen] == []
 
 
 @pytest.mark.parametrize("f, a, b", [
@@ -598,6 +609,75 @@ def test_brentq_reports_non_convergence():
     assert _brentq_oracle(f, a, b, maxiter=3, **SCIPY_TOL) == "RuntimeError"
     with pytest.raises(NumericsError, match="did not converge in 3 steps"):
         targets._brentq(f, a, b, maxiter=3, **SCIPY_TOL)
+
+
+# ---------------------------------------------------------------------------
+# log-gamma and the normal / erfc quantiles against scipy.special, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _edge_arguments(*points) -> list:
+    return [*points, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+
+
+def _mismatches(ours, oracle, args) -> list:
+    want = oracle(np.asarray(args, dtype=float))
+    return [(x, ours(x), w) for x, w in zip(args, want)
+            if _bits(ours(x)) != _bits(w)]
+
+
+def test_gammaln_is_scipys_bit_for_bit_on_every_branch():
+    rng = np.random.default_rng(23)
+    maxlgm = targets._MAXLGM
+    args = [float(x) for x in np.concatenate([
+        np.arange(-120.0, 120.5, 0.5),  # half-integers and the poles
+        rng.uniform(-60.0, 60.0, 4000),
+        10.0 ** rng.uniform(-300.0, 308.0, 2000),
+        -(10.0 ** rng.uniform(-300.0, 4.0, 2000)),
+        _edge_arguments(1.0, 2.0, 3.0, 13.0, -34.0, -34.5, -35.0, 999.5, 1000.0,
+                        1e8, math.nextafter(1e8, math.inf), 1e305, maxlgm,
+                        math.nextafter(maxlgm, math.inf), 1.7976931348623157e308),
+    ])]
+    mismatched = []
+
+    def run():
+        mismatched.extend(_mismatches(targets._gammaln, special.gammaln, args))
+
+    tags = ("# reflection", "# integer pole", "# recurrence down",
+            "# recurrence up", "# pole", "# exact", "# overflow", "# Stirling",
+            "# three terms", "# A series")
+    assert _untaken_marks(targets._gammaln, tags, run) == []
+    assert mismatched == []
+
+
+def test_ndtri_is_scipys_bit_for_bit_on_every_branch():
+    rng = np.random.default_rng(29)
+    expm2 = targets._NDTRI_EXPM2
+    args = [float(y) for y in np.concatenate([
+        rng.uniform(0.0, 1.0, 4000),
+        10.0 ** rng.uniform(-320.0, 0.0, 2000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000),
+        _edge_arguments(1.0, 0.5, expm2, math.nextafter(expm2, 1.0), 1.0 - expm2,
+                        math.exp(-32.0), -0.1, 1.1),
+    ])]
+    mismatched = []
+
+    def run():
+        mismatched.extend(_mismatches(targets._ndtri, special.ndtri, args))
+
+    tags = ("# upper tail", "# P0/Q0", "# P1/Q1", "# P2/Q2")
+    assert _untaken_marks(targets._ndtri, tags, run) == []
+    assert mismatched == []
+
+
+def test_erfcinv_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(31)
+    args = [float(y) for y in np.concatenate([
+        rng.uniform(0.0, 2.0, 4000),
+        10.0 ** rng.uniform(-320.0, 0.3, 2000),
+        _edge_arguments(1.0, 2.0, 1e-9, math.nextafter(2.0, 0.0), -1.0, 3.0),
+    ])]
+    assert _mismatches(targets._erfcinv, special.erfcinv, args) == []
 
 
 # Tails against closed forms written independently of the quadrature, out
@@ -710,8 +790,9 @@ def _quadratures(spec):
             tail_mass(spec, 1.5), modified_target_m(spec))
 
 
-@pytest.mark.parametrize(
-    "spec", FAMILIES + [modified_target_spec(SUB, T=1.0)], ids=repr)
+@pytest.mark.parametrize("spec", [pytest.param(s, id=repr(s)) for s in FAMILIES] + [
+    pytest.param(modified_target_spec(SUB, T=1.0), id="modified_target_spec(SUB, T=1)"),
+])
 def test_memoized_quadratures_equal_a_fresh_instance(spec):
     warmed = replace(spec)
     first = _quadratures(warmed)
