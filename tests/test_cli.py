@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -836,6 +837,48 @@ def test_fp_evolve_rejects_an_infinite_time_or_order(tmp_path, capsys,
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "fp.csv").exists()
     assert len(evolutions) == (0 if flags[0] == "--q" else 1)
+
+
+_BAD_GRIDS = [
+    (["--n-core", "-5"], "n_core must be >= 1, got -5"),
+    (["--n-tail", "-3"], "n_tail must be >= 0, got -3"),
+    (["--n-core", "0"], "n_core must be >= 1, got 0"),
+    (["--core-halfwidth", "-1"], "core_halfwidth must be finite positive"),
+    (["--core-halfwidth", "nan"], "core_halfwidth must be finite positive"),
+]
+
+
+@pytest.mark.parametrize("flags, message", _BAD_GRIDS,
+                         ids=[" ".join(flags) for flags, _ in _BAD_GRIDS])
+def test_fp_evolve_rejects_a_bad_grid_before_building_it(tmp_path, capsys,
+                                                         monkeypatch, flags,
+                                                         message):
+    """A grid argument is a usage error that names it, raised before the
+    grid's first quadrature and without a numpy warning."""
+    quadratures = _counted(monkeypatch, fi_verify, "_cell_average_density")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fp-evolve", "--family", "gaussian", "--d", "1",
+                   "--sigma2", "2", "--t-final", "0.01", "--dt", "1e-4",
+                   "--output-dir", str(tmp_path)] + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert quadratures == []
+    assert not (tmp_path / "fp.csv").exists()
+
+
+def test_fp_evolve_rejects_an_unbounded_step_count(tmp_path, capsys,
+                                                   monkeypatch):
+    """t_final / dt overflows to inf: a usage error before the grid target
+    is computed, not an OverflowError."""
+    targets_built = _counted(monkeypatch, fi_verify, "pi_on_grid")
+    rc = main(["fp-evolve", "--family", "gaussian", "--d", "1",
+               "--sigma2", "2", "--t-final", "1e10", "--dt", "1e-300",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "not a finite step count" in capsys.readouterr().err
+    assert targets_built == []
+    assert not (tmp_path / "fp.csv").exists()
 
 
 def test_run_fp_decay_writes_the_fp_evolve_table(tmp_path):

@@ -89,6 +89,41 @@ def test_make_grid_requires_1d():
         make_grid(GenCauchy(d=2, nu=2))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_core": -5}, "n_core must be >= 1, got -5"),
+    ({"n_core": 0}, "n_core must be >= 1, got 0"),
+    ({"n_core": 2.5}, "n_core must be an integer"),
+    ({"n_core": True}, "n_core must be an integer"),
+    ({"n_tail": -3}, "n_tail must be >= 0, got -3"),
+    ({"n_tail": 2.5}, "n_tail must be an integer"),
+    ({"core_halfwidth": -1.0}, "core_halfwidth must be finite positive"),
+    ({"core_halfwidth": 0.0}, "core_halfwidth must be finite positive"),
+    ({"core_halfwidth": math.nan}, "core_halfwidth must be finite positive"),
+    ({"core_halfwidth": math.inf}, "core_halfwidth must be finite positive"),
+    ({"core_halfwidth": "6"}, "core_halfwidth must be a number"),
+], ids=str)
+def test_make_grid_checks_its_arguments_before_any_quadrature(
+        monkeypatch, kwargs, message):
+    def no_quadrature(*args):
+        raise AssertionError("make_grid integrated before checking")
+
+    monkeypatch.setattr(fi_verify, "_tail_quantile", no_quadrature)
+    monkeypatch.setattr(fi_verify, "_cell_average_density", no_quadrature)
+    with pytest.raises(InputValidationError, match=message):
+        make_grid(Gaussian(d=1), **kwargs)
+
+
+def test_make_grid_takes_integral_floats_and_no_tail_cells():
+    """512.0 cells are 512 cells, and n_tail = 0 leaves the core alone."""
+    want = make_grid(Gaussian(d=1), n_core=512, n_tail=32, core_halfwidth=6.0)
+    got = make_grid(Gaussian(d=1), n_core=512.0, n_tail=32.0,
+                    core_halfwidth=6.0)
+    assert got.values.tobytes() == want.values.tobytes()
+    bare = make_grid(Gaussian(d=1), n_core=512, n_tail=0, core_halfwidth=6.0)
+    assert bare.nodes.size == 512
+    assert bare.nodes.tobytes() == want.nodes[32:-32].tobytes()
+
+
 def test_gaussian_on_grid_moments(gc_grid, rho_n04):
     assert rho_n04.mass == pytest.approx(1.0, abs=1e-12)
     assert rho_n04.m2 == pytest.approx(4.0, rel=1e-4)
@@ -758,6 +793,7 @@ def test_fp_record_every_must_be_positive(every):
     ({"t_final": math.inf}, "t_final must be finite"),
     ({"record_every": 2.5}, "record_every must be an integer"),
     ({"record_every": True}, "record_every must be an integer"),
+    ({"t_final": 1e10, "dt": 1e-300}, "not a finite step count"),
 ], ids=str)
 def test_fp_evolve_checks_its_time_and_record_interval(kwargs, message):
     g = make_grid(Gaussian(d=1), n_core=256, n_tail=32, core_halfwidth=6.0)
@@ -824,6 +860,38 @@ def test_fp_evolve_matches_reference_loop_on_the_default_cauchy_grid():
         assert dens.values.tobytes() == want.tobytes()
 
 
+# (t_final in steps of dt, record_every, records after t = 0); dt = 2e-3
+_SCHEDULES = [
+    (7, 1, 7),          # a record after every step
+    (40, 40, 1),        # one interval, ending on the last step
+    (40, 57, 1),        # an interval longer than the run
+    (450, None, 225),   # the default interval, 450 // 200 = 2
+    (1, 5, 1),          # a single step
+    (10.5, 4, 3),       # 11 steps, recorded at 4, 8 and 11
+]
+
+
+@pytest.mark.parametrize("steps, every, n_records", _SCHEDULES, ids=str)
+def test_fp_evolve_record_schedule_matches_reference_loop(steps, every,
+                                                          n_records):
+    """Every record interval, the final partial one included, gives the
+    allocating loop's times and frames byte for byte."""
+    spec, dt = Gaussian(d=1), 2e-3
+    g = make_grid(spec, n_core=128, n_tail=32, core_halfwidth=6.0)
+    rho0 = gaussian_on_grid(g, 2.0)
+    t_final = steps * dt
+    traj = fokker_planck_evolve_1d(spec, rho0, t_final=t_final, dt=dt,
+                                   record_every=every)
+    n_steps = math.ceil(steps)
+    times, frames = _reference_evolve(
+        spec, rho0, t_final, dt, every or max(1, n_steps // 200))
+    assert len(traj) == len(frames) == 1 + n_records
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.times[-1] == n_steps * dt
+    for dens, want in zip(traj.densities, frames):
+        assert dens.values.tobytes() == want.tobytes()
+
+
 def test_evolved_frames_carry_pi(monkeypatch):
     """One evolution builds pi once; its frames' functionals reuse it."""
     spec = Sublinear(d=1, alpha=0.5)
@@ -878,3 +946,38 @@ def test_write_fp_csv_schema_and_determinism(tmp_path):
     row = lines[1].split(",")
     assert float(row[0]) == 0.0
     assert float(row[4]) == pytest.approx(1.0, abs=1e-9)
+
+
+_STEP_UFUNCS = ("divide", "subtract", "multiply", "add")
+
+
+def test_fp_evolve_step_is_seven_ufunc_calls_into_given_outputs(monkeypatch):
+    """Each finite-volume step makes exactly seven calls of the four step
+    ufuncs, and every call writes into the output array it is given."""
+    spec = Gaussian(d=1)
+    g = make_grid(spec, n_core=128, n_tail=32, core_halfwidth=6.0)
+    rho0 = gaussian_on_grid(g, 2.0)
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            real = getattr(np, name)
+            if name not in _STEP_UFUNCS:
+                return real
+
+            def counted(*args, **kwargs):
+                out = args[2] if len(args) > 2 else kwargs.get("out")
+                result = real(*args, **kwargs)
+                calls.append((name, isinstance(out, np.ndarray)
+                              and result is out))
+                return result
+            return counted
+
+    monkeypatch.setattr(fi_verify, "np", CountingNumpy())
+    traj = fokker_planck_evolve_1d(spec, rho0, t_final=23 * 2e-3, dt=2e-3,
+                                   record_every=5)
+    assert len(traj) == 1 + 5  # steps 5, 10, 15, 20 and 23
+    assert len(calls) == 7 * 23
+    assert all(into_given for _, into_given in calls)
+    assert collections.Counter(name for name, _ in calls) == {
+        "divide": 2 * 23, "subtract": 2 * 23, "multiply": 2 * 23, "add": 23}
