@@ -208,10 +208,11 @@ def pi_on_grid(spec: PotentialSpec, grid: DensityGrid) -> np.ndarray:
 def gaussian_on_grid(grid: DensityGrid, sigma2: float) -> DensityGrid:
     """N(0, sigma2) discretized on an existing grid's cells.
 
-    The cells must capture the gaussian: losing more than 1e-6 of its mass
-    is rejected (it would silently bias every downstream functional).  The
-    message names the cause: a window that truncates the gaussian (its
-    exact mass outside), or cells too wide to resolve it.
+    The cells must capture the gaussian: a cell total more than 1e-6 away
+    from 1, lost or gained, is rejected (renormalizing it would silently
+    bias every downstream functional).  The message names the cause: a
+    window that truncates the gaussian (its exact mass outside), or cells
+    too wide to resolve it.
     """
     if not (sigma2 > 0.0):
         raise InputValidationError(f"sigma2 must be positive, got {sigma2}")
@@ -223,7 +224,7 @@ def gaussian_on_grid(grid: DensityGrid, sigma2: float) -> DensityGrid:
 
     _, _, values = _cell_average_density(log_rho, edges)
     total = float(values @ grid.widths)
-    if total < 1.0 - 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         scale = math.sqrt(2.0 * sigma2)
         outside = 1.0 - 0.5 * (math.erf(edges[-1] / scale)
                                - math.erf(edges[0] / scale))
@@ -233,8 +234,10 @@ def gaussian_on_grid(grid: DensityGrid, sigma2: float) -> DensityGrid:
                 "widen the grid"
             )
         width = float(grid.widths[np.argmin(np.abs(grid.nodes))])
+        change = (f"lose {1.0 - total:.3g} of" if total < 1.0
+                  else f"add {total - 1.0:.3g} to")
         raise InputValidationError(
-            f"grid cells {width:.3g} wide at 0 lose {1.0 - total:.3g} of "
+            f"grid cells {width:.3g} wide at 0 {change} "
             f"N(0, {sigma2}) (sigma {math.sqrt(sigma2):.3g}); use more or "
             "narrower core cells (--n-core, --core-halfwidth)"
         )

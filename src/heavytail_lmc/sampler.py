@@ -9,9 +9,12 @@ run as a batch of independent chains stored in an ``(n_chains, d)`` array.
 Randomness contract
 -------------------
 All noise is addressed by ``(root_seed, stream)``: the block for a stream is
-drawn from ``Generator(SFC64(SeedSequence((root_seed, stream))))``, a fresh
-generator per address, so any stream can be read without drawing the ones
-before it.  Stream 0 is reserved for the initial draw; stream k+1 supplies
+what ``Generator(SFC64(SeedSequence((root_seed, stream))))`` draws, so any
+stream can be read without drawing the ones before it.  No generator is
+built per stream: :func:`_stream_states` computes the SFC64 states those
+constructors give for a block of streams in one vectorized pass, and each
+thread sets the state of the stream it draws on one generator of its own.
+Stream 0 is reserved for the initial draw; stream k+1 supplies
 the noise for iteration k (the update producing x_{k+1}).  Within a stream,
 the block ``standard_normal((n_chains, d))`` is laid out row-major, so chain
 i always reads row i: the noise consumed by chain i is a function of
@@ -53,6 +56,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -64,6 +69,7 @@ from .targets import (
     HeavyTailError,
     InputValidationError,
     PotentialSpec,
+    _json_float,
     _json_int,
     grad_potential,
     sq_norms,
@@ -116,6 +122,15 @@ class ChainDivergenceError(HeavyTailError, RuntimeError):
         self.partial_trace = partial_trace
 
 
+def _at_least(value, name: str, least: int) -> int:
+    """``value`` as an int (see :func:`~heavytail_lmc.targets._json_int`)
+    that is at least ``least``."""
+    n = _json_int(value, name)
+    if n < least:
+        raise InputValidationError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ChainBatch:
     """State of a batch of chains after ``k`` iterations.
@@ -136,11 +151,13 @@ class ChainBatch:
             raise InputValidationError(
                 f"positions must have shape (n_chains, d), got {pos.shape}"
             )
-        if self.h <= 0 or not np.isfinite(self.h):
-            raise InputValidationError(f"step size h must be positive, got {self.h}")
-        if self.k < 0:
-            raise InputValidationError(f"iteration counter k must be >= 0, got {self.k}")
+        h = _json_float(self.h, "h")
+        if not (h > 0 and math.isfinite(h)):
+            raise InputValidationError(f"step size h must be positive, got {h}")
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", _at_least(self.k, "k", 0))
+        object.__setattr__(self, "rng_root", _at_least(self.rng_root, "rng_root", 0))
 
     @property
     def n_chains(self) -> int:
@@ -171,12 +188,144 @@ class MomentTrace:
     stopped_early: bool = False
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+#: Streams whose states one refill of a thread's block computes (32 KB).
+_STATE_BLOCK = 1024
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix`` (and ``generate_state``'s output step) on
+    uint32 arrays, with the hash constant starting at ``const``."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of a non-negative int: little-endian 32-bit
+    words, ``[0]`` for 0."""
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _sfc64_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """The (m, 4) SFC64 states of m seeds whose entropy has the same
+    number of 32-bit words (``entropy[j][i]`` is word j of seed i): the
+    pool of ``SeedSequence.mix_entropy``, ``generate_state(3, uint64)``
+    and ``sfc64_set_seed``."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    words = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(6)]
+    a, b, c = (words[2 * i] | (words[2 * i + 1] << np.uint64(32))
+               for i in range(3))
+    counter = np.ones_like(a)
+    for _ in range(12):  # sfc64_next
+        tmp = a + b + counter
+        counter += np.uint64(1)
+        a = b ^ (b >> np.uint64(11))
+        b = c + (c << np.uint64(3))
+        c = ((c << np.uint64(24)) | (c >> np.uint64(40))) + tmp
+    return np.stack([a, b, c, counter], axis=1)
+
+
+def _stream_states(root: int, streams) -> np.ndarray:
+    """The ``(len(streams), 4)`` uint64 states that
+    ``SFC64(SeedSequence((root, s)))`` starts from, one row per stream s
+    (0 <= s < 2**64).
+
+    A transcription of numpy's ``SeedSequence`` (the word split of its
+    entropy, ``mix_entropy``, ``generate_state(3, np.uint64)``) and of
+    ``sfc64_set_seed``, vectorized over the streams with uint32 and uint64
+    arithmetic that wraps as the C code's does.  Streams are grouped by
+    their number of 32-bit words, which fixes the entropy's layout.
+    """
+    root = operator.index(root)
+    if root < 0:
+        raise ValueError(f"root must be non-negative, got {root}")
+    streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    states = np.empty((streams.size, 4), dtype=np.uint64)
+    root_words = _uint32_words(root)
+    wide = streams > np.uint64(_M32)
+    for group, n_words in ((~wide, 1), (wide, 2)):
+        idx = np.flatnonzero(group)
+        if idx.size == 0:
+            continue
+        s = streams[idx]
+        entropy = [np.full(idx.size, w, dtype=np.uint32) for w in root_words]
+        entropy += [(s >> np.uint64(32 * i)).astype(np.uint32)
+                    for i in range(n_words)]
+        states[idx] = _sfc64_states(entropy)
+    return states
+
+
+class _ThreadNoise(threading.local):
+    """One thread's generator, re-seeded before every block it draws, and
+    the states of the streams ``first ... first + len(states) - 1`` of
+    ``root``."""
+
+    def __init__(self) -> None:
+        self.bit_generator = np.random.SFC64(0)
+        self.generator = np.random.Generator(self.bit_generator)
+        self.root: Union[int, None] = None
+        self.first = 0
+        self.states = np.empty((0, 4), dtype=np.uint64)
+
+
+_thread_noise = _ThreadNoise()
+
+
 def _noise_block(root: int, stream: int, n: int, d: int,
                  out: Union[np.ndarray, None] = None) -> np.ndarray:
     """The (n, d) standard-normal block addressed by (root, stream), written
-    into ``out`` (a C-contiguous float (n, d) array) when it is given."""
-    seq = np.random.SeedSequence((root, stream))
-    return np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d), out=out)
+    into ``out`` (a C-contiguous float (n, d) array) when it is given.
+
+    The calling thread's generator is set to the stream's state, taken from
+    the thread's block of states; a stream outside that block refills it
+    with the ``_STATE_BLOCK`` streams from this one on (streams are 64-bit).
+    """
+    noise = _thread_noise
+    i = stream - noise.first
+    if root != noise.root or not 0 <= i < len(noise.states):
+        if not 0 <= stream < 2**64:
+            raise ValueError(f"stream must be in [0, 2**64), got {stream}")
+        stop = min(stream + _STATE_BLOCK, 2**64)
+        noise.states = _stream_states(
+            root, np.arange(stream, stop, dtype=np.uint64))
+        noise.root, noise.first, i = root, stream, 0
+    noise.bit_generator.state = {
+        "bit_generator": "SFC64", "state": {"state": noise.states[i]},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return noise.generator.standard_normal((n, d), out=out)
 
 
 def _usable_cores() -> int:
@@ -281,15 +430,21 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
 def gaussian_init(
     sigma2: float, d: int, n_chains: int, h: float, seed: int
 ) -> ChainBatch:
-    """Draw x_0 ~ N(0, sigma2 * I_d) for every chain (stream 0 of ``seed``)."""
-    if sigma2 <= 0 or not np.isfinite(sigma2):
+    """Draw x_0 ~ N(0, sigma2 * I_d) for every chain (stream 0 of ``seed``).
+
+    Every argument is checked before the draw.
+    """
+    sigma2 = _json_float(sigma2, "sigma2")
+    if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise InputValidationError(f"sigma2 must be positive, got {sigma2}")
-    if n_chains < 1:
-        raise InputValidationError(f"n_chains must be >= 1, got {n_chains}")
-    if seed < 0:
-        raise InputValidationError(f"seed must be >= 0, got {seed}")
-    block = _noise_block(seed, 0, n_chains, d)
-    return ChainBatch(positions=np.sqrt(sigma2) * block, h=h, k=0, rng_root=seed)
+    d = _at_least(d, "d", 1)
+    n_chains = _at_least(n_chains, "n_chains", 1)
+    seed = _at_least(seed, "seed", 0)
+    batch = ChainBatch(np.empty((n_chains, d)), h=h, k=0, rng_root=seed)
+    pos = batch.positions
+    _noise_block(seed, 0, n_chains, d, out=pos)
+    pos *= np.sqrt(sigma2)
+    return batch
 
 
 def _check_divergence(pos: np.ndarray, iteration: int, trace=None) -> None:
@@ -379,12 +534,8 @@ def run_chains(
         With per-recorded-iteration paired one-step increments and the final
         chain positions attached.
     """
-    n_iters = _json_int(n_iters, "n_iters")
-    record_every = _json_int(record_every, "record_every")
-    if n_iters < 0:
-        raise InputValidationError(f"n_iters must be >= 0, got {n_iters}")
-    if record_every < 1:
-        raise InputValidationError(f"record_every must be >= 1, got {record_every}")
+    n_iters = _at_least(n_iters, "n_iters", 0)
+    record_every = _at_least(record_every, "record_every", 1)
 
     iters: list[int] = []
     m2s: list[float] = []

@@ -811,6 +811,20 @@ def test_fp_evolve_names_unresolving_cells(tmp_path, capsys):
     assert not (tmp_path / "fp.csv").exists()
 
 
+def test_fp_evolve_refuses_a_start_that_gains_mass(tmp_path, capsys):
+    """On the same grid sigma2 = 0.5 sits between Simpson nodes of 12.4-wide
+    cells and its cell total reads 1.169: the start is refused with the
+    cell width, not renormalized into an m2 of 38.65 (the true m2 is 0.5)."""
+    rc = main(["fp-evolve", "--family", "gen_cauchy", "--nu", "1", "--d", "1",
+               "--sigma2", "0.5", "--t-final", "0.01", "--dt", "1e-4",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "grid cells 12.4 wide at 0 add 0.169 to N(0, 0.5) (sigma 0.707)" in err
+    assert "--n-core" in err and "--core-halfwidth" in err
+    assert not (tmp_path / "fp.csv").exists()
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_fp_evolve_rejects_nonpositive_record_every(tmp_path, capsys, every):
     rc = main(["fp-evolve", "--family", "gaussian", "--d", "1",

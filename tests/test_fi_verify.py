@@ -158,6 +158,19 @@ def test_gaussian_on_grid_names_the_cause():
     assert "truncates" not in message and "widen" not in message
 
 
+@pytest.mark.parametrize("sigma2, gained", [(1e-4, "0.247"), (1e-300, "1.25e+148")])
+def test_gaussian_on_grid_refuses_a_total_above_one(sigma2, gained):
+    """A start far narrower than 0.1875-wide cells, peaked on a Simpson
+    node, integrates to more than 1 (1.247 at sigma2 = 1e-4); renormalized,
+    its m2 would read 8.8e-3 for 1e-4.  It is refused like a start whose
+    cells lose mass."""
+    grid = make_grid(Gaussian(d=1), n_core=64, n_tail=16, core_halfwidth=6)
+    with pytest.raises(InputValidationError) as exc_info:
+        gaussian_on_grid(grid, sigma2)
+    assert str(exc_info.value).startswith(
+        f"grid cells 0.188 wide at 0 add {gained} to N(0, {sigma2}) ")
+
+
 # ---------------------------------------------------------------------------
 # grid divergences against closed-form oracles
 # ---------------------------------------------------------------------------

@@ -51,6 +51,42 @@ def test_gaussian_init_validation():
         gaussian_init(sigma2=1.0, d=1, n_chains=10, h=0.0, seed=0)
     with pytest.raises(InputValidationError, match="seed must be >= 0"):
         gaussian_init(sigma2=1.0, d=1, n_chains=10, h=0.01, seed=-1)
+    for kwargs, message in (({"seed": 2.5}, "seed must be an integer"),
+                            ({"seed": True}, "seed must be an integer"),
+                            ({"n_chains": 2.5}, "n_chains must be an integer"),
+                            ({"d": 0}, "d must be >= 1, got 0"),
+                            ({"h": True}, "h must be a number")):
+        args = {**dict(sigma2=1.0, d=1, n_chains=10, h=0.01, seed=0), **kwargs}
+        with pytest.raises(InputValidationError, match=message):
+            gaussian_init(**args)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rng_root", -1, "rng_root must be >= 0, got -1"),
+    ("rng_root", 2.5, "rng_root must be an integer, got 2.5"),
+    ("rng_root", "3", "rng_root must be an integer, got '3'"),
+    ("rng_root", True, "rng_root must be an integer, got True"),
+    ("k", True, "k must be an integer, got True"),
+    ("k", 1.5, "k must be an integer, got 1.5"),
+    ("k", -1, "k must be >= 0, got -1"),
+    ("h", True, "h must be a number, got True"),
+    ("h", "0.1", "h must be a number, got '0.1'"),
+])
+def test_chain_batch_checks_its_numbers_up_front(field, value, message):
+    """A root, counter or step size that is not a number of the right kind
+    is refused when the batch is built, not by numpy in the first draw."""
+    args = dict(positions=np.zeros((4, 1)), h=0.1, k=0, rng_root=0)
+    args[field] = value
+    with pytest.raises(InputValidationError) as exc_info:
+        ChainBatch(**args)
+    assert str(exc_info.value) == message
+
+
+def test_chain_batch_keeps_integral_numbers_as_ints():
+    batch = ChainBatch(np.zeros((4, 1)), h=np.float32(0.5), k=np.int64(3),
+                       rng_root=7.0)
+    assert (type(batch.h), type(batch.k), type(batch.rng_root)) == (float, int, int)
+    assert (batch.h, batch.k, batch.rng_root) == (0.5, 3, 7)
 
 
 def test_run_chains_deterministic():
@@ -268,6 +304,74 @@ def test_lmc_step_takes_the_stream_block_it_is_given():
             lmc_step(init, spec, noise=np.zeros(shape))
 
 
+def _numpy_block(root: int, stream: int, n: int, d: int) -> np.ndarray:
+    """The randomness contract's definition of the (root, stream) block."""
+    seq = np.random.SeedSequence((root, stream))
+    return np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d))
+
+
+def test_stream_states_are_numpys():
+    """The vectorized seeder gives, bit for bit, the state numpy's
+    SeedSequence and SFC64 constructors give: roots of one to five 32-bit
+    words, and streams of one and two words, on both sides of each block
+    edge, in any order."""
+    edge = sampler._STATE_BLOCK
+    roots = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130]
+    streams = [0, 1, 2, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge,
+               2**32 - 1, 2**32, 2**40]
+    for root in roots:
+        states = sampler._stream_states(root, streams[::-1])
+        assert states.dtype == np.uint64 and states.shape == (len(streams), 4)
+        for state, stream in zip(states, streams[::-1]):
+            want = np.random.SFC64(np.random.SeedSequence((root, stream))).state
+            assert state.tolist() == want["state"]["state"].tolist(), (root, stream)
+    assert sampler._stream_states(5, []).shape == (0, 4)
+    with pytest.raises(ValueError):
+        sampler._stream_states(-1, [0])
+    with pytest.raises(TypeError):
+        sampler._stream_states(2.5, [0])
+
+
+def test_noise_block_reaches_the_last_64_bit_stream():
+    """The block refilled from a stream near 2**64 stops at 2**64 instead of
+    wrapping round to stream 0; a stream past it is refused."""
+    for stream in (2**64 - 1, 2**64 - 2, 2**64 - 1):
+        got = sampler._noise_block(4, stream, 3, 2)
+        assert got.tobytes() == _numpy_block(4, stream, 3, 2).tobytes()
+    with pytest.raises(ValueError, match="stream must be in"):
+        sampler._noise_block(4, 2**64, 3, 2)
+
+
+def test_threads_drawing_interleaved_streams_get_numpys_bytes():
+    """Two threads, each with its own generator and block of states, draw
+    streams of two roots in turn (so each block is refilled again and
+    again, across its edges) while the interpreter switches between them
+    every few microseconds: every block is numpy's."""
+    edge = sampler._STATE_BLOCK
+    addresses = [(root, stream) for stream in
+                 (0, 1, edge - 1, edge, 3, 2 * edge + 5, 2**33, 2)
+                 for root in (9, 2**64 + 9)]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def draw(order):
+        barrier.wait()
+        return [sampler._noise_block(root, stream, 33, 3).tobytes()
+                for _ in range(5) for root, stream in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            orders = (addresses, addresses[::-1])
+            got = list(pool.map(draw, orders))
+    finally:
+        sys.setswitchinterval(switch)
+    for order, blocks in zip(orders, got):
+        want = [_numpy_block(root, stream, 33, 3).tobytes()
+                for _ in range(5) for root, stream in order]
+        assert blocks == want
+
+
 TRACE_ARRAYS = ("iters", "m2", "se", "dm2_next", "dm2_next_se", "final_positions")
 
 
@@ -338,6 +442,34 @@ def _assert_same_trace(ahead, inline, label=None):
         assert (getattr(ahead, name).tobytes()
                 == getattr(inline, name).tobytes()), (label, name)
     assert ahead.stopped_early == inline.stopped_early
+
+
+def test_a_drawn_ahead_run_builds_no_generator_per_stream(draws, monkeypatch):
+    """A 50-step run that draws ahead calls no SeedSequence constructor and
+    builds at most one generator on each thread that draws (the parent built
+    one of each per stream); its bytes are the inline ones."""
+    n = sampler.DRAW_AHEAD_MIN_NORMALS
+    init = gaussian_init(sigma2=4.0, d=1, n_chains=n, h=0.05, seed=31)
+    inline = _on_worker_thread(run_chains, Gaussian(d=1), init, 50)
+    built = []
+
+    def counted(name, make):
+        def build(*args, **kwargs):
+            built.append((name, threading.get_ident()))
+            return make(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, build)
+
+    for name in ("SeedSequence", "SFC64", "Generator"):
+        counted(name, getattr(np.random, name))
+    draws.clear()
+    ahead = run_chains(Gaussian(d=1), init, 50)
+    assert len(draws) == 50
+    assert len(draws.threads() - {threading.get_ident()}) <= 1
+    assert [name for name, _ in built if name == "SeedSequence"] == []
+    for name in ("SFC64", "Generator"):
+        threads = [ident for built_name, ident in built if built_name == name]
+        assert len(threads) == len(set(threads)) and set(threads) <= draws.threads()
+    _assert_same_trace(ahead, inline)
 
 
 @pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
