@@ -63,6 +63,7 @@ from .diagnostics import (
 from .bounds import (
     BoundQuery,
     BoundReport,
+    assemble_upper_bound,
     beta_for_spec,
     beta_prime,
     beta_wpi_cauchy_report,
@@ -75,6 +76,8 @@ from .bounds import (
     lmc_iteration_bound,
     lmc_iteration_count,
     lower_bound_complexity,
+    phase_leg_bounds,
+    phase_threshold,
     step_size_upper_bound,
     warm_start_divergence_bound,
 )
@@ -97,12 +100,6 @@ from .fi_verify import (
     wpi_check,
     write_fp_csv,
 )
-from .cli import (
-    ExperimentConfig,
-    assemble_upper_bound,
-    config_from_json,
-    main,
-    phase_threshold,
-)
+from .cli import ExperimentConfig, config_from_json, main
 
 __version__ = "0.1.0"

@@ -19,6 +19,9 @@ intermediate quantity, and a stable citation key.  Conventions:
 The weak-Poincare weighting functions ``beta_*`` map a resolution r in
 (0, 1] to the constant multiplying the gradient energy; smaller r buys a
 tighter variance bound at the price of a larger constant.
+
+A phase-sweep leg gets its stop threshold, coupling delta0, gated lower
+report and upper value from :func:`phase_leg_bounds`.
 """
 
 from __future__ import annotations
@@ -29,14 +32,16 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .diagnostics import sigma2_eps
+from .diagnostics import pi_moment_for, sigma2_eps
 from .targets import (
     GrowthParams,
     InputValidationError,
+    MomentUndefinedError,
     PotentialSpec,
     _beta_sublinear,
     _safe_exp,
     beta_wpi_cauchy,
+    log_normalizing_constant,
     modified_target_m,
 )
 
@@ -57,6 +62,12 @@ __all__ = [
     "init_divergence_bound",
     "gen_cauchy_init_bound_simplified",
     "warm_start_divergence_bound",
+    "lower_bound_threshold",
+    "lower_bound_gate",
+    "phase_threshold",
+    "assemble_upper_bound",
+    "PhaseLegBounds",
+    "phase_leg_bounds",
 ]
 
 _R_INIT_KEYS = frozenset({"q", "2q-1", "qprime", "kl", "r2_hat"})
@@ -780,11 +791,9 @@ def init_divergence_bound(
     elif kind == "R2_hat":
         if not (T > 0.0):
             raise InputValidationError(f"T must be positive, got {T}")
-        if sigma2 > _MODIFIED_TARGET_WIDTH * T:
-            raise InputValidationError(
-                "modified-target comparison needs sigma2 <= 3072 T = "
-                f"{_MODIFIED_TARGET_WIDTH * T}, got {sigma2}"
-            )
+        too_wide = _too_wide_for_modified_target(sigma2, T)
+        if too_wide:
+            raise InputValidationError(too_wide)
         inner, inter = spec.start_renyi(2.0, 2.0 * sigma2)
         value = d * math.log(2.0) + inner
     else:
@@ -799,6 +808,15 @@ def init_divergence_bound(
         intermediates=inter,
         infeasibility=None if math.isfinite(value) else "bound is non-finite",
     )
+
+
+def _too_wide_for_modified_target(sigma2: float, T: float) -> Optional[str]:
+    """Why N(0, sigma2 I_d) is too wide for the modified-target comparison
+    at horizon T, or None when sigma2 <= 3072 T."""
+    if sigma2 > _MODIFIED_TARGET_WIDTH * T:
+        return ("modified-target comparison needs sigma2 <= 3072 T = "
+                f"{_MODIFIED_TARGET_WIDTH * T}, got {sigma2}")
+    return None
 
 
 def gen_cauchy_init_bound_simplified(d: int, nu: float, sigma2: float) -> float:
@@ -868,3 +886,113 @@ def warm_start_divergence_bound(
         intermediates=inter,
         infeasibility=None if math.isfinite(value) else "bound is non-finite",
     )
+
+
+# ---------------------------------------------------------------------------
+# Phase-sweep legs
+# ---------------------------------------------------------------------------
+
+
+def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
+                          ) -> BoundReport:
+    """:func:`delta0_threshold` for a target at divergence order q.
+
+    The ingredients are the normalizing constant, the order-2q/(q-1) radial
+    moment, and the potential's value at the origin (1 for the
+    subexponential family, 0 otherwise).  Raises
+    :class:`MomentUndefinedError` when that moment diverges (log tails with
+    nu <= 2q/(q-1)).
+    """
+    z = math.exp(log_normalizing_constant(spec))
+    pm = pi_moment_for(spec, q)
+    v0 = float(spec.profile(0.0))
+    return delta0_threshold(spec.growth(), spec.d, q, z, pm, v0=v0, c=c)
+
+
+def lower_bound_gate(spec: PotentialSpec, q: float) -> dict:
+    """The complexity lower bound's validity gate for a target at order q.
+
+    Returns ``delta0_threshold`` (the value of :func:`lower_bound_threshold`,
+    or None when it cannot be computed), ``lower_threshold_checked`` and
+    ``lower_threshold_reason`` (why the threshold is unchecked, else None).
+    """
+    try:
+        threshold = lower_bound_threshold(spec, q).value
+        reason = None
+    except MomentUndefinedError as exc:
+        threshold = None
+        reason = f"validity threshold not computable at q = {q}: {exc}"
+    return {
+        "delta0_threshold": threshold,
+        "lower_threshold_checked": threshold is not None,
+        "lower_threshold_reason": reason,
+    }
+
+
+def phase_threshold(spec: PotentialSpec, q: float, eps: float, sigma2: float
+                    ) -> tuple[float, str]:
+    """Convergence threshold for a phase leg, with its provenance tag.
+
+    Primary rule: the second-moment level at which the order-q surrogate
+    equals eps.  Families whose 2q/(q-1) moment diverges (log tails) fall
+    back to half the initial second moment (a scale-free decay marker).
+    """
+    try:
+        return sigma2_eps(spec, q, eps), "sigma2_eps"
+    except MomentUndefinedError:
+        return 0.5 * spec.d * sigma2, "half_initial_m2"
+
+
+def assemble_upper_bound(spec: PotentialSpec, q: float, q_prime: float,
+                         eps: float, sigma2: float) -> BoundReport:
+    """Compose the LMC iteration upper bound from its ingredient bounds.
+
+    The initialization divergences of every needed order are dominated by
+    the sup-log-ratio bound; the order-2 divergence from the modified
+    target comes from the dedicated calculator (unit horizon).
+    """
+    rinf = init_divergence_bound(spec, sigma2, kind="Rinf").value
+    r2_hat = init_divergence_bound(spec, sigma2, kind="R2_hat", T=1.0).value
+    query = BoundQuery(q=q, q_prime=q_prime, eps=eps, spec=spec, sigma2=sigma2,
+                       r_init={"2q-1": rinf, "qprime": rinf, "r2_hat": r2_hat})
+    return lmc_iteration_bound(query, beta_for_spec(spec), modified_target_m(spec))
+
+
+@dataclass(frozen=True)
+class PhaseLegBounds:
+    """What :func:`phase_leg_bounds` says about one leg.  ``upper`` is
+    ``nan`` or ``inf`` exactly when ``upper_reason`` names why."""
+
+    threshold: float
+    threshold_kind: str
+    delta0: float
+    lower: BoundReport
+    upper: float
+    upper_reason: Optional[str]
+
+
+def phase_leg_bounds(spec: PotentialSpec, q: float, q_prime: float, eps: float,
+                     h: float, sigma2: float, gate: dict) -> PhaseLegBounds:
+    """The bounds of a start N(0, sigma2 I_d) run with step h to accuracy eps:
+    :func:`phase_threshold`, and the lower report gated by ``gate`` (the
+    target's :func:`lower_bound_gate` at q; ungated when its threshold is
+    None).  The upper value is :func:`assemble_upper_bound`'s, ``nan`` when
+    that report is infeasible, and ``inf`` outside the iteration theorem's
+    growth regime or for a start too wide for the modified-target comparison.
+    """
+    threshold, threshold_kind = phase_threshold(spec, q, eps, sigma2)
+    delta0 = spec.coupling_delta0(sigma2)
+    lower = lower_bound_complexity(spec.growth(), spec.d, delta0, h=h,
+                                   nu=spec.tail_index,
+                                   threshold=gate["delta0_threshold"])
+    # R2_hat's width rule at assemble_upper_bound's unit horizon
+    too_wide = _too_wide_for_modified_target(sigma2, 1.0)
+    if not spec.has_iteration_bound:
+        upper, reason = math.inf, "outside the iteration theorem's growth regime"
+    elif too_wide:
+        upper, reason = math.inf, too_wide
+    else:
+        report = assemble_upper_bound(spec, q, q_prime, eps, sigma2)
+        upper = report.value if report.feasible else math.nan
+        reason = report.infeasibility
+    return PhaseLegBounds(threshold, threshold_kind, delta0, lower, upper, reason)

@@ -1,5 +1,5 @@
 """Command-line entry point: configuration loading, the phase-transition
-experiment pipeline, bound calculators, inequality verifiers, and CSV/SVG
+experiment pipeline, bound queries, inequality verifiers, and CSV/SVG
 emission.
 
 Commands
@@ -31,27 +31,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import (
-    _MODIFIED_TARGET_WIDTH,
     BoundQuery,
     BoundReport,
+    assemble_upper_bound,
     beta_for_spec,
     beta_wpi_cauchy_report,
     beta_wpi_sublinear_report,
-    delta0_threshold,
     diffusion_time_bound,
     disc_step_size,
     init_divergence_bound,
-    lmc_iteration_bound,
     lower_bound_complexity,
+    lower_bound_gate,
+    lower_bound_threshold,
+    phase_leg_bounds,
+    phase_threshold,
     step_size_upper_bound,
     warm_start_divergence_bound,
 )
-from .diagnostics import (
-    diagnostic_report,
-    iterations_to_threshold,
-    pi_moment_for,
-    sigma2_eps,
-)
+from .diagnostics import diagnostic_report, iterations_to_threshold
 from .fi_verify import (
     FPTrajectory,
     _falsify_scale,
@@ -80,8 +77,6 @@ from .targets import (
     UnsupportedFamilyError,
     _json_float,
     _json_int,
-    log_normalizing_constant,
-    modified_target_m,
     spec_from_json,
     spec_to_json,
 )
@@ -89,10 +84,6 @@ from .targets import (
 __all__ = [
     "ExperimentConfig",
     "config_from_json",
-    "lower_bound_threshold",
-    "lower_bound_gate",
-    "phase_threshold",
-    "assemble_upper_bound",
     "main",
 ]
 
@@ -212,155 +203,43 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def lower_bound_threshold(spec: PotentialSpec, q: float, c: float = 1.0
-                          ) -> BoundReport:
-    """:func:`delta0_threshold` for a target at divergence order q.
-
-    The ingredients are the normalizing constant, the order-2q/(q-1) radial
-    moment, and the potential's value at the origin (1 for the
-    subexponential family, 0 otherwise).  Raises
-    :class:`MomentUndefinedError` when that moment diverges (log tails with
-    nu <= 2q/(q-1)).
-    """
-    z = math.exp(log_normalizing_constant(spec))
-    pm = pi_moment_for(spec, q)
-    v0 = float(spec.profile(0.0))
-    return delta0_threshold(spec.growth(), spec.d, q, z, pm, v0=v0, c=c)
-
-
-def lower_bound_gate(spec: PotentialSpec, q: float) -> dict:
-    """The complexity lower bound's validity gate for a target at order q.
-
-    Returns ``delta0_threshold`` (the value of :func:`lower_bound_threshold`,
-    or None when it cannot be computed), ``lower_threshold_checked`` and
-    ``lower_threshold_reason`` (why the threshold is unchecked, else None).
-    """
-    try:
-        threshold = lower_bound_threshold(spec, q).value
-        reason = None
-    except MomentUndefinedError as exc:
-        threshold = None
-        reason = f"validity threshold not computable at q = {q}: {exc}"
-    return {
-        "delta0_threshold": threshold,
-        "lower_threshold_checked": threshold is not None,
-        "lower_threshold_reason": reason,
-    }
-
-
-def phase_threshold(spec: PotentialSpec, q: float, eps: float, sigma2: float
-                    ) -> tuple[float, str]:
-    """Convergence threshold for a phase leg, with its provenance tag.
-
-    Primary rule: the second-moment level at which the order-q surrogate
-    equals eps.  Families whose 2q/(q-1) moment diverges (log tails) fall
-    back to half the initial second moment (a scale-free decay marker).
-    """
-    try:
-        return sigma2_eps(spec, q, eps), "sigma2_eps"
-    except MomentUndefinedError:
-        return 0.5 * spec.d * sigma2, "half_initial_m2"
-
-
-def assemble_upper_bound(
-    spec: PotentialSpec,
-    q: float,
-    q_prime: float,
-    eps: float,
-    sigma2: float,
-) -> BoundReport:
-    """Compose the LMC iteration upper bound from its ingredient bounds.
-
-    The initialization divergences of every needed order are dominated by
-    the sup-log-ratio bound; the order-2 divergence from the modified
-    target comes from the dedicated calculator (unit horizon).
-    """
-    rinf = init_divergence_bound(spec, sigma2, kind="Rinf").value
-    r2_hat = init_divergence_bound(spec, sigma2, kind="R2_hat", T=1.0).value
-    query = BoundQuery(
-        q=q,
-        q_prime=q_prime,
-        eps=eps,
-        spec=spec,
-        sigma2=sigma2,
-        r_init={"2q-1": rinf, "qprime": rinf, "r2_hat": r2_hat},
-    )
-    beta = beta_for_spec(spec)
-    m = modified_target_m(spec)
-    return lmc_iteration_bound(query, beta, m)
-
-
 _PHASE_HEADER = [
     "family", "alpha", "nu", "d", "h", "sigma2", "delta0_bound",
     "iters_measured", "iters_lower_bound", "iters_upper_bound",
 ]
 
 
-def _phase_leg(
-    spec: PotentialSpec, config: ExperimentConfig, sigma2: float, leg_seed: int,
-    gate: dict,
-) -> dict:
-    """Run one (family, sigma2) leg and assemble its CSV row values.
-
-    ``gate`` is the family's :func:`lower_bound_gate` at ``config.q``: a
-    delta0 below its threshold makes the lower bound infeasible, and an
-    unchecked gate (threshold None) leaves it ungated.  A start the upper
-    bound's hypotheses exclude gets ``inf`` with the reason in the meta; an
-    infeasible upper report (e.g. eps > 1/q) gets ``nan``, as an infeasible
-    lower one does, with its reason in the meta.
+def _phase_leg(spec: PotentialSpec, config: ExperimentConfig, sigma2: float,
+               leg_seed: int, gate: dict) -> dict:
+    """Run one (family, sigma2) leg and assemble its CSV row values, with
+    every bound from :func:`phase_leg_bounds` under the family's ``gate``.
+    A bound that is not one keeps its value or reason in the meta.
     """
-    g = spec.growth()
-    threshold, thr_kind = phase_threshold(spec, config.q, config.eps, sigma2)
+    leg = phase_leg_bounds(spec, config.q, config.q_prime, config.eps,
+                           config.h, sigma2, gate)
+    lower = leg.lower
     init = gaussian_init(sigma2, spec.d, config.n_chains, config.h, seed=leg_seed)
     t0 = time.perf_counter()
-    trace = run_chains(
-        spec, init, config.n_iters, record_every=config.record_every,
-        stop_below=threshold,
-    )
+    trace = run_chains(spec, init, config.n_iters,
+                       record_every=config.record_every, stop_below=leg.threshold)
     wall_s = time.perf_counter() - t0
     steps_run = int(trace.iters[-1])
-    measured = iterations_to_threshold(trace, threshold)
-    delta0 = spec.coupling_delta0(sigma2)
-    lower = lower_bound_complexity(
-        g, spec.d, delta0, h=config.h, nu=spec.tail_index,
-        threshold=gate["delta0_threshold"],
-    )
-    if not spec.has_iteration_bound:
-        # The iteration theorem's smoothness/growth regime covers the
-        # subexponential family; the other rows carry no finite upper bound.
-        upper_val, upper_reason = (
-            math.inf, "outside the iteration theorem's growth regime")
-    else:
-        try:
-            upper = assemble_upper_bound(
-                spec, config.q, config.q_prime, config.eps, sigma2
-            )
-            upper_val, upper_reason = (
-                upper.value if upper.feasible else math.nan, upper.infeasibility)
-        except InputValidationError as exc:
-            # A wide start outgrows the modified-target comparison (R2_hat,
-            # unit horizon) and so establishes no upper bound, as a delta0
-            # below the threshold establishes no lower bound.  Every other
-            # input error still aborts the sweep.
-            if not sigma2 > _MODIFIED_TARGET_WIDTH:
-                raise
-            upper_val, upper_reason = math.inf, str(exc)
     return {
         "family": spec.tag,
-        "alpha": g.alpha,
+        "alpha": spec.growth().alpha,
         "nu": spec.tail_index,
         "d": spec.d,
         "h": config.h,
         "sigma2": sigma2,
-        "delta0_bound": delta0,
-        "iters_measured": measured,
+        "delta0_bound": leg.delta0,
+        "iters_measured": iterations_to_threshold(trace, leg.threshold),
         # an infeasible report (e.g. delta0 below the validity threshold)
         # establishes no bound; its value stays in the meta file
         "iters_lower_bound": lower.value if lower.feasible else math.nan,
-        "iters_upper_bound": upper_val,
+        "iters_upper_bound": leg.upper,
         "_meta": {
-            "threshold": threshold,
-            "threshold_kind": thr_kind,
+            "threshold": leg.threshold,
+            "threshold_kind": leg.threshold_kind,
             "leg_seed": leg_seed,
             "stopped_early": trace.stopped_early,
             # run telemetry: meta only, so phase.csv and phase.svg stay
@@ -373,8 +252,8 @@ def _phase_leg(
             "lower_feasible": lower.feasible,
             "lower_infeasibility": lower.infeasibility,
             **gate,
-            "upper": {"feasible": upper_reason is None,
-                      "infeasibility": upper_reason},
+            "upper": {"feasible": leg.upper_reason is None,
+                      "infeasibility": leg.upper_reason},
         },
     }
 
@@ -409,6 +288,9 @@ def cmd_phase_transition(config: ExperimentConfig,
                          families: Optional[Sequence[str]] = None) -> int:
     """Sweep sigma2 per family; emit phase.csv, phase.svg, phase_meta.json.
 
+    The CLI keeps the running: it computes each family's gate once, draws
+    each leg's start, runs and times its chains and writes its row and meta;
+    every bound comes from :func:`~heavytail_lmc.bounds.phase_leg_bounds`.
     Legs run one after another on the calling thread, in CSV row order, so
     a leg on the main thread may draw its noise ahead (see
     :func:`~heavytail_lmc.sampler.run_chains`).  Each finished leg prints one
@@ -455,20 +337,10 @@ def cmd_phase_transition(config: ExperimentConfig,
     svg_path = os.path.join(config.output_dir, "phase.svg")
     with open(svg_path, "w") as fh:
         fh.write(_phase_svg(rows))
-    meta_path = os.path.join(config.output_dir, "phase_meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "config": config.to_json(),
-                "legs": [
-                    {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                     for k, v in row["_meta"].items()}
-                    for row in rows
-                ],
-            },
-            fh, indent=2, sort_keys=True, default=_json_default,
-        )
-        fh.write("\n")
+    legs_meta = [{k: (None if isinstance(v, float) and math.isnan(v) else v)
+                  for k, v in row["_meta"].items()} for row in rows]
+    _write_json(os.path.join(config.output_dir, "phase_meta.json"),
+                {"config": config.to_json(), "legs": legs_meta})
     print(csv_path)
     print(svg_path)
     return 0
@@ -480,6 +352,13 @@ def _json_default(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     raise TypeError(f"not JSON serializable: {type(v).__name__}")
+
+
+def _write_json(path: str, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +480,8 @@ def cmd_sample(config: ExperimentConfig) -> int:
                              seed=seed)
         trace = run_chains(config.spec, init, config.n_iters,
                            record_every=config.record_every)
-        threshold, thr_kind = phase_threshold(
-            config.spec, config.q, config.eps, sigma2
-        )
+        threshold, thr_kind = phase_threshold(config.spec, config.q, config.eps,
+                                              sigma2)
         tag = f"{sigma2:g}"
         trace_path = os.path.join(config.output_dir, f"trace_sigma2_{tag}.csv")
         write_trace_csv(trace, trace_path)
@@ -612,9 +490,7 @@ def cmd_sample(config: ExperimentConfig) -> int:
         report["sigma2"] = sigma2
         report["seed"] = seed
         diag_path = os.path.join(config.output_dir, f"diagnostics_sigma2_{tag}.json")
-        with open(diag_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _write_json(diag_path, report)
         print(trace_path)
         print(diag_path)
     return 0
@@ -850,9 +726,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = {"main": report, "falsify": counterpart}
         ok = report["n_violations"] == 0 and counterpart["n_violations"] >= 1
         code = 0 if ok else 1
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_json(report_path, payload)
     print(report_path)
     return code
 

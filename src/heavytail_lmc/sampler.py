@@ -472,9 +472,9 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec, *,
              noise: Union[np.ndarray, None] = None) -> ChainBatch:
     """Advance every chain one iteration; returns a new batch at k+1.
 
-    ``noise``, when given, must be the block of stream k+1 (drawn ahead by
-    :func:`run_chains`); it is scaled in place.  Otherwise the block is drawn
-    here.
+    ``noise``, when given, must be the float64 block of stream k+1 (drawn
+    ahead by :func:`run_chains`); it is scaled in place.  Otherwise the block
+    is drawn here.
     """
     if spec.d != batch.d:
         raise InputValidationError(
@@ -484,10 +484,10 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec, *,
     h = batch.h
     if noise is None:
         xi = _noise_block(batch.rng_root, batch.k + 1, batch.n_chains, batch.d)
-    elif noise.shape != x.shape:
+    elif noise.shape != x.shape or noise.dtype != np.float64:
         raise InputValidationError(
-            f"noise block has shape {noise.shape}, positions {x.shape}"
-        )
+            f"noise block is {noise.dtype} of shape {noise.shape}, positions "
+            f"float64 of shape {x.shape}")
     else:
         xi = noise
     # grad_potential returns a fresh array, so the update may overwrite it
@@ -503,10 +503,6 @@ def _mean_se(v: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _m2_stats(pos: np.ndarray) -> tuple[float, float]:
-    return _mean_se(sq_norms(pos))
-
-
 def run_chains(
     spec: PotentialSpec,
     init: ChainBatch,
@@ -517,10 +513,10 @@ def run_chains(
     """Run the batch for ``n_iters`` iterations, recording second moments.
 
     Iteration 0 (the initial state) and every multiple of ``record_every``
-    are recorded, as is the final iteration reached.  When ``stop_below`` is
-    given, the run ends at the first recorded iteration whose upper
-    confidence value m2 + 2 se falls below it (that iteration is recorded and
-    ``stopped_early`` is set).
+    are recorded, as is the final iteration reached.  When ``stop_below`` (a
+    finite real) is given, the run ends at the first recorded iteration whose
+    upper confidence value m2 + 2 se falls below it (that iteration is
+    recorded and ``stopped_early`` is set).
 
     The noise of stream k+1 reaches :func:`lmc_step` through ``noise=``.
     When :func:`_draws_ahead` allows it, the blocks come from
@@ -536,6 +532,10 @@ def run_chains(
     """
     n_iters = _at_least(n_iters, "n_iters", 0)
     record_every = _at_least(record_every, "record_every", 1)
+    if stop_below is not None:
+        stop_below = _json_float(stop_below, "stop_below")
+        if not math.isfinite(stop_below):
+            raise InputValidationError(f"stop_below must be finite, got {stop_below}")
 
     iters: list[int] = []
     m2s: list[float] = []

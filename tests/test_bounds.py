@@ -44,6 +44,8 @@ from heavytail_lmc import (
     log_normalizing_constant,
     lower_bound_complexity,
     modified_target_m,
+    phase_leg_bounds,
+    phase_threshold,
     pi_moment_for,
     potential,
     radial_moment,
@@ -53,6 +55,7 @@ from heavytail_lmc import (
     warm_start_divergence_bound,
 )
 from heavytail_lmc import targets
+from heavytail_lmc.bounds import lower_bound_gate
 
 
 # ---------------------------------------------------------------------------
@@ -741,3 +744,81 @@ def test_complexity_sandwich_gen_cauchy():
     assert lower.value <= measured <= upper.value
     # loose regression band around the observed crossing (seed-pinned)
     assert 2_000 <= measured <= 20_000
+
+
+# ---------------------------------------------------------------------------
+# Phase-sweep legs: every bound of one leg from one call
+# ---------------------------------------------------------------------------
+
+SUBLINEAR_2D = Sublinear(d=2, alpha=0.5)
+
+
+def _leg(spec, sigma2, eps=0.5, q=2.0):
+    return phase_leg_bounds(spec, q, math.inf, eps, 0.01, sigma2,
+                            lower_bound_gate(spec, q))
+
+
+def test_phase_leg_upper_is_the_assembled_bound_when_feasible():
+    leg = _leg(Sublinear(d=1, alpha=0.5), 4.0)
+    report = assemble_upper_bound(Sublinear(d=1, alpha=0.5), 2.0, math.inf, 0.5, 4.0)
+    assert report.feasible
+    assert (leg.upper, leg.upper_reason) == (report.value, None)
+    assert math.isfinite(leg.upper)
+
+
+def test_phase_leg_upper_is_nan_when_the_report_is_infeasible():
+    leg = _leg(SUBLINEAR_2D, 1024.0, eps=1.0)  # eps > 1/q
+    assert math.isnan(leg.upper)
+    assert leg.upper_reason.startswith("eps <= 1/q violated")
+
+
+@pytest.mark.parametrize("spec", [Gaussian(d=2), GenCauchy(d=2, nu=2)],
+                         ids=["gaussian", "gen_cauchy"])
+def test_phase_leg_upper_is_inf_outside_the_growth_regime(spec):
+    leg = _leg(spec, 16.0)
+    assert leg.upper == math.inf
+    assert leg.upper_reason == "outside the iteration theorem's growth regime"
+
+
+def test_phase_leg_upper_is_inf_for_a_start_too_wide_for_the_comparison():
+    with pytest.raises(InputValidationError) as refused:
+        init_divergence_bound(SUBLINEAR_2D, 8192.0, "R2_hat")
+    leg = _leg(SUBLINEAR_2D, 8192.0)
+    assert leg.upper == math.inf
+    assert leg.upper_reason == str(refused.value)
+    assert "3072" in leg.upper_reason
+    # the widest start the comparison allows still gets its bound
+    edge = _leg(SUBLINEAR_2D, 3072.0)
+    assert edge.upper_reason is None and math.isfinite(edge.upper)
+
+
+def test_phase_leg_threshold_and_checked_gate():
+    gate = lower_bound_gate(SUBLINEAR_2D, 2.0)
+    assert gate["lower_threshold_checked"] and gate["lower_threshold_reason"] is None
+    below, above = _leg(SUBLINEAR_2D, 16.0), _leg(SUBLINEAR_2D, 16384.0)
+    for leg, sigma2 in ((below, 16.0), (above, 16384.0)):
+        assert (leg.threshold, leg.threshold_kind) == phase_threshold(
+            SUBLINEAR_2D, 2.0, 0.5, sigma2)
+        assert leg.delta0 == SUBLINEAR_2D.coupling_delta0(sigma2)
+        assert leg.lower.intermediates["delta0_threshold"] == gate["delta0_threshold"]
+    assert below.delta0 < gate["delta0_threshold"] < above.delta0
+    assert not below.lower.feasible
+    assert "below the validity threshold" in below.lower.infeasibility
+    assert above.lower.feasible
+    assert above.lower.value == lower_bound_complexity(
+        SUBLINEAR_2D.growth(), 2, above.delta0, h=0.01,
+        threshold=gate["delta0_threshold"]).value
+
+
+def test_phase_leg_unchecked_gate_leaves_the_lower_bound_ungated():
+    spec = GenCauchy(d=2, nu=2)  # its order-4 moment diverges at q = 2
+    gate = lower_bound_gate(spec, 2.0)
+    assert gate["delta0_threshold"] is None and not gate["lower_threshold_checked"]
+    assert gate["lower_threshold_reason"].startswith(
+        "validity threshold not computable at q = 2.0: ")
+    leg = _leg(spec, 16.0)
+    assert leg.threshold_kind == "half_initial_m2" and leg.threshold == 16.0
+    assert "delta0_threshold" not in leg.lower.intermediates
+    assert leg.lower.feasible
+    assert leg.lower.value == lower_bound_complexity(
+        spec.growth(), 2, spec.coupling_delta0(16.0), h=0.01, nu=2.0).value

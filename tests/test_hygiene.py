@@ -2,8 +2,8 @@
 each public name has one home module, the package keeps no process-wide
 memo, never uses scipy.integrate or scipy.optimize and starts threads only
 in the sampler, importing it starts no thread and loads no scipy, no command
-loads scipy, and the scripts run the CLI's pipelines instead of
-re-implementing them."""
+loads scipy, only bounds knows the modified-target width, and the scripts run
+the CLI's pipelines instead of re-implementing them."""
 
 import ast
 import os
@@ -262,6 +262,50 @@ def test_thread_starter_check_finds_each_form(source):
     assert len(_thread_starters(ast.parse(nested))) == 1
     assert _thread_starters(ast.parse(
         "import threading\nthreading.main_thread()")) == []
+
+
+WIDTH = "_MODIFIED_TARGET_WIDTH"
+
+
+def _width_references(tree: ast.Module) -> list[str]:
+    """Imports, names, attributes and strings naming the modified-target
+    comparison's width: bounds applies that rule, and every other module
+    takes its verdict from bounds."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"import {WIDTH} (line {node.lineno})"
+                      for alias in node.names if alias.name == WIDTH]
+        elif (isinstance(node, ast.Name) and node.id == WIDTH
+              or isinstance(node, ast.Attribute) and node.attr == WIDTH
+              or isinstance(node, ast.Constant) and node.value == WIDTH):
+            found.append(f"{WIDTH} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE + SCRIPTS
+                                  if p.name != "bounds.py"],
+                         ids=lambda p: p.name)
+def test_only_bounds_knows_the_modified_target_width(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _width_references(tree) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .bounds import _MODIFIED_TARGET_WIDTH",
+    "from heavytail_lmc.bounds import _MODIFIED_TARGET_WIDTH as width",
+    "from heavytail_lmc import bounds\nbounds._MODIFIED_TARGET_WIDTH",
+    "import heavytail_lmc.bounds as b\nwide = s > 2 * b._MODIFIED_TARGET_WIDTH",
+    "from heavytail_lmc import bounds\ngetattr(bounds, '_MODIFIED_TARGET_WIDTH')",
+])
+def test_width_check_finds_each_form(source):
+    assert len(_width_references(ast.parse(source))) == 1
+    nested = "def f():\n    " + source.replace("\n", "\n    ")
+    assert len(_width_references(ast.parse(nested))) == 1
+    assert _width_references(ast.parse(
+        "from .bounds import init_divergence_bound, phase_leg_bounds")) == []
+    bounds = ROOT / "src" / "heavytail_lmc" / "bounds.py"
+    assert _width_references(ast.parse(bounds.read_text()))
 
 
 # The steps of the CLI's sample and fp-evolve pipelines.

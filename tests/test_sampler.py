@@ -304,6 +304,19 @@ def test_lmc_step_takes_the_stream_block_it_is_given():
             lmc_step(init, spec, noise=np.zeros(shape))
 
 
+def test_lmc_step_refuses_a_noise_block_that_is_not_float64():
+    """A float32 block would round the step's bytes and an int64 one fails
+    inside numpy: both are refused as a wrong shape is."""
+    spec = GenCauchy(d=2, nu=3)
+    init = gaussian_init(sigma2=1.0, d=2, n_chains=64, h=0.01, seed=4)
+    block = sampler._noise_block(4, 1, 64, 2)
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(InputValidationError, match=np.dtype(dtype).name):
+            lmc_step(init, spec, noise=block.astype(dtype))
+    drawn = lmc_step(init, spec).positions.tobytes()
+    assert lmc_step(init, spec, noise=block.copy()).positions.tobytes() == drawn
+
+
 def _numpy_block(root: int, stream: int, n: int, d: int) -> np.ndarray:
     """The randomness contract's definition of the (root, stream) block."""
     seq = np.random.SeedSequence((root, stream))
@@ -662,6 +675,32 @@ def test_a_run_without_steps_starts_no_thread(draws, monkeypatch):
     assert started == [] and not draws
     run_chains(GAUSS, init, n_iters=3)
     assert len(started) == 1
+
+
+def test_run_chains_refuses_a_stop_level_that_is_not_a_finite_real(
+        draws, monkeypatch):
+    """A NaN level would never stop the run and inf would stop it at
+    iteration 0: each is refused before any step, draw or helper thread."""
+    started, start = [], threading.Thread.start
+
+    def counted(self, *args, **kwargs):
+        started.append(self.name)
+        return start(self, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    init = gaussian_init(sigma2=16.0, d=2, n_chains=sampler.DRAW_AHEAD_MIN_NORMALS,
+                         h=0.05, seed=5)
+    assert sampler._draws_ahead(init.n_chains, init.d)
+    draws.clear()
+    for stop in (math.nan, math.inf, -math.inf, np.float64("nan"), "30", True):
+        with pytest.raises(InputValidationError, match="stop_below"):
+            run_chains(GAUSS, init, n_iters=50, stop_below=stop)
+    assert started == [] and not draws and draws.steps == 0
+    # a finite numpy level stops where the same Python float does
+    at = [run_chains(GAUSS, init, n_iters=50, record_every=5,
+                     stop_below=stop).iters.tolist()
+          for stop in (np.float64(30.0), 30.0)]
+    assert at[0] == at[1] and 0 < at[0][-1] < 50
 
 
 def test_run_chains_validation():
