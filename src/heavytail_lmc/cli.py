@@ -294,10 +294,11 @@ def cmd_phase_transition(config: ExperimentConfig,
     Legs run one after another on the calling thread, in CSV row order, so
     a leg on the main thread may draw its noise ahead (see
     :func:`~heavytail_lmc.sampler.run_chains`).  Each finished leg prints one
-    stderr line with its telemetry from phase_meta.json.  A failing leg
-    stops the sweep: the rows before it stay in phase.csv and the exit code
-    is 1.
+    stderr line with its telemetry from phase_meta.json.  An eps the bounds
+    refuse is refused before the first leg.  A failing leg stops the sweep:
+    the rows before it stay in phase.csv and the exit code is 1.
     """
+    BoundQuery(config.q, config.q_prime, config.eps)  # refuse before any leg
     specs = _phase_families(config, families)
     # once per family: the threshold's quadrature costs as much as a short leg
     gates = [lower_bound_gate(spec, config.q) for spec in specs]

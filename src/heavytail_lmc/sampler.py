@@ -484,6 +484,9 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec, *,
     h = batch.h
     if noise is None:
         xi = _noise_block(batch.rng_root, batch.k + 1, batch.n_chains, batch.d)
+    elif not isinstance(noise, np.ndarray):
+        raise InputValidationError(
+            f"noise block must be a numpy array, got {type(noise).__name__}")
     elif noise.shape != x.shape or noise.dtype != np.float64:
         raise InputValidationError(
             f"noise block is {noise.dtype} of shape {noise.shape}, positions "

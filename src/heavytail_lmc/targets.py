@@ -53,9 +53,9 @@ divergent integrals raise :class:`MomentUndefinedError`, and bad arguments
 raise :class:`InputValidationError`.
 
 Log-gamma and the inverse complementary error function are transcribed
-from Cephes (:func:`_gammaln`, :func:`_erfcinv`), so the package computes
-on numpy alone.  Only :func:`direct_sampler`, which no command calls, loads
-scipy: it imports ``scipy.interpolate`` in its body.
+from Cephes (:func:`_gammaln`, :func:`_erfcinv`) and the exact sampler's
+monotone interpolant from scipy's PCHIP (:func:`_pchip`), so the package
+computes on numpy alone.
 """
 
 from __future__ import annotations
@@ -1302,13 +1302,43 @@ def _sphere_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z / norms
 
 
+def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The monotone cubic through (x, y), x strictly increasing, as scipy's
+    ``PchipInterpolator(x, y, extrapolate=False)`` computes it, float for
+    float: Fritsch-Carlson slopes with Moler's one-sided end rule, Hermite
+    coefficients, and PPoly's evaluation, NaN outside [x[0], x[-1]]."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    dk = np.full_like(y, m[0])  # two knots: the line through them
+    if len(x) > 2:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dk[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        dk[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                               np.where(overshoot, 3.0 * m0, end))
+    t = (dk[:-1] + dk[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
+
+    def evaluate(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
+        s = np.where((u >= x[0]) & (u <= x[-1]), u - x[i], np.nan)
+        # PPoly sums the powers of s from the constant term up
+        return ((c3[i] + c2[i] * s) + c1[i] * (s * s)) + c0[i] * (s * s * s)
+
+    return evaluate
+
+
 def _radial_inverse_cdf(
     spec: PotentialSpec, r_max: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Monotone (PCHIP) interpolant of the inverse radial CDF on [0, r_max],
     on 4096 nodes: half linear up to a knee, half geometric beyond it."""
-    from scipy.interpolate import PchipInterpolator
-
     r_knee = min(4.0 * median_radius(spec), r_max / 4.0)
     nodes = np.concatenate(
         [
@@ -1325,7 +1355,7 @@ def _radial_inverse_cdf(
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes))])
     cdf /= cdf[-1]
     keep = np.concatenate([[True], np.diff(cdf) > 0])
-    return PchipInterpolator(cdf[keep], nodes[keep], extrapolate=False)
+    return _pchip(cdf[keep], nodes[keep])
 
 
 def direct_sampler(spec: PotentialSpec, n: int, seed: int) -> np.ndarray:

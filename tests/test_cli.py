@@ -97,6 +97,22 @@ def test_an_infinite_eps_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_phase_transition_refuses_eps_above_one_before_any_leg(tmp_path, capsys):
+    """The sweep's bounds need eps <= 1, so it refuses eps = 2 before its
+    Gaussian leg runs; sample, which computes no bound, still runs."""
+    out = tmp_path / "out"
+    rc = main(["phase-transition", "--family", "sublinear", "--alpha", "0.5",
+               "--d", "2", "--sigma2", "16", *SAMPLE_FLAGS, "--eps", "2",
+               "--output-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "eps must lie in (0, 1], got 2.0" in err
+    assert "leg 1/" not in err
+    assert not out.exists()
+    assert main(["sample", "--family", "gaussian", "--d", "1", "--sigma2", "4",
+                 *SAMPLE_FLAGS, "--eps", "2", "--output-dir", str(out)]) == 0
+
+
 @pytest.mark.parametrize("flags", [[], ["--family", "gaussian"]],
                          ids=["config-only", "with-family"])
 def test_a_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, flags):

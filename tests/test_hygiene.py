@@ -1,17 +1,22 @@
 """Source hygiene: every imported name in the package and scripts is used,
 each public name has one home module, the package keeps no process-wide
-memo, never uses scipy.integrate or scipy.optimize and starts threads only
-in the sampler, importing it starts no thread and loads no scipy, no command
-loads scipy, only bounds knows the modified-target width, and the scripts run
-the CLI's pipelines instead of re-implementing them."""
+memo, neither the package nor the scripts import scipy, threads start only
+in the sampler and importing the package starts none, commands reach the
+package's own special functions and root finder, only bounds knows the
+modified-target width, and the scripts run the CLI's pipelines instead of
+re-implementing them."""
 
 import ast
+import hashlib
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from heavytail_lmc import RadialCustom, Sublinear, direct_sampler, targets
+from heavytail_lmc.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heavytail_lmc").glob("*.py"))
@@ -115,102 +120,68 @@ def test_process_wide_memo_check_finds_each_form(source):
     assert len(_global_memos(ast.parse(source))) == 1
 
 
-def _module_level_scipy_imports(tree: ast.Module) -> list[str]:
-    """Imports of scipy that run when the module is imported: any outside a
-    function body."""
+# Names that import a module from a string: scipy reached this way is
+# still an import of scipy.
+DYNAMIC_IMPORTS = {"__import__", "import_module"}
+
+
+def _is_scipy(module) -> bool:
+    return isinstance(module, str) and module.split(".")[0] == "scipy"
+
+
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """Imports of scipy or any of its modules, in any form, anywhere in the
+    module: the package and its scripts run on numpy alone, and scipy is
+    only the tests' oracle."""
     found = []
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [f"{alias.name} (line {node.lineno})" for alias in node.names
-                      if alias.name.split(".")[0] == "scipy"]
-        elif (isinstance(node, ast.ImportFrom) and node.module
-              and node.module.split(".")[0] == "scipy"):
+                      if _is_scipy(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and _is_scipy(node.module):
             found.append(f"{node.module} (line {node.lineno})")
-        stack.extend(ast.iter_child_nodes(node))
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in DYNAMIC_IMPORTS
+              and isinstance(node.args[0], ast.Constant)
+              and _is_scipy(node.args[0].value)):
+            found.append(f"{node.args[0].value} (line {node.lineno})")
     return found
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_no_module_level_scipy_import(path):
+@pytest.mark.parametrize("path", PACKAGE + SCRIPTS, ids=lambda p: p.name)
+def test_no_scipy_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _module_level_scipy_imports(tree) == []
+    assert _scipy_imports(tree) == []
 
 
 @pytest.mark.parametrize("source", [
     "import scipy",
     "import scipy.special as sp",
-    "from scipy import integrate",
-    "from scipy.optimize import brentq",
-])
-def test_module_level_scipy_check_finds_each_form(source):
-    assert len(_module_level_scipy_imports(ast.parse(source))) == 1
-    nested = "def f():\n    " + source + "\nclass C:\n    " + source
-    assert len(_module_level_scipy_imports(ast.parse(nested))) == 1
-
-
-# scipy subpackages the package does not use: every integral goes through
-# its own quadrature rule and every root search through targets._brentq.
-BANNED_SCIPY = ("integrate", "optimize")
-
-
-def _in_banned_scipy(module: str) -> bool:
-    parts = module.split(".")
-    return parts[0] == "scipy" and len(parts) > 1 and parts[1] in BANNED_SCIPY
-
-
-def _banned_scipy_uses(tree: ast.Module) -> list[str]:
-    """Imports of a banned scipy subpackage, and reads of one off scipy,
-    anywhere in the module."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
-                      if _in_banned_scipy(alias.name)]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if _in_banned_scipy(node.module) or (
-                    node.module == "scipy"
-                    and any(alias.name in BANNED_SCIPY for alias in node.names)):
-                found.append(f"{node.module} (line {node.lineno})")
-        elif (isinstance(node, ast.Attribute) and node.attr in BANNED_SCIPY
-              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
-            found.append(f"scipy.{node.attr} (line {node.lineno})")
-    return found
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_no_scipy_integrate(path):
-    """Neither banned subpackage (the name predates the optimize ban)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert _banned_scipy_uses(tree) == []
-
-
-@pytest.mark.parametrize("source", [
     "import scipy.integrate",
     "import scipy.integrate as si",
-    "from scipy import integrate",
-    "from scipy import special, integrate as si",
-    "from scipy.integrate import quad",
-    "import scipy\nscipy.integrate.quad(f, 0, 1)",
     "import scipy.optimize",
     "import scipy.optimize as so",
+    "from scipy import integrate",
     "from scipy import optimize",
-    "from scipy import special, optimize as so",
+    "from scipy import special, integrate as si",
+    "from scipy.integrate import quad",
     "from scipy.optimize import brentq",
     "from scipy.optimize._zeros_py import brentq",
-    "import scipy\nscipy.optimize.brentq(f, 0, 1)",
+    "from scipy.interpolate import PchipInterpolator",
+    "import scipy\nscipy.integrate.quad(f, 0, 1)",
+    "__import__('scipy.optimize')",
+    "import importlib\nimportlib.import_module('scipy.special')",
+    "from importlib import import_module\nimport_module('scipy')",
 ])
-def test_scipy_integrate_check_finds_each_form(source):
-    assert len(_banned_scipy_uses(ast.parse(source))) == 1
-    nested = "def f():\n    " + source.replace("\n", "\n    ")
-    assert len(_banned_scipy_uses(ast.parse(nested))) == 1
-    for allowed in ("from scipy import special", "import scipy.special",
-                    "from scipy.interpolate import PchipInterpolator",
-                    "import scipy\nscipy.special.gammaln(2.0)"):
-        assert _banned_scipy_uses(ast.parse(allowed)) == []
+def test_scipy_import_check_finds_each_form(source):
+    assert len(_scipy_imports(ast.parse(source))) == 1
+    nested = ("class C:\n    def f(self):\n        "
+              + source.replace("\n", "\n        "))
+    assert len(_scipy_imports(ast.parse(nested))) == 1
+    assert _scipy_imports(ast.parse(
+        "import scipyx\nfrom . import targets\nimport_module('numpy')\n"
+        "s = 'scipy'")) == []
 
 
 def _thread_starters(tree: ast.Module) -> list[str]:
@@ -348,8 +319,8 @@ def test_cli_pipeline_step_check_finds_each_form(source):
         "from heavytail_lmc.cli import main, cmd_phase_transition")) == []
 
 
-def _run_fresh(args: list[str], **env_extra) -> subprocess.CompletedProcess:
-    env = dict(os.environ, **env_extra)
+def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
@@ -362,36 +333,8 @@ def test_import_starts_no_thread():
     assert proc.stdout.strip() == "1"
 
 
-SAMPLER_ONLY_RUN = """
-import os, tempfile
-from heavytail_lmc import GenCauchy, gaussian_init, run_chains, write_trace_csv
-init = gaussian_init(4.0, 2, 64, 0.01, seed=3)
-trace = run_chains(GenCauchy(d=2, nu=3.0), init, 20, record_every=5)
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "trace.csv")
-    write_trace_csv(trace, path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "iter,m2,se,n_chains"
-"""
-
-
-@pytest.mark.parametrize("args", [
-    ["-c", "import heavytail_lmc"],
-    ["-m", "heavytail_lmc", "--help"],
-    ["-c", SAMPLER_ONLY_RUN],
-], ids=["import", "help", "sampler"])
-def test_scipy_stays_unloaded(args):
-    # -X importtime writes one stderr line per module the process imports
-    proc = _run_fresh(["-X", "importtime", *args])
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "heavytail_lmc" in imported
-    assert imported & {"scipy.special", "scipy.integrate", "scipy.optimize"} == set()
-
-
 FIRST_CALLS_ON_THREADS = """
-import sys, threading
+import threading
 from heavytail_lmc import (GenCauchy, Gaussian, Sublinear, log_normalizing_constant,
                            median_radius, tail_mass, tilde_moment)
 
@@ -402,7 +345,6 @@ def values():
             tail_mass(Sublinear(d=2, alpha=0.5), 3.0),
             tilde_moment(2, 0.5, 1.0, 2.0))
 
-assert not {"scipy.special", "scipy.integrate", "scipy.optimize"} & set(sys.modules)
 barrier = threading.Barrier(2, timeout=60)
 results = [None, None]
 
@@ -421,66 +363,17 @@ print("ok")
 """
 
 
-def test_first_scipy_calls_on_two_threads_agree():
-    # two threads race to be the first caller of each scipy submodule
+def test_first_calls_on_two_threads_agree():
+    # two threads race to be the first caller of log-gamma, the erfc
+    # quantile, the root finder and the quadratures
     assert _run_fresh(["-c", FIRST_CALLS_ON_THREADS]).stdout.strip() == "ok"
 
 
-SWEEP_FLAGS = ["phase-transition", "--family", "gaussian", "--d", "2",
-               "--sigma2", "16,64", "--h", "0.05", "--n-chains", "500",
-               "--n-iters", "50", "--record-every", "5", "--seed", "3"]
-SCIPY_UP_FRONT = ("import sys, scipy.special, scipy.integrate, scipy.optimize\n"
-                  "from heavytail_lmc.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))")
-
-
-def test_sweep_matches_scipy_loaded_up_front(tmp_path):
-    lazy, eager = tmp_path / "lazy", tmp_path / "eager"
-    _run_fresh(["-m", "heavytail_lmc", *SWEEP_FLAGS, "--output-dir", str(lazy)])
-    _run_fresh(["-c", SCIPY_UP_FRONT, *SWEEP_FLAGS, "--output-dir", str(eager)])
-    for name in ("phase.csv", "phase.svg"):
-        assert (lazy / name).read_bytes() == (eager / name).read_bytes(), name
-    assert len((lazy / "phase.csv").read_text().splitlines()) == 1 + 6
-
-
-HEAVY_TAILED_ROOT_SEARCHES = """
-import sys, tempfile
-from heavytail_lmc import GenCauchy, make_grid, targets
-from heavytail_lmc.cli import main
-
-searches, brentq = [], targets._brentq
-
-def counted(*args, **kwargs):
-    searches.append(args[1:3])
-    return brentq(*args, **kwargs)
-
-targets._brentq = counted
-with tempfile.TemporaryDirectory() as tmp:
-    assert main(sys.argv[1:] + ["--output-dir", tmp]) == 0
-in_sweep = len(searches)
-make_grid(GenCauchy(d=1, nu=2.0))
-assert in_sweep >= 1 and len(searches) > in_sweep, searches
-assert "scipy.special" not in sys.modules
-assert "scipy.optimize" not in sys.modules
-print("ok")
-"""
-
-
-def test_root_searches_leave_scipy_optimize_unloaded():
-    # a heavy-tailed sweep's median radius and make_grid's default core
-    # width are the package's root searches
-    flags = ["phase-transition", "--family", "gen_cauchy", "--nu", "2",
-             "--d", "2", "--families", "gen_cauchy,sublinear",
-             "--sigma2", "16,64", "--h", "0.05", "--n-chains", "500",
-             "--n-iters", "50", "--record-every", "5", "--seed", "3"]
-    proc = _run_fresh(["-c", HEAVY_TAILED_ROOT_SEARCHES, *flags])
-    assert proc.stdout.strip().splitlines()[-1] == "ok"
-
-
-# One command of each kind that needs log-gamma or the erfc quantile:
-# log Z and moments in closed form or by quadrature (the sphere area), and
-# the window of make_grid's default Gaussian grid.
-SCIPY_FREE_COMMANDS = [
+# One command of each kind that needs log-gamma, the erfc quantile or a
+# root search: log Z and moments in closed form or by quadrature (the
+# sphere area), the window and core width of make_grid's default grid,
+# and a heavy-tailed sweep's median radius.
+COMMANDS = [
     ["verify", "wpi", "--r-grid", "0.1,0.5"],
     ["verify", "fp"],
     ["fp-evolve", "--family", "gaussian", "--d", "1", "--sigma2", "4",
@@ -492,28 +385,38 @@ SCIPY_FREE_COMMANDS = [
      "--h", "0.05", "--n-chains", "500", "--n-iters", "50",
      "--record-every", "5", "--seed", "3"],
 ]
+PACKAGE_ROUTINES = ("_gammaln", "_erfcinv", "_brentq")
 
-COMMANDS_ON_NUMPY_ALONE = f"""
-import sys, tempfile
-from heavytail_lmc import targets
-from heavytail_lmc.cli import main
 
-used = set()
-for name in ("_gammaln", "_erfcinv"):
-    def counted(x, _name=name, _fn=getattr(targets, name)):
-        used.add(_name)
-        return _fn(x)
-    setattr(targets, name, counted)
-for argv in {SCIPY_FREE_COMMANDS!r}:
-    with tempfile.TemporaryDirectory() as tmp:
-        assert main(argv + ["--output-dir", tmp]) == 0, argv
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert loaded == [], (argv[:2], loaded)
-assert used == {{"_gammaln", "_erfcinv"}}, used
-print("ok")
+def test_commands_reach_the_package_routines(tmp_path, monkeypatch):
+    used = set()
+    for name in PACKAGE_ROUTINES:
+        def counted(*args, _name=name, _fn=getattr(targets, name), **kwargs):
+            used.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(targets, name, counted)
+    for i, argv in enumerate(COMMANDS):
+        assert main(argv + ["--output-dir", str(tmp_path / str(i))]) == 0, argv
+    assert used == set(PACKAGE_ROUTINES)
+
+
+DRAWS_WITHOUT_SCIPY = """
+import hashlib, sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+import numpy as np
+from heavytail_lmc import RadialCustom, Sublinear, direct_sampler
+for spec in (Sublinear(d=2, alpha=0.5), RadialCustom(d=3, f=lambda t: 0.5 * t)):
+    print(hashlib.sha256(direct_sampler(spec, 1000, 0).tobytes()).hexdigest())
+try:
+    import scipy.interpolate
+except ImportError:
+    print("no scipy")
 """
 
 
-def test_commands_leave_scipy_unloaded():
-    proc = _run_fresh(["-c", COMMANDS_ON_NUMPY_ALONE])
-    assert proc.stdout.strip().splitlines()[-1] == "ok"
+def test_direct_sampler_draws_where_scipy_cannot_be_imported():
+    want = [hashlib.sha256(direct_sampler(spec, 1000, 0).tobytes()).hexdigest()
+            for spec in (Sublinear(d=2, alpha=0.5),
+                         RadialCustom(d=3, f=lambda t: 0.5 * t))]
+    lines = _run_fresh(["-c", DRAWS_WITHOUT_SCIPY]).stdout.split("\n")
+    assert lines[:3] == [*want, "no scipy"]

@@ -305,14 +305,17 @@ def test_lmc_step_takes_the_stream_block_it_is_given():
 
 
 def test_lmc_step_refuses_a_noise_block_that_is_not_float64():
-    """A float32 block would round the step's bytes and an int64 one fails
-    inside numpy: both are refused as a wrong shape is."""
+    """A float32 block would round the step's bytes, an int64 one fails
+    inside numpy and a list has no dtype: each is refused as a wrong shape
+    is."""
     spec = GenCauchy(d=2, nu=3)
     init = gaussian_init(sigma2=1.0, d=2, n_chains=64, h=0.01, seed=4)
     block = sampler._noise_block(4, 1, 64, 2)
     for dtype in (np.float32, np.int64):
         with pytest.raises(InputValidationError, match=np.dtype(dtype).name):
             lmc_step(init, spec, noise=block.astype(dtype))
+    with pytest.raises(InputValidationError, match="got list"):
+        lmc_step(init, spec, noise=block.tolist())
     drawn = lmc_step(init, spec).positions.tobytes()
     assert lmc_step(init, spec, noise=block.copy()).positions.tobytes() == drawn
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, interpolate, special
 
 from heavytail_lmc import targets
 from heavytail_lmc import (
@@ -884,6 +884,54 @@ def test_direct_sampler_gaussian_moment():
     r2 = np.sum(x * x, axis=1)
     se = float(np.std(r2, ddof=1)) / math.sqrt(n)
     assert abs(float(np.mean(r2)) - 3.0) <= 4 * se
+
+
+# ---------------------------------------------------------------------------
+# the sampler's monotone interpolant against scipy's PCHIP, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _pchip_mismatches(x, y, u) -> list:
+    """The arguments where ``targets._pchip`` and scipy's PCHIP differ in
+    their bits; two NaNs agree."""
+    got = targets._pchip(x, y)(u)
+    want = interpolate.PchipInterpolator(x, y, extrapolate=False)(u)
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    return u[~same].tolist()
+
+
+@pytest.mark.parametrize("spec", [Sublinear(d=1, alpha=0.5), Sublinear(d=2, alpha=0.3),
+                                  Sublinear(d=4, alpha=0.7)], ids=repr)
+def test_pchip_is_scipys_on_the_sampler_tables(spec, monkeypatch):
+    tables = []
+    pchip = targets._pchip
+    monkeypatch.setattr(targets, "_pchip",
+                        lambda x, y: tables.append((x, y)) or pchip(x, y))
+    targets._radial_inverse_cdf(spec, spec.sampling_radius())
+    (x, y), = tables
+    u = np.concatenate([
+        np.random.default_rng(37).random(10**5), x,
+        [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), -0.1, 1.1, math.nan,
+         math.inf, -math.inf],
+    ])
+    assert len(x) > 3000
+    assert _pchip_mismatches(x, y, u) == []
+
+
+def test_pchip_is_scipys_on_small_tables():
+    """Two knots give scipy's straight line; ties and sign changes take
+    the zero interior slope and each branch of the one-sided end rule."""
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4, 6):
+        for _ in range(50):
+            x = np.cumsum(rng.random(n) + 1e-3)
+            y = rng.standard_normal(n)
+            y[rng.integers(1, n)] = y[0]
+            u = np.concatenate([rng.uniform(x[0] - 0.5, x[-1] + 0.5, 50), x])
+            assert _pchip_mismatches(x, y, u) == [], (x, y)
+    line = targets._pchip(np.array([0.0, 2.0]), np.array([1.0, 5.0]))
+    ends = line(np.array([1.0, 2.0, 2.5]))
+    assert ends[:2].tolist() == [3.0, 5.0] and math.isnan(ends[2])
 
 
 # ---------------------------------------------------------------------------
