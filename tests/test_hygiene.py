@@ -1,10 +1,10 @@
 """Source hygiene: every imported name in the package and scripts is used,
 each public name has one home module, the package keeps no process-wide
 memo, neither the package nor the scripts import scipy, threads start only
-in the sampler and importing the package starts none, commands reach the
-package's own special functions and root finder, only bounds knows the
-modified-target width, and the scripts run the CLI's pipelines instead of
-re-implementing them."""
+in the sampler and importing the package starts none, commands run while
+scipy cannot be imported and reach the package's own special functions and
+root finder, only bounds knows the modified-target width, and the scripts
+run the CLI's pipelines instead of re-implementing them."""
 
 import ast
 import hashlib
@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from heavytail_lmc import RadialCustom, Sublinear, direct_sampler, targets
+from heavytail_lmc import (GenCauchy, RadialCustom, Sublinear, direct_sampler,
+                           make_grid, targets)
 from heavytail_lmc.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -123,65 +124,106 @@ def test_process_wide_memo_check_finds_each_form(source):
 # Names that import a module from a string: scipy reached this way is
 # still an import of scipy.
 DYNAMIC_IMPORTS = {"__import__", "import_module"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _is_scipy(module) -> bool:
     return isinstance(module, str) and module.split(".")[0] == "scipy"
 
 
-def _scipy_imports(tree: ast.Module) -> list[str]:
-    """Imports of scipy or any of its modules, in any form, anywhere in the
+def _scipy_names(node: ast.AST) -> list[str]:
+    """The scipy modules that this one node imports, in any form."""
+    if isinstance(node, ast.Import):
+        return [f"{alias.name} (line {node.lineno})" for alias in node.names
+                if _is_scipy(alias.name)]
+    if isinstance(node, ast.ImportFrom) and _is_scipy(node.module):
+        return [f"{node.module} (line {node.lineno})"]
+    if (isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in DYNAMIC_IMPORTS
+            and isinstance(node.args[0], ast.Constant)
+            and _is_scipy(node.args[0].value)):
+        return [f"{node.args[0].value} (line {node.lineno})"]
+    return []
+
+
+def _scipy_imports(tree: ast.Module, *, in_functions: bool) -> list[str]:
+    """Imports of scipy or any of its modules, in any form: those outside
+    every function body (they run when the module is imported), or those
+    inside one (they run when it is called). The two halves cover the whole
     module: the package and its scripts run on numpy alone, and scipy is
     only the tests' oracle."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
-                      if _is_scipy(alias.name)]
-        elif isinstance(node, ast.ImportFrom) and _is_scipy(node.module):
-            found.append(f"{node.module} (line {node.lineno})")
-        elif (isinstance(node, ast.Call) and node.args
-              and getattr(node.func, "id", getattr(node.func, "attr", None))
-              in DYNAMIC_IMPORTS
-              and isinstance(node.args[0], ast.Constant)
-              and _is_scipy(node.args[0].value)):
-            found.append(f"{node.args[0].value} (line {node.lineno})")
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, inside = stack.pop()
+        inside = inside or isinstance(node, FUNCTIONS)
+        if inside == in_functions:
+            found += _scipy_names(node)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return found
 
 
 @pytest.mark.parametrize("path", PACKAGE + SCRIPTS, ids=lambda p: p.name)
-def test_no_scipy_import(path):
+def test_no_module_level_scipy_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _scipy_imports(tree) == []
+    assert _scipy_imports(tree, in_functions=False) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE + SCRIPTS, ids=lambda p: p.name)
+def test_no_scipy_integrate(path):
+    """No scipy import inside a function either, of any scipy module (the
+    name predates the ban on all of scipy)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scipy_imports(tree, in_functions=True) == []
 
 
 @pytest.mark.parametrize("source", [
     "import scipy",
     "import scipy.special as sp",
+    "from scipy import integrate",
+    "from scipy.optimize import brentq",
+])
+def test_module_level_scipy_check_finds_each_form(source):
+    assert len(_scipy_imports(ast.parse(source), in_functions=False)) == 1
+    nested = ast.parse("def f():\n    " + source + "\nclass C:\n    " + source)
+    assert len(_scipy_imports(nested, in_functions=False)) == 1
+    assert len(_scipy_imports(nested, in_functions=True)) == 1
+    deferred = ast.parse("g = lambda: __import__('scipy')")
+    assert _scipy_imports(deferred, in_functions=False) == []
+    assert len(_scipy_imports(deferred, in_functions=True)) == 1
+
+
+@pytest.mark.parametrize("source", [
     "import scipy.integrate",
     "import scipy.integrate as si",
-    "import scipy.optimize",
-    "import scipy.optimize as so",
     "from scipy import integrate",
-    "from scipy import optimize",
     "from scipy import special, integrate as si",
     "from scipy.integrate import quad",
+    "import scipy\nscipy.integrate.quad(f, 0, 1)",
+    "import scipy.optimize",
+    "import scipy.optimize as so",
+    "from scipy import optimize",
+    "from scipy import special, optimize as so",
     "from scipy.optimize import brentq",
     "from scipy.optimize._zeros_py import brentq",
+    "import scipy\nscipy.optimize.brentq(f, 0, 1)",
     "from scipy.interpolate import PchipInterpolator",
-    "import scipy\nscipy.integrate.quad(f, 0, 1)",
     "__import__('scipy.optimize')",
     "import importlib\nimportlib.import_module('scipy.special')",
     "from importlib import import_module\nimport_module('scipy')",
 ])
-def test_scipy_import_check_finds_each_form(source):
-    assert len(_scipy_imports(ast.parse(source))) == 1
-    nested = ("class C:\n    def f(self):\n        "
-              + source.replace("\n", "\n        "))
-    assert len(_scipy_imports(ast.parse(nested))) == 1
-    assert _scipy_imports(ast.parse(
-        "import scipyx\nfrom . import targets\nimport_module('numpy')\n"
-        "s = 'scipy'")) == []
+def test_scipy_integrate_check_finds_each_form(source):
+    """Each form of importing scipy, found once at module level and once
+    inside a method (the name predates the ban on all of scipy)."""
+    assert len(_scipy_imports(ast.parse(source), in_functions=False)) == 1
+    nested = ast.parse("class C:\n    def f(self):\n        "
+                       + source.replace("\n", "\n        "))
+    assert _scipy_imports(nested, in_functions=False) == []
+    assert len(_scipy_imports(nested, in_functions=True)) == 1
+    allowed = ast.parse("import scipyx\nfrom . import targets\n"
+                        "import_module('numpy')\ns = 'scipy'")
+    assert _scipy_imports(allowed, in_functions=False) == []
 
 
 def _thread_starters(tree: ast.Module) -> list[str]:
@@ -388,16 +430,39 @@ COMMANDS = [
 PACKAGE_ROUTINES = ("_gammaln", "_erfcinv", "_brentq")
 
 
-def test_commands_reach_the_package_routines(tmp_path, monkeypatch):
-    used = set()
+@pytest.fixture
+def routines_without_scipy(monkeypatch):
+    """The package routines called, in order, while every import of scipy
+    fails: a command that needed scipy would stop with an ImportError."""
+    for name in [m for m in sys.modules if _is_scipy(m)] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    used = []
     for name in PACKAGE_ROUTINES:
         def counted(*args, _name=name, _fn=getattr(targets, name), **kwargs):
-            used.add(_name)
+            used.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(targets, name, counted)
+    return used
+
+
+def test_commands_leave_scipy_unloaded(tmp_path, routines_without_scipy):
     for i, argv in enumerate(COMMANDS):
         assert main(argv + ["--output-dir", str(tmp_path / str(i))]) == 0, argv
-    assert used == set(PACKAGE_ROUTINES)
+    assert set(routines_without_scipy) == set(PACKAGE_ROUTINES)
+
+
+def test_root_searches_leave_scipy_optimize_unloaded(tmp_path,
+                                                     routines_without_scipy):
+    # a heavy-tailed sweep's median radius and make_grid's default core
+    # width are the package's root searches
+    flags = ["phase-transition", "--family", "gen_cauchy", "--nu", "2",
+             "--d", "2", "--families", "gen_cauchy,sublinear",
+             "--sigma2", "16,64", "--h", "0.05", "--n-chains", "500",
+             "--n-iters", "50", "--record-every", "5", "--seed", "3"]
+    assert main(flags + ["--output-dir", str(tmp_path)]) == 0
+    in_sweep = routines_without_scipy.count("_brentq")
+    make_grid(GenCauchy(d=1, nu=2.0))
+    assert 1 <= in_sweep < routines_without_scipy.count("_brentq")
 
 
 DRAWS_WITHOUT_SCIPY = """
