@@ -55,7 +55,6 @@ recorded so far.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import operator
 import os
@@ -158,6 +157,14 @@ class ChainBatch:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "k", _at_least(self.k, "k", 0))
         object.__setattr__(self, "rng_root", _at_least(self.rng_root, "rng_root", 0))
+
+    def _advanced(self, positions: np.ndarray) -> "ChainBatch":
+        """The batch at k + 1 with these positions (a float64 (n, d) array),
+        built without re-checking the fields this batch already checked."""
+        new = object.__new__(ChainBatch)
+        new.__dict__.update(positions=positions, h=self.h, k=self.k + 1,
+                            rng_root=self.rng_root)
+        return new
 
     @property
     def n_chains(self) -> int:
@@ -304,20 +311,23 @@ _thread_noise = _ThreadNoise()
 
 
 def _noise_block(root: int, stream: int, n: int, d: int,
-                 out: Union[np.ndarray, None] = None) -> np.ndarray:
+                 out: Union[np.ndarray, None] = None,
+                 last: int = 2**64 - 1) -> np.ndarray:
     """The (n, d) standard-normal block addressed by (root, stream), written
     into ``out`` (a C-contiguous float (n, d) array) when it is given.
 
     The calling thread's generator is set to the stream's state, taken from
     the thread's block of states; a stream outside that block refills it
-    with the ``_STATE_BLOCK`` streams from this one on (streams are 64-bit).
+    with the ``_STATE_BLOCK`` streams from this one on (streams are 64-bit),
+    or with those up to ``last`` (>= stream), the last stream the caller
+    will draw of this root, where that is fewer.
     """
     noise = _thread_noise
     i = stream - noise.first
     if root != noise.root or not 0 <= i < len(noise.states):
         if not 0 <= stream < 2**64:
             raise ValueError(f"stream must be in [0, 2**64), got {stream}")
-        stop = min(stream + _STATE_BLOCK, 2**64)
+        stop = min(stream + _STATE_BLOCK, last + 1, 2**64)
         noise.states = _stream_states(
             root, np.arange(stream, stop, dtype=np.uint64))
         noise.root, noise.first, i = root, stream, 0
@@ -383,7 +393,7 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
     def draw(stream: int) -> None:
         try:
             block = _noise_block(root, stream, n, d,
-                                 out=ring[stream % len(ring)])
+                                 out=ring[stream % len(ring)], last=last)
         except BaseException as err:
             block = err
         with cond:
@@ -496,14 +506,25 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec, *,
     # grad_potential returns a fresh array, so the update may overwrite it
     new = _euler_update(x, grad_potential(spec, x), h, xi)
     _check_divergence(new, batch.k + 1)
-    return ChainBatch(positions=new, h=h, k=batch.k + 1, rng_root=batch.rng_root)
+    return batch._advanced(new)
 
 
 def _mean_se(v: np.ndarray) -> tuple[float, float]:
+    """(v.mean(), v.std(ddof=1) / sqrt(n)) of a 1-D float array, with one
+    sum for both (se is 0 for a single value).
+
+    The operations are numpy's ``_mean`` and ``_var`` in their order: sum,
+    divide by n, subtract, square in place, sum, divide by n - 1, then the
+    square root, divided by sqrt(n); so the floats are the same.
+    """
     n = v.shape[0]
-    mean = float(v.mean())
-    se = float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+    mean = np.add.reduce(v) / n
+    if n < 2:
+        return float(mean), 0.0
+    dev = v - mean
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev) / (n - 1)
+    return float(mean), math.sqrt(var) / math.sqrt(n)
 
 
 def run_chains(
@@ -525,7 +546,8 @@ def run_chains(
     When :func:`_draws_ahead` allows it, the blocks come from
     :func:`_blocks_ahead`, drawn by one helper thread and by this one;
     otherwise each is drawn inline.  The bytes are the same either way, and
-    no thread is left running when the call returns or raises.
+    no thread is left running when the call returns or raises.  A thread
+    computes the states of no stream past the run's last one.
 
     Returns
     -------
@@ -573,11 +595,15 @@ def run_chains(
             **final,
         )
 
-    # noise drawn by a helper thread and this one, or None to draw it in
-    # lmc_step; the helper starts with the first step
-    ahead = _draws_ahead(init.n_chains, init.d)
-    blocks = (_blocks_ahead(init, n_iters) if ahead
-              else itertools.repeat(None))
+    # noise drawn by a helper thread and this one, or inline; the helper
+    # starts with the first step
+    if _draws_ahead(init.n_chains, init.d):
+        blocks = _blocks_ahead(init, n_iters)
+    else:
+        last = init.k + n_iters
+        blocks = (_noise_block(init.rng_root, stream, init.n_chains, init.d,
+                               last=last)
+                  for stream in range(init.k + 1, last + 1))
     try:
         if record(0, sq_norms(batch.positions)):
             stopped = True
@@ -599,8 +625,7 @@ def run_chains(
         err.partial_trace = trace()
         raise
     finally:
-        if ahead:
-            blocks.close()
+        blocks.close()
     return trace(final_positions=batch.positions, stopped_early=stopped)
 
 

@@ -29,12 +29,15 @@ Adding a family
 Write one frozen dataclass deriving from :class:`RadialFamily` with an
 integer field ``d`` and the methods ``profile(t)`` and ``profile_prime(t)``
 (f and f' at t = |x|^2, elementwise).  Potentials, gradients, chains, and
-log Z, moments, tails and samples by quadrature then work.  Closed forms
-and bounds are opt-in, one method each (see :class:`RadialFamily`); the
-rest raise :class:`UnsupportedFamilyError`.  These methods are also how
-callers ask a family for them, so each one that takes an argument checks
-it.  For JSON and the command line, set ``tag``, ``json_fields`` and
-``sweep_params`` and list the class in :data:`FAMILY_TAGS`.
+log Z, moments, tails and samples by quadrature then work.  A family may
+override ``grad_coef(t, top)``, the gradient's factor 2 f'(t), to compute
+it in fewer passes; it must return the bytes of ``2.0 * profile_prime(t)``.
+Closed forms and bounds are opt-in, one method each (see
+:class:`RadialFamily`); the rest raise :class:`UnsupportedFamilyError`.
+These methods are also how callers ask a family for them, so each one
+that takes an argument checks it.  For JSON and the command line, set
+``tag``, ``json_fields`` and ``sweep_params`` and list the class in
+:data:`FAMILY_TAGS`.
 
 Conventions
 -----------
@@ -188,6 +191,17 @@ class RadialFamily(abc.ABC):
     @abc.abstractmethod
     def profile_prime(self, t: np.ndarray) -> np.ndarray:
         """f'(t), elementwise."""
+
+    def grad_coef(self, t: np.ndarray, top: float) -> Union[np.ndarray, float]:
+        """2 f'(t), the factor in grad V(x) = 2 f'(|x|^2) x, for a float
+        array t whose largest element is ``top`` (a scalar broadcasts).
+
+        :func:`grad_potential` calls it once per batch.  A family may
+        override it to compute the product in fewer passes, but must return
+        this default's bytes for every t; ``top`` tells it where a folded
+        expression would round differently.
+        """
+        return 2.0 * np.asarray(self.profile_prime(t), dtype=float)
 
     def _unsupported(self, what: str) -> UnsupportedFamilyError:
         return UnsupportedFamilyError(f"{type(self).__name__} registers no {what}")
@@ -372,6 +386,14 @@ class GenCauchy(RadialFamily):
         half = 0.5 * (self.d + self.nu)
         return half / (1.0 + np.asarray(t, dtype=float))
 
+    def grad_coef(self, t: np.ndarray, top: float) -> Union[np.ndarray, float]:
+        # 2 (half / y) is (d + nu) / y unless half / y is subnormal, which
+        # needs y = 1 + t > half 2**1022 > 2**1021.
+        if not top < 2.0**1021:
+            return super().grad_coef(t, top)
+        c = t + 1.0
+        return np.divide(self.d + self.nu, c, out=c)
+
     @property
     def tail_index(self) -> float:
         return self.nu
@@ -479,6 +501,24 @@ class Sublinear(RadialFamily):
         c = self.lam ** (2.0 / a)
         return 0.5 * a * c * (1.0 + c * np.asarray(t, dtype=float)) ** (0.5 * a - 1.0)
 
+    def grad_coef(self, t: np.ndarray, top: float) -> Union[np.ndarray, float]:
+        a = self.alpha
+        c = self.lam ** (2.0 / a)
+        k, e = 0.5 * a * c, 0.5 * a - 1.0
+        # 2 (k p) is (2 k) p unless 2 k overflows or k p is subnormal; p =
+        # (1 + c t)**e falls with t, and the margin of 4 covers the ulps by
+        # which the ufunc's power may differ from this one.
+        if not (2.0 * k < math.inf and k * (1.0 + c * top) ** e >= 2.0**-1020):
+            return super().grad_coef(t, top)
+        if c == 1.0:
+            s = t + 1.0  # c t is t
+        else:
+            s = c * t
+            s += 1.0
+        s **= e
+        s *= 2.0 * k
+        return s
+
     def growth(self) -> GrowthParams:
         c = self.lam ** (2.0 / self.alpha)
         return GrowthParams(b=self.alpha * max(c, self.lam), alpha=self.alpha)
@@ -575,6 +615,9 @@ class Gaussian(RadialFamily):
 
     def profile_prime(self, t: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(t, dtype=float), 0.5)
+
+    def grad_coef(self, t: np.ndarray, top: float) -> float:
+        return 1.0
 
     def growth(self) -> GrowthParams:
         return GrowthParams(b=1.0, alpha=2.0)
@@ -780,11 +823,13 @@ def grad_potential(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate grad V; output shape matches the input shape."""
     pts, single = _as_points(spec, x)
     t = sq_norms(pts)
-    # A finite |x|^2 has finite coordinates, so the coordinates are checked
-    # only when it is not: a finite point whose square overflows passes.
-    if not np.isfinite(t).all() and not np.isfinite(pts).all():
+    # One reduction: a finite |x|^2 has finite coordinates, so they are
+    # checked only when the largest is not (NaN fails the comparison); a
+    # finite point whose square overflows passes.
+    top = float(t.max()) if t.size else 0.0
+    if not top < math.inf and not np.isfinite(pts).all():
         raise InputValidationError("grad_potential: points must be finite")
-    c = 2.0 * np.asarray(spec.profile_prime(t), dtype=float)
+    c = spec.grad_coef(t, top)
     # Multiplied by columns: d passes of length n over the transposed view,
     # not n broadcast passes of length d; each element is the same product.
     g = np.empty(pts.shape)

@@ -3,8 +3,9 @@ each public name has one home module, the package keeps no process-wide
 memo, neither the package nor the scripts import scipy, threads start only
 in the sampler and importing the package starts none, commands run while
 scipy cannot be imported and reach the package's own special functions and
-root finder, only bounds knows the modified-target width, and the scripts
-run the CLI's pipelines instead of re-implementing them."""
+root finder, only bounds knows the modified-target width, the scripts
+run the CLI's pipelines instead of re-implementing them, and the sampler's
+steps do not re-check the batch they advance."""
 
 import ast
 import hashlib
@@ -13,10 +14,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from heavytail_lmc import (GenCauchy, RadialCustom, Sublinear, direct_sampler,
-                           make_grid, targets)
+from heavytail_lmc import (ChainBatch, GenCauchy, RadialCustom, Sublinear,
+                           direct_sampler, gaussian_init, lmc_step, make_grid,
+                           run_chains, targets)
 from heavytail_lmc.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -367,6 +370,44 @@ def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, check=True, timeout=300)
+
+
+def test_the_hot_path_validates_once(monkeypatch):
+    """ChainBatch checks its fields when a caller builds one; the sampler's
+    steps do not check them again.  The number of ``__post_init__`` calls in
+    ``run_chains`` does not grow with ``n_iters``, and the batch
+    ``lmc_step`` returns is the one the constructor builds from its values:
+    an int k, a float h and float64 2-D positions, field for field."""
+    spec = GenCauchy(d=2, nu=2.0)
+    start = gaussian_init(sigma2=4.0, d=2, n_chains=32, h=0.05, seed=3)
+    init = ChainBatch(start.positions, h=0.05, k=7, rng_root=3)
+    checks, real = [], ChainBatch.__post_init__
+
+    def counted(self):
+        checks.append(self.k)
+        real(self)
+
+    monkeypatch.setattr(ChainBatch, "__post_init__", counted)
+    counts = []
+    for n_iters in (1, 5, 60):
+        checks.clear()
+        run_chains(spec, init, n_iters, record_every=2)
+        counts.append(len(checks))
+    assert counts[0] == counts[1] == counts[2]
+
+    stepped = lmc_step(init, spec)
+    built = ChainBatch(stepped.positions, h=stepped.h, k=stepped.k,
+                       rng_root=stepped.rng_root)
+    assert vars(stepped).keys() == vars(built).keys()
+    for name, value in vars(built).items():
+        got = getattr(stepped, name)
+        assert type(got) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype == np.float64 and got.ndim == 2
+            assert got.tobytes() == value.tobytes()
+        else:
+            assert got == value, name
+    assert (stepped.k, stepped.h, stepped.rng_root) == (8, 0.05, 3)
 
 
 def test_import_starts_no_thread():

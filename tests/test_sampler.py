@@ -293,6 +293,63 @@ def test_divergence_guard_names_the_bad_chain(bad):
     assert (exc_info.value.chain_index, exc_info.value.iteration) == (4, 7)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10_000])
+def test_mean_se_is_numpys_mean_and_std(n):
+    """One sum serves the mean and the deviations, and the floats are those
+    of v.mean() and v.std(ddof=1) / sqrt(n) (se is 0 for one value), on
+    squared norms, increments of both signs and values far from 1."""
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1e-150, 1e150):
+        for v in (scale * rng.standard_normal(n) ** 2,
+                  scale * rng.standard_normal(n),
+                  np.full(n, 0.1 * scale)):
+            mean, se = sampler._mean_se(v)
+            want = float(np.std(v, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            assert (mean, se) == (float(v.mean()), want)
+            assert type(mean) is float and type(se) is float
+
+
+def _count_stream_states(monkeypatch) -> list:
+    """(thread id, streams) for each block of states computed from now on."""
+    computed, real = [], sampler._stream_states
+
+    def counted(root, streams):
+        computed.append((threading.get_ident(), [int(s) for s in streams]))
+        return real(root, streams)
+
+    monkeypatch.setattr(sampler, "_stream_states", counted)
+    return computed
+
+
+@pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "inline"])
+def test_a_short_run_computes_no_state_it_does_not_use(monkeypatch, ahead):
+    """A thread refilling its block of stream states computes none past
+    the run's last stream: a 40-step run drawing inline on a fresh thread
+    computes the states of its 40 streams (not 1024), and each thread of a
+    run that draws ahead computes at most the 40.  The bytes are those of
+    the block numpy's constructors give."""
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    n = sampler.DRAW_AHEAD_MIN_NORMALS if ahead else 64
+    spec = GenCauchy(d=1, nu=2.0)
+    init = ChainBatch(gaussian_init(sigma2=4.0, d=1, n_chains=n, h=0.05,
+                                    seed=23).positions, h=0.05, k=5, rng_root=23)
+    reference = lmc_step(init, spec, noise=_numpy_block(23, 6, n, 1))
+    computed = _count_stream_states(monkeypatch)
+    if ahead:
+        trace = run_chains(spec, init, 40, record_every=40)
+    else:
+        trace = _on_worker_thread(run_chains, spec, init, 40, record_every=40)
+    streams = [s for _, block in computed for s in block]
+    assert set(streams) <= set(range(6, 46))
+    for thread in {ident for ident, _ in computed}:
+        assert sum(len(b) for ident, b in computed if ident == thread) <= 40
+    if not ahead:
+        assert streams == list(range(6, 46))
+    one = _on_worker_thread(run_chains, spec, init, 1)
+    assert one.final_positions.tobytes() == reference.positions.tobytes()
+    assert trace.iters.tolist() == [0, 40]
+
+
 def test_lmc_step_takes_the_stream_block_it_is_given():
     spec = GenCauchy(d=2, nu=3)
     init = gaussian_init(sigma2=1.0, d=2, n_chains=64, h=0.01, seed=4)
@@ -422,9 +479,9 @@ def draws(monkeypatch):
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
     seen, draw, step = _Draws(), sampler._noise_block, sampler.lmc_step
 
-    def recorded(root, stream, n, d, out=None):
+    def recorded(root, stream, n, d, **kw):
         seen.append((stream, threading.get_ident(), seen.steps))
-        return draw(root, stream, n, d, out=out)
+        return draw(root, stream, n, d, **kw)
 
     def stepped(*args, **kwargs):
         out = step(*args, **kwargs)
@@ -445,10 +502,10 @@ def _slow_draws_on(monkeypatch, on_main: bool, seconds: float = 0.005):
     """Make the noise draws of the main thread (or of any other) sleep."""
     draw = sampler._noise_block
 
-    def slowed(root, stream, n, d, out=None):
+    def slowed(root, stream, n, d, **kw):
         if (threading.current_thread() is threading.main_thread()) == on_main:
             time.sleep(seconds)
-        return draw(root, stream, n, d, out=out)
+        return draw(root, stream, n, d, **kw)
 
     monkeypatch.setattr(sampler, "_noise_block", slowed)
 
@@ -546,9 +603,9 @@ def test_shared_draws_under_thread_switching_stress(draws, monkeypatch):
     inline = _on_worker_thread(run_chains, spec, init, 120, record_every=7)
     draw, jitter = sampler._noise_block, np.random.default_rng(0)
 
-    def jittered(root, stream, n, d, out=None):
+    def jittered(root, stream, n, d, **kw):
         time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
-        return draw(root, stream, n, d, out=out)
+        return draw(root, stream, n, d, **kw)
 
     monkeypatch.setattr(sampler, "_noise_block", jittered)
     switch = sys.getswitchinterval()
@@ -584,11 +641,11 @@ def test_ring_slots_are_not_drawn_over_while_in_use(draws, monkeypatch, depth):
     def pause() -> None:
         time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
 
-    def jittered(root, stream, n, d, out=None):
+    def jittered(root, stream, n, d, **kw):
         pause()
         if failing and stream == 40:
             raise boom
-        return draw(root, stream, n, d, out=out)
+        return draw(root, stream, n, d, **kw)
 
     def held(*args, **kwargs):
         pause()  # the step holds its block while the other thread draws
@@ -633,11 +690,11 @@ def test_helper_thread_ends_with_the_call(draws, monkeypatch, end):
         _slow_draws_on(monkeypatch, on_main=not on_main)
         draw = sampler._noise_block
 
-        def failing(root, stream, n, d, out=None):
+        def failing(root, stream, n, d, **kw):
             is_main = threading.current_thread() is threading.main_thread()
             if stream >= 5 and is_main == on_main:
                 raise boom
-            return draw(root, stream, n, d, out=out)
+            return draw(root, stream, n, d, **kw)
 
         monkeypatch.setattr(sampler, "_noise_block", failing)
     draws.clear()

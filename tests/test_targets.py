@@ -170,6 +170,77 @@ def test_grad_potential_finiteness_check_reads_the_coordinates():
             grad_potential(spec, np.array([[1.0, 2.0], [0.0, bad]]))
 
 
+def _unfolded_gradient(spec, x) -> np.ndarray:
+    """2 f'(t)[:, None] * x, with f' the family's ``profile_prime``."""
+    c = np.ascontiguousarray(x)
+    fp = np.asarray(spec.profile_prime(targets.sq_norms(c)), dtype=float)
+    return 2.0 * fp[:, None] * c
+
+
+def _custom_families(d: int) -> list:
+    """A RadialCustom with its derivative and one differenced by the class."""
+    f = lambda t: np.sqrt(1.0 + t) + 0.25 * np.log1p(t)
+    fprime = lambda t: 0.5 / np.sqrt(1.0 + t) + 0.25 / (1.0 + t)
+    return [RadialCustom(d=d, f=f, fprime=fprime), RadialCustom(d=d, f=f)]
+
+
+_FOLD_FAMILIES = st.one_of(
+    st.builds(Gaussian, d=st.integers(1, 4)),
+    st.builds(GenCauchy, d=st.integers(1, 4),
+              nu=st.floats(0.01, 50.0) | st.sampled_from([1.0, 2.0])),
+    st.builds(Sublinear, d=st.integers(1, 4),
+              alpha=st.floats(1e-4, 1.0) | st.sampled_from([0.5, 1.0])),
+    # lam**(2/alpha) stays finite and nonzero
+    st.builds(Sublinear, d=st.integers(1, 4), alpha=st.floats(0.05, 1.0),
+              lam=st.floats(1e-3, 1e3)),
+    st.integers(1, 4).flatmap(lambda d: st.sampled_from(_custom_families(d))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_FOLD_FAMILIES, seed=st.integers(0, 2**32 - 1),
+       top=st.sampled_from([1.0, 1e6, 1e150, 4e153, 1.3e154, 1e160])
+       | st.floats(1e-3, 1.4e154))
+def test_grad_potential_is_the_unfolded_product_bit_for_bit(spec, seed, top):
+    """Each family's ``grad_coef`` gives the bytes of 2.0 * profile_prime:
+    for the families in FAMILY_TAGS (Sublinear with lam != 1 too) and for
+    RadialCustom with and without fprime, on radii from 0 up to ``top``.
+    The tops reach the overflow edge of |x|^2 (|x| ~ 1.34e154) and beyond
+    it, where GenCauchy's quotient is subnormal for (d + nu) / 2 < 4 and
+    Sublinear's coefficient is subnormal for small alpha; there a family
+    keeps the unfolded form.  An empty batch gives an empty gradient."""
+    rng = np.random.default_rng(seed)
+    n = 257
+    radius = top * np.exp(-rng.exponential(30.0, size=(n, 1)))
+    radius[:3, 0] = (0.0, top, top * (1 - 2**-52))
+    direction = rng.standard_normal((n, spec.d))
+    direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
+    with np.errstate(all="ignore"):
+        x = radius * direction
+        for batch in (x, x[radius[:, 0] < 1e150], x[:1]):
+            got = grad_potential(spec, batch)
+            assert got.tobytes() == _unfolded_gradient(spec, batch).tobytes()
+    empty = grad_potential(spec, np.empty((0, spec.d)))
+    assert empty.shape == (0, spec.d)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("spec", [GenCauchy(d=1, nu=0.5), GenCauchy(d=2, nu=2.0),
+                                  Sublinear(d=1, alpha=1e-3),
+                                  Sublinear(d=2, alpha=0.5, lam=1e-150)],
+                         ids=repr)
+def test_grad_coef_keeps_the_unfolded_form_where_the_fold_rounds(spec):
+    """At the |x|^2 where the folded coefficient is subnormal, (d + nu)/y
+    and (2k) p round differently from 2 (half/y) and 2 (k p): the gradient
+    still has the unfolded bytes, and so does the batch below that edge."""
+    t = np.array([0.0, 1.0, 1e300, 2.0**1021, 1.7e308])
+    x = np.zeros((t.size, spec.d))
+    x[:, 0] = np.sqrt(t)
+    assert grad_potential(spec, x).tobytes() == _unfolded_gradient(spec, x).tobytes()
+    assert (grad_potential(spec, x[:3]).tobytes()
+            == _unfolded_gradient(spec, x[:3]).tobytes())
+
+
 def test_radial_custom_roundtrip():
     spec = RadialCustom(d=2, f=lambda t: 0.5 * t, fprime=lambda t: 0.5 * np.ones_like(t))
     x = np.array([[3.0, 4.0]])
@@ -884,6 +955,26 @@ def test_direct_sampler_gaussian_moment():
     r2 = np.sum(x * x, axis=1)
     se = float(np.std(r2, ddof=1)) / math.sqrt(n)
     assert abs(float(np.mean(r2)) - 3.0) <= 4 * se
+
+
+@pytest.mark.parametrize("spec", [
+    Sublinear(d=2, alpha=0.5),
+    RadialCustom(d=3, f=lambda t: np.sqrt(1.0 + t) + 0.25 * np.log1p(t)),
+], ids=["sublinear", "radial_custom"])
+def test_inverse_cdf_sampler_matches_quadrature_moments(spec):
+    """The inverse-CDF path (PCHIP table, tail cut at 1e-12 mass) draws
+    E|x| and E|x|^2 within 4 standard errors of ``radial_moment``'s
+    quadrature, and its directions have mean zero within 4 standard
+    errors per coordinate."""
+    n = 200_000
+    x = direct_sampler(spec, n, seed=29)
+    assert x.shape == (n, spec.d)
+    r2 = np.sum(x * x, axis=1)
+    for p, v in ((1.0, np.sqrt(r2)), (2.0, r2)):
+        se = float(np.std(v, ddof=1)) / math.sqrt(n)
+        assert abs(float(np.mean(v)) - radial_moment(spec, p)) <= 4 * se, p
+    se = np.std(x, axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(np.mean(x, axis=0)) <= 4 * se)
 
 
 # ---------------------------------------------------------------------------
