@@ -10,14 +10,12 @@ Randomness contract
 -------------------
 All noise is addressed by ``(root_seed, stream)``: the block for a stream is
 what ``Generator(SFC64(SeedSequence((root_seed, stream))))`` draws, so any
-stream can be read without drawing the ones before it.  No generator is
-built per stream: :func:`_stream_states` computes the SFC64 states those
-constructors give for a block of streams in one vectorized pass, and each
-thread sets the state of the stream it draws on one generator of its own.
-Stream 0 is reserved for the initial draw; stream k+1 supplies
-the noise for iteration k (the update producing x_{k+1}).  Within a stream,
-the block ``standard_normal((n_chains, d))`` is laid out row-major, so chain
-i always reads row i: the noise consumed by chain i is a function of
+stream can be read without drawing the ones before it.  Stream 0 is reserved
+for the initial draw; stream k+1 supplies the noise for iteration k (the
+update producing x_{k+1}); a step or run that would need stream 2**64 is
+refused before it starts.  Within a stream, the block
+``standard_normal((n_chains, d))`` is laid out row-major, so chain i always
+reads row i: the noise consumed by chain i is a function of
 ``(root_seed, iteration, i)`` only.  Consequences, all tested:
 
 * runs with the same root seed are bit-identical,
@@ -25,14 +23,18 @@ i always reads row i: the noise consumed by chain i is a function of
   (advancing chain i never consumes randomness addressed to chain j), and
 * outputs do not depend on how many threads run independent batches.
 
-Because no block depends on the step before it, :func:`run_chains` may
-draw blocks ahead of the step that uses them: one helper thread and the
-calling thread each claim the lowest stream not yet drawn, up to
-``DRAW_AHEAD_DEPTH`` past the one being consumed, and the caller draws a
-block itself whenever the one it needs is not ready.  Each stream is drawn
-once and the blocks are used in stream order, so every output byte is the
-one an inline draw gives.  The helper is used only when the run is on the
-main thread (a caller that runs chains on threads of its own already
+A single draw (the initial state, or :func:`lmc_step` without ``noise=``)
+builds that generator.  A :func:`run_chains` run builds none per stream:
+it computes the SFC64 states of its streams once each, in vectorized
+chunks (:func:`_stream_states`), sets them on one generator per drawing
+thread, and draws every block into one ring of ``DRAW_AHEAD_DEPTH + 1``
+buffers.  Because no block depends on the step before it, a helper thread
+may draw besides the caller: each claims the lowest stream not yet drawn,
+up to ``DRAW_AHEAD_DEPTH`` past the one being consumed, and the caller
+draws a block itself whenever the one it needs is not ready.  Each stream
+is drawn once and the blocks are used in stream order, so the bytes are
+those of the caller drawing alone.  The helper is used only when the run is
+on the main thread (a caller that runs chains on threads of its own already
 spreads them over the cores, and a helper per thread would compete for
 them), the process may use at least 2 cores, and a block holds at least
 ``DRAW_AHEAD_MIN_NORMALS`` normals (below that, handing a block over costs
@@ -202,7 +204,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
-#: Streams whose states one refill of a thread's block computes (32 KB).
+#: Most streams whose states a run computes in one chunk (32 KB).
 _STATE_BLOCK = 1024
 
 
@@ -294,48 +296,29 @@ def _stream_states(root: int, streams) -> np.ndarray:
     return states
 
 
-class _ThreadNoise(threading.local):
-    """One thread's generator, re-seeded before every block it draws, and
-    the states of the streams ``first ... first + len(states) - 1`` of
-    ``root``."""
-
-    def __init__(self) -> None:
-        self.bit_generator = np.random.SFC64(0)
-        self.generator = np.random.Generator(self.bit_generator)
-        self.root: Union[int, None] = None
-        self.first = 0
-        self.states = np.empty((0, 4), dtype=np.uint64)
-
-
-_thread_noise = _ThreadNoise()
-
-
 def _noise_block(root: int, stream: int, n: int, d: int,
-                 out: Union[np.ndarray, None] = None,
-                 last: int = 2**64 - 1) -> np.ndarray:
-    """The (n, d) standard-normal block addressed by (root, stream), written
-    into ``out`` (a C-contiguous float (n, d) array) when it is given.
+                 out: Union[np.ndarray, None] = None) -> np.ndarray:
+    """The (n, d) standard-normal block addressed by (root, stream), as the
+    randomness contract defines it, written into ``out`` (a C-contiguous
+    float (n, d) array) when it is given."""
+    if not 0 <= stream < 2**64:
+        raise ValueError(f"stream must be in [0, 2**64), got {stream}")
+    seed = np.random.SeedSequence((root, stream))
+    return np.random.Generator(np.random.SFC64(seed)).standard_normal(
+        (n, d), out=out)
 
-    The calling thread's generator is set to the stream's state, taken from
-    the thread's block of states; a stream outside that block refills it
-    with the ``_STATE_BLOCK`` streams from this one on (streams are 64-bit),
-    or with those up to ``last`` (>= stream), the last stream the caller
-    will draw of this root, where that is fewer.
-    """
-    noise = _thread_noise
-    i = stream - noise.first
-    if root != noise.root or not 0 <= i < len(noise.states):
-        if not 0 <= stream < 2**64:
-            raise ValueError(f"stream must be in [0, 2**64), got {stream}")
-        stop = min(stream + _STATE_BLOCK, last + 1, 2**64)
-        noise.states = _stream_states(
-            root, np.arange(stream, stop, dtype=np.uint64))
-        noise.root, noise.first, i = root, stream, 0
-    noise.bit_generator.state = {
-        "bit_generator": "SFC64", "state": {"state": noise.states[i]},
+
+def _draw_stream(generator: np.random.Generator, stream: int,
+                 state: np.ndarray, ring: list) -> np.ndarray:
+    """The block of a claimed stream, drawn on ``generator`` set to the
+    stream's SFC64 ``state`` into its slot, stream mod len(ring), of the
+    run's ring of (n, d) buffers."""
+    generator.bit_generator.state = {
+        "bit_generator": "SFC64", "state": {"state": state},
         "has_uint32": 0, "uinteger": 0,
     }
-    return noise.generator.standard_normal((n, d), out=out)
+    out = ring[stream % len(ring)]
+    return generator.standard_normal(out.shape, out=out)
 
 
 def _usable_cores() -> int:
@@ -356,22 +339,23 @@ def _draws_ahead(n: int, d: int) -> bool:
 
 
 def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
-    """The blocks of streams k+1 ... k+n_iters in order, drawn by a helper
-    thread and by the caller.
+    """The blocks of streams k+1 ... k+n_iters in order: the noise of a
+    :func:`run_chains` run, drawn by the caller and, when
+    :func:`_draws_ahead` allows it, by a helper thread.
 
-    Both threads claim the lowest stream not yet claimed, up to
+    Each thread claims the lowest stream not yet claimed, up to
     ``DRAW_AHEAD_DEPTH`` past the one the caller is waiting for, and each
-    stream is drawn once.  When the block the caller needs is not ready,
-    it draws the lowest unclaimed stream itself; it waits only when every
-    stream in reach is claimed.  The helper starts on the first ``next`` (a run that takes no
-    step starts no thread) and is joined when the generator ends or is
-    closed.  A draw that fails, on either thread, raises its error when its
-    stream is reached, where an inline draw would have raised it.
+    stream is drawn once.  When the block the caller needs is not ready, it
+    draws the lowest unclaimed stream itself; it waits only when every
+    stream in reach is claimed.  The helper starts on the first ``next`` and
+    is joined when the generator ends or is closed.  A draw that fails, on
+    either thread, raises its error when its stream is reached.
 
-    Stream s is drawn into slot s mod (depth + 1) of a ring of buffers
-    allocated once, so a run does not allocate a block per step.  A slot
-    is drawn again only once the window has passed its stream, that is
-    after the caller asked for the next block and so is done with it.
+    The thread claiming the first stream of a chunk computes the states of
+    the chunk's (at most ``_STATE_BLOCK``) streams under the claim's lock.
+    Stream s is drawn into slot s mod (depth + 1) of the ring; a slot is
+    drawn again only once the window has passed its stream, that is after
+    the caller asked for the next block and so is done with it.
     """
     root, n, d = batch.rng_root, batch.n_chains, batch.d
     last = batch.k + n_iters
@@ -381,19 +365,28 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
     drawn: dict = {}       # stream -> its block, or the error its draw raised
     claimed = batch.k      # highest stream either thread has claimed
     window = batch.k       # highest stream that may be claimed
+    states = np.empty((0, 4), dtype=np.uint64)  # of streams first, first + 1 ...
+    first = batch.k + 1
     closed = False
 
-    def claim() -> Union[int, None]:
-        nonlocal claimed
+    def claim() -> Union[tuple[int, np.ndarray], None]:
+        """The next stream and its state, computing the next chunk of
+        states when the stream is past the current one."""
+        nonlocal claimed, states, first
         if claimed >= window:
             return None
-        claimed += 1
-        return claimed
+        stream = claimed + 1
+        if stream - first >= len(states):
+            stop = min(stream + _STATE_BLOCK, last + 1)
+            states = _stream_states(root, np.arange(stream, stop, dtype=np.uint64))
+            first = stream
+        claimed = stream
+        return stream, states[stream - first]
 
-    def draw(stream: int) -> None:
+    def draw(generator: np.random.Generator, stream: int,
+             state: np.ndarray) -> None:
         try:
-            block = _noise_block(root, stream, n, d,
-                                 out=ring[stream % len(ring)], last=last)
+            block = _draw_stream(generator, stream, state, ring)
         except BaseException as err:
             block = err
         with cond:
@@ -402,18 +395,22 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
         if not isinstance(block, (np.ndarray, Exception)):
             raise block  # KeyboardInterrupt and the like do not wait
 
-    def helper() -> None:
+    def helper(generator: np.random.Generator) -> None:
         while True:
             with cond:
-                while not closed and (stream := claim()) is None:
+                while not closed and (mine := claim()) is None:
                     cond.wait()
                 if closed:
                     return
-            draw(stream)
+            draw(generator, *mine)
 
-    thread = threading.Thread(target=helper, name="heavytail-draw-ahead",
-                              daemon=True)
-    thread.start()
+    generator = np.random.Generator(np.random.SFC64(0))  # the caller's
+    thread = None
+    if _draws_ahead(n, d):
+        thread = threading.Thread(
+            target=helper, args=(np.random.Generator(np.random.SFC64(0)),),
+            name="heavytail-draw-ahead", daemon=True)
+        thread.start()
     try:
         for stream in range(batch.k + 1, last + 1):
             with cond:
@@ -426,15 +423,16 @@ def _blocks_ahead(batch: ChainBatch, n_iters: int) -> Iterator[np.ndarray]:
                     block = drawn.pop(stream, None)
                 if block is not None:
                     break
-                draw(mine)
+                draw(generator, *mine)
             if isinstance(block, BaseException):
                 raise block
             yield block
     finally:
-        with cond:
-            closed = True
-            cond.notify_all()
-        thread.join()
+        if thread is not None:
+            with cond:
+                closed = True
+                cond.notify_all()
+            thread.join()
 
 
 def gaussian_init(
@@ -484,12 +482,16 @@ def lmc_step(batch: ChainBatch, spec: PotentialSpec, *,
 
     ``noise``, when given, must be the float64 block of stream k+1 (drawn
     ahead by :func:`run_chains`); it is scaled in place.  Otherwise the block
-    is drawn here.
+    is drawn here.  A batch at k = 2**64 - 1, whose next stream would be
+    2**64, is refused.
     """
     if spec.d != batch.d:
         raise InputValidationError(
             f"spec dimension {spec.d} does not match batch dimension {batch.d}"
         )
+    if batch.k >= 2**64 - 1:
+        raise InputValidationError(
+            f"batch at k = {batch.k} has no noise stream k + 1 below 2**64")
     x = batch.positions
     h = batch.h
     if noise is None:
@@ -542,12 +544,12 @@ def run_chains(
     upper confidence value m2 + 2 se falls below it (that iteration is
     recorded and ``stopped_early`` is set).
 
-    The noise of stream k+1 reaches :func:`lmc_step` through ``noise=``.
-    When :func:`_draws_ahead` allows it, the blocks come from
-    :func:`_blocks_ahead`, drawn by one helper thread and by this one;
-    otherwise each is drawn inline.  The bytes are the same either way, and
-    no thread is left running when the call returns or raises.  A thread
-    computes the states of no stream past the run's last one.
+    The noise of stream k+1 reaches :func:`lmc_step` through ``noise=``,
+    from :func:`_blocks_ahead`: drawn by one helper thread and by this one
+    when :func:`_draws_ahead` allows it, else by this one alone.  The bytes
+    are the same either way, and no thread is left running when the call
+    returns or raises.  A run whose last stream, k + n_iters, would pass
+    2**64 - 1 is refused before its first step.
 
     Returns
     -------
@@ -556,6 +558,10 @@ def run_chains(
         chain positions attached.
     """
     n_iters = _at_least(n_iters, "n_iters", 0)
+    if init.k + n_iters > 2**64 - 1:
+        raise InputValidationError(
+            f"a run of {n_iters} steps from k = {init.k} passes the last "
+            f"noise stream, 2**64 - 1")
     record_every = _at_least(record_every, "record_every", 1)
     if stop_below is not None:
         stop_below = _json_float(stop_below, "stop_below")
@@ -595,15 +601,7 @@ def run_chains(
             **final,
         )
 
-    # noise drawn by a helper thread and this one, or inline; the helper
-    # starts with the first step
-    if _draws_ahead(init.n_chains, init.d):
-        blocks = _blocks_ahead(init, n_iters)
-    else:
-        last = init.k + n_iters
-        blocks = (_noise_block(init.rng_root, stream, init.n_chains, init.d,
-                               last=last)
-                  for stream in range(init.k + 1, last + 1))
+    blocks = _blocks_ahead(init, n_iters)  # a helper starts with the first step
     try:
         if record(0, sq_norms(batch.positions)):
             stopped = True

@@ -630,12 +630,12 @@ DRAW_AHEAD_FLAGS = ["--family", "gaussian", "--d", "2", "--sigma2", "4,64",
 
 def test_phase_transition_deterministic_across_threads(tmp_path, monkeypatch):
     """On the main thread the sweep's legs draw their noise ahead, on a
-    helper thread and the main one; on a worker thread they draw it inline.
-    Both write the same bytes."""
+    helper thread and the main one; on a worker thread that thread draws
+    it alone.  Both write the same bytes."""
     assert threading.current_thread() is threading.main_thread()
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
     legs = _counted(monkeypatch, cli, "run_chains")
-    draws = _counted(monkeypatch, sampler, "_noise_block")
+    draws = _counted(monkeypatch, sampler, "_draw_stream")
     ahead = _run_phase(tmp_path, "ahead", DRAW_AHEAD_FLAGS)
     main_thread = threading.get_ident()
     assert len(legs) == 6 and set(legs) == {main_thread}
@@ -646,7 +646,7 @@ def test_phase_transition_deterministic_across_threads(tmp_path, monkeypatch):
         worker, inline = pool.submit(lambda: (
             threading.get_ident(),
             _run_phase(tmp_path, "inline", DRAW_AHEAD_FLAGS))).result()
-    assert set(legs) == set(draws) == {worker}  # every block drawn inline
+    assert set(legs) == set(draws) == {worker}  # every block drawn there
     for name in ("phase.csv", "phase.svg"):
         assert (inline / name).read_bytes() == (ahead / name).read_bytes()
 

@@ -321,33 +321,39 @@ def _count_stream_states(monkeypatch) -> list:
     return computed
 
 
-@pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "inline"])
-def test_a_short_run_computes_no_state_it_does_not_use(monkeypatch, ahead):
-    """A thread refilling its block of stream states computes none past
-    the run's last stream: a 40-step run drawing inline on a fresh thread
-    computes the states of its 40 streams (not 1024), and each thread of a
-    run that draws ahead computes at most the 40.  The bytes are those of
-    the block numpy's constructors give."""
+def _assert_each_state_computed_once(monkeypatch, ahead: bool, n_iters: int):
+    """A run from k = 3 (drawing ahead on the main thread, or alone on a
+    worker thread) computes the state of each of its streams once, in order
+    and in chunks of at most _STATE_BLOCK, and gives the bytes of a loop of
+    lmc_step drawing each block with numpy's constructors."""
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
-    n = sampler.DRAW_AHEAD_MIN_NORMALS if ahead else 64
+    n, k, edge = sampler.DRAW_AHEAD_MIN_NORMALS, 3, sampler._STATE_BLOCK
     spec = GenCauchy(d=1, nu=2.0)
     init = ChainBatch(gaussian_init(sigma2=4.0, d=1, n_chains=n, h=0.05,
-                                    seed=23).positions, h=0.05, k=5, rng_root=23)
-    reference = lmc_step(init, spec, noise=_numpy_block(23, 6, n, 1))
+                                    seed=23).positions, h=0.05, k=k, rng_root=23)
+    _, want, _ = _reference_run(spec, init, n_iters, n_iters, None)
     computed = _count_stream_states(monkeypatch)
     if ahead:
-        trace = run_chains(spec, init, 40, record_every=40)
+        trace = run_chains(spec, init, n_iters, record_every=40)
     else:
-        trace = _on_worker_thread(run_chains, spec, init, 40, record_every=40)
-    streams = [s for _, block in computed for s in block]
-    assert set(streams) <= set(range(6, 46))
-    for thread in {ident for ident, _ in computed}:
-        assert sum(len(b) for ident, b in computed if ident == thread) <= 40
-    if not ahead:
-        assert streams == list(range(6, 46))
-    one = _on_worker_thread(run_chains, spec, init, 1)
-    assert one.final_positions.tobytes() == reference.positions.tobytes()
-    assert trace.iters.tolist() == [0, 40]
+        trace = _on_worker_thread(run_chains, spec, init, n_iters, record_every=40)
+    streams = [s for _, chunk in computed for s in chunk]
+    assert streams == list(range(k + 1, k + n_iters + 1))
+    assert ([len(chunk) for _, chunk in computed]
+            == [min(edge, n_iters - i) for i in range(0, n_iters, edge)])
+    assert trace.final_positions.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "inline"])
+def test_a_short_run_computes_no_state_it_does_not_use(monkeypatch, ahead):
+    """A 40-step run computes the states of its 40 streams, not 1024."""
+    _assert_each_state_computed_once(monkeypatch, ahead, 40)
+
+
+@pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "inline"])
+def test_a_run_across_a_chunk_edge_computes_each_state_once(monkeypatch, ahead):
+    """A 1500-step run computes its states in two chunks, 1024 and 476."""
+    _assert_each_state_computed_once(monkeypatch, ahead, 1500)
 
 
 def test_lmc_step_takes_the_stream_block_it_is_given():
@@ -406,43 +412,59 @@ def test_stream_states_are_numpys():
 
 
 def test_noise_block_reaches_the_last_64_bit_stream():
-    """The block refilled from a stream near 2**64 stops at 2**64 instead of
-    wrapping round to stream 0; a stream past it is refused."""
-    for stream in (2**64 - 1, 2**64 - 2, 2**64 - 1):
+    """The single draw of a stream near 2**64 is numpy's block; a stream
+    past it is refused."""
+    for stream in (2**64 - 1, 2**64 - 2):
         got = sampler._noise_block(4, stream, 3, 2)
         assert got.tobytes() == _numpy_block(4, stream, 3, 2).tobytes()
     with pytest.raises(ValueError, match="stream must be in"):
         sampler._noise_block(4, 2**64, 3, 2)
 
 
-def test_threads_drawing_interleaved_streams_get_numpys_bytes():
-    """Two threads, each with its own generator and block of states, draw
-    streams of two roots in turn (so each block is refilled again and
-    again, across its edges) while the interpreter switches between them
-    every few microseconds: every block is numpy's."""
-    edge = sampler._STATE_BLOCK
-    addresses = [(root, stream) for stream in
-                 (0, 1, edge - 1, edge, 3, 2 * edge + 5, 2**33, 2)
-                 for root in (9, 2**64 + 9)]
+def test_single_draws_are_numpys_blocks():
+    """gaussian_init (stream 0) and lmc_step without noise= (stream k + 1)
+    draw the block the randomness contract defines, at streams 0, 1, 2**32
+    and 2**64 - 1."""
+    root, n, d = 2**64 + 9, 33, 3
+    init = gaussian_init(sigma2=1.0, d=d, n_chains=n, h=0.01, seed=root)
+    assert init.positions.tobytes() == _numpy_block(root, 0, n, d).tobytes()
+    spec = GenCauchy(d=d, nu=3)
+    for stream in (1, 2**32, 2**64 - 1):
+        batch = ChainBatch(init.positions, h=0.01, k=stream - 1, rng_root=root)
+        want = lmc_step(batch, spec, noise=_numpy_block(root, stream, n, d))
+        got = lmc_step(batch, spec)
+        assert got.positions.tobytes() == want.positions.tobytes(), stream
+        assert got.k == stream
+
+
+def test_runs_on_two_threads_give_the_bytes_of_each_run_alone():
+    """Two runs of different roots on two worker threads, one of them
+    crossing a chunk of stream states, while the interpreter switches
+    between them every few microseconds: each gives the bytes of the same
+    run made alone."""
+    spec = GenCauchy(d=3, nu=1.5)
+    runs = [(ChainBatch(gaussian_init(sigma2=4.0, d=3, n_chains=33, h=0.01,
+                                      seed=root).positions,
+                        h=0.01, k=k, rng_root=root), n_iters)
+            for root, k, n_iters in ((9, 3, sampler._STATE_BLOCK + 100),
+                                     (2**64 + 9, 0, 300))]
+    alone = [_on_worker_thread(run_chains, spec, init, n_iters, record_every=9)
+             for init, n_iters in runs]
     barrier = threading.Barrier(2, timeout=60)
 
-    def draw(order):
+    def run(args):
         barrier.wait()
-        return [sampler._noise_block(root, stream, 33, 3).tobytes()
-                for _ in range(5) for root, stream in order]
+        return run_chains(spec, *args, record_every=9)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            orders = (addresses, addresses[::-1])
-            got = list(pool.map(draw, orders))
+            together = list(pool.map(run, runs))
     finally:
         sys.setswitchinterval(switch)
-    for order, blocks in zip(orders, got):
-        want = [_numpy_block(root, stream, 33, 3).tobytes()
-                for _ in range(5) for root, stream in order]
-        assert blocks == want
+    for one, other in zip(alone, together):
+        _assert_same_trace(other, one)
 
 
 TRACE_ARRAYS = ("iters", "m2", "se", "dm2_next", "dm2_next_se", "final_positions")
@@ -477,18 +499,18 @@ def draws(monkeypatch):
     """The helper's core check passes on any machine, each noise draw is
     recorded, and so is each lmc_step call that returns."""
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
-    seen, draw, step = _Draws(), sampler._noise_block, sampler.lmc_step
+    seen, draw, step = _Draws(), sampler._draw_stream, sampler.lmc_step
 
-    def recorded(root, stream, n, d, **kw):
+    def recorded(generator, stream, *args):
         seen.append((stream, threading.get_ident(), seen.steps))
-        return draw(root, stream, n, d, **kw)
+        return draw(generator, stream, *args)
 
     def stepped(*args, **kwargs):
         out = step(*args, **kwargs)
         seen.steps += 1
         return out
 
-    monkeypatch.setattr(sampler, "_noise_block", recorded)
+    monkeypatch.setattr(sampler, "_draw_stream", recorded)
     monkeypatch.setattr(sampler, "lmc_step", stepped)
     return seen
 
@@ -500,14 +522,14 @@ def _on_worker_thread(fn, *args, **kwargs):
 
 def _slow_draws_on(monkeypatch, on_main: bool, seconds: float = 0.005):
     """Make the noise draws of the main thread (or of any other) sleep."""
-    draw = sampler._noise_block
+    draw = sampler._draw_stream
 
-    def slowed(root, stream, n, d, **kw):
+    def slowed(*args):
         if (threading.current_thread() is threading.main_thread()) == on_main:
             time.sleep(seconds)
-        return draw(root, stream, n, d, **kw)
+        return draw(*args)
 
-    monkeypatch.setattr(sampler, "_noise_block", slowed)
+    monkeypatch.setattr(sampler, "_draw_stream", slowed)
 
 
 def _assert_same_trace(ahead, inline, label=None):
@@ -519,11 +541,12 @@ def _assert_same_trace(ahead, inline, label=None):
 
 def test_a_drawn_ahead_run_builds_no_generator_per_stream(draws, monkeypatch):
     """A 50-step run that draws ahead calls no SeedSequence constructor and
-    builds at most one generator on each thread that draws (the parent built
-    one of each per stream); its bytes are the inline ones."""
+    builds one generator for each of its two drawing threads, both on the
+    calling thread (the parent built one of each per stream); its bytes are
+    those of the run on a worker thread."""
     n = sampler.DRAW_AHEAD_MIN_NORMALS
     init = gaussian_init(sigma2=4.0, d=1, n_chains=n, h=0.05, seed=31)
-    inline = _on_worker_thread(run_chains, Gaussian(d=1), init, 50)
+    alone = _on_worker_thread(run_chains, Gaussian(d=1), init, 50)
     built = []
 
     def counted(name, make):
@@ -538,21 +561,61 @@ def test_a_drawn_ahead_run_builds_no_generator_per_stream(draws, monkeypatch):
     ahead = run_chains(Gaussian(d=1), init, 50)
     assert len(draws) == 50
     assert len(draws.threads() - {threading.get_ident()}) <= 1
-    assert [name for name, _ in built if name == "SeedSequence"] == []
-    for name in ("SFC64", "Generator"):
-        threads = [ident for built_name, ident in built if built_name == name]
-        assert len(threads) == len(set(threads)) and set(threads) <= draws.threads()
-    _assert_same_trace(ahead, inline)
+    assert sorted(built) == sorted(
+        [("SFC64", threading.get_ident()), ("Generator", threading.get_ident())] * 2)
+    _assert_same_trace(ahead, alone)
+
+
+@pytest.mark.parametrize("where", ["worker", "small"])
+def test_runs_without_a_helper_draw_into_the_ring(draws, monkeypatch, where):
+    """A run on a worker thread, and a main-thread batch below
+    DRAW_AHEAD_MIN_NORMALS, draw every block on the calling thread into at
+    most DRAW_AHEAD_DEPTH + 1 arrays, as a run with the helper does, and give
+    that run's bytes."""
+    n = sampler.DRAW_AHEAD_MIN_NORMALS // 2 - 1
+    spec = GenCauchy(d=2, nu=2.0)
+    init = gaussian_init(sigma2=4.0, d=2, n_chains=n, h=0.02, seed=41)
+    out_ids = []
+    draw = sampler._draw_stream
+
+    def recorded(*args):
+        block = draw(*args)
+        out_ids.append(id(block))
+        return block
+
+    monkeypatch.setattr(sampler, "_draw_stream", recorded)
+    draws.clear()
+    if where == "worker":
+        alone = _on_worker_thread(run_chains, spec, init, 60, record_every=7)
+    else:
+        assert not sampler._draws_ahead(init.n_chains, init.d)
+        alone = run_chains(spec, init, 60, record_every=7)
+    main = threading.get_ident()
+    assert len(out_ids) == 60 and len(draws.threads()) == 1
+    assert len(set(out_ids)) <= sampler.DRAW_AHEAD_DEPTH + 1
+    assert (main in draws.threads()) == (where == "small")
+    draws.clear()
+    out_ids.clear()
+    with monkeypatch.context() as patched:
+        # the same batch with a helper, which draws while the main thread's
+        # draws are slowed
+        patched.setattr(sampler, "DRAW_AHEAD_MIN_NORMALS", 0)
+        _slow_draws_on(patched, on_main=True)
+        helped = run_chains(spec, init, 60, record_every=7)
+    assert len(out_ids) == 60 and len(draws.threads() - {main}) == 1
+    assert len(set(out_ids)) <= sampler.DRAW_AHEAD_DEPTH + 1
+    _assert_same_trace(helped, alone)
 
 
 @pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
 @pytest.mark.parametrize("d", [1, 4])
 def test_drawn_ahead_and_inline_noise_give_the_same_bytes(draws, d, above):
     """run_chains on the main thread (blocks drawn ahead by the helper and
-    the main thread when they hold DRAW_AHEAD_MIN_NORMALS normals, else
-    inline on the main thread) gives the bytes of the same call on a worker
-    thread (always drawn inline): for 0, 1 and 2 steps, more steps than the
-    depth, a batch k > 0 steps in, and an early stop."""
+    the main thread when they hold DRAW_AHEAD_MIN_NORMALS normals, else by
+    the main thread alone, each just before its step) gives the bytes of the
+    same call on a worker thread (which always draws alone): for 0, 1 and 2
+    steps, more steps than the depth, a batch k > 0 steps in, and an early
+    stop."""
     n = -(-sampler.DRAW_AHEAD_MIN_NORMALS // d) - (0 if above else 1)
     spec = Gaussian(d=d)
     start = gaussian_init(sigma2=16.0, d=d, n_chains=n, h=0.05, seed=13)
@@ -601,13 +664,13 @@ def test_shared_draws_under_thread_switching_stress(draws, monkeypatch):
     spec = GenCauchy(d=d, nu=1.5)
     init = gaussian_init(sigma2=9.0, d=d, n_chains=n, h=0.02, seed=8)
     inline = _on_worker_thread(run_chains, spec, init, 120, record_every=7)
-    draw, jitter = sampler._noise_block, np.random.default_rng(0)
+    draw, jitter = sampler._draw_stream, np.random.default_rng(0)
 
-    def jittered(root, stream, n, d, **kw):
+    def jittered(*args):
         time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
-        return draw(root, stream, n, d, **kw)
+        return draw(*args)
 
-    monkeypatch.setattr(sampler, "_noise_block", jittered)
+    monkeypatch.setattr(sampler, "_draw_stream", jittered)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -633,7 +696,7 @@ def test_ring_slots_are_not_drawn_over_while_in_use(draws, monkeypatch, depth):
     spec = GenCauchy(d=d, nu=1.5)
     init = gaussian_init(sigma2=9.0, d=d, n_chains=n, h=0.02, seed=8)
     inline = _on_worker_thread(run_chains, spec, init, 60, record_every=7)
-    draw, step = sampler._noise_block, sampler.lmc_step
+    draw, step = sampler._draw_stream, sampler.lmc_step
     jitter = np.random.default_rng(depth)
     boom = RuntimeError("no noise for stream 40")
     failing = False
@@ -641,17 +704,17 @@ def test_ring_slots_are_not_drawn_over_while_in_use(draws, monkeypatch, depth):
     def pause() -> None:
         time.sleep(float(jitter.choice([0.0, 1e-4, 2e-3])))
 
-    def jittered(root, stream, n, d, **kw):
+    def jittered(generator, stream, *args):
         pause()
         if failing and stream == 40:
             raise boom
-        return draw(root, stream, n, d, **kw)
+        return draw(generator, stream, *args)
 
     def held(*args, **kwargs):
         pause()  # the step holds its block while the other thread draws
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(sampler, "_noise_block", jittered)
+    monkeypatch.setattr(sampler, "_draw_stream", jittered)
     monkeypatch.setattr(sampler, "lmc_step", held)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -688,15 +751,15 @@ def test_helper_thread_ends_with_the_call(draws, monkeypatch, end):
         # the other thread's draws are slowed, so the failing one draws
         on_main = end == "main_draw_error"
         _slow_draws_on(monkeypatch, on_main=not on_main)
-        draw = sampler._noise_block
+        draw = sampler._draw_stream
 
-        def failing(root, stream, n, d, **kw):
+        def failing(generator, stream, *args):
             is_main = threading.current_thread() is threading.main_thread()
             if stream >= 5 and is_main == on_main:
                 raise boom
-            return draw(root, stream, n, d, **kw)
+            return draw(generator, stream, *args)
 
-        monkeypatch.setattr(sampler, "_noise_block", failing)
+        monkeypatch.setattr(sampler, "_draw_stream", failing)
     draws.clear()
     before = threading.active_count()
     if end == "divergence":
@@ -761,6 +824,23 @@ def test_run_chains_refuses_a_stop_level_that_is_not_a_finite_real(
                      stop_below=stop).iters.tolist()
           for stop in (np.float64(30.0), 30.0)]
     assert at[0] == at[1] and 0 < at[0][-1] < 50
+
+
+def test_a_run_past_the_last_stream_is_refused_before_its_first_step(draws):
+    """Streams are 64-bit: a run whose last stream k + n_iters would pass
+    2**64 - 1, and a step from k = 2**64 - 1, are refused before any draw or
+    step; the run that ends at the last stream goes through."""
+    init = ChainBatch(np.zeros((4, 1)), h=0.1, k=2**64 - 3, rng_root=1)
+    draws.clear()
+    with pytest.raises(InputValidationError, match="last noise stream"):
+        run_chains(Gaussian(d=1), init, 5)
+    assert not draws and draws.steps == 0
+    trace = run_chains(Gaussian(d=1), init, 2)
+    assert trace.iters.tolist() == [0, 1, 2] and draws.steps == 2
+    last = ChainBatch(np.zeros((4, 1)), h=0.1, k=2**64 - 1, rng_root=1)
+    for noise in (None, np.zeros((4, 1))):
+        with pytest.raises(InputValidationError, match="no noise stream"):
+            lmc_step(last, Gaussian(d=1), noise=noise)
 
 
 def test_run_chains_validation():
